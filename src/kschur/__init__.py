@@ -10,7 +10,6 @@ from .algebra import (
     M_quasi_shuffle,
     chi_project,
     h_product,
-    invert_integer_matrix,
     pairing,
 )
 from .bases import (

@@ -13,7 +13,6 @@ Partition-indexed kinds: h, m, s (k-Schur), dual-s (dual k-Schur).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -220,40 +219,6 @@ def chi_project(g: LinearCombination) -> LinearCombination:
     return g.map_indices(lambda index: tuple(sorted(index, reverse=True)), kind="h")
 
 
-def invert_integer_matrix(rows):
-    """Exact inverse of an integer matrix, required to be integral.
-
-    Gauss-Jordan over Fraction; a singular matrix or a non-integer inverse
-    raises, since either signals a combinatorial bug upstream.
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    work = [[Fraction(v) for v in row] for row in rows]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise DomainError("matrix is singular")
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = work[col][col]
-        work[col] = [v / scale for v in work[col]]
-        inv[col] = [v / scale for v in inv[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [v - factor * w for v, w in zip(work[r], work[col])]
-                inv[r] = [v - factor * w for v, w in zip(inv[r], inv[col])]
-    result = []
-    for row in inv:
-        if any(v.denominator != 1 for v in row):
-            raise DomainError("inverse is not integral")
-        result.append([int(v) for v in row])
-    return result
-
-
 @dataclass(frozen=True)
 class BasisMatrix:
     """Labelled exact integer matrix for one graded component.
@@ -307,6 +272,28 @@ class BasisMatrix:
         return LinearCombination(self.target_kind, self.k, out)
 
     def inverse(self) -> "BasisMatrix":
+        """Exact inverse of a lower unitriangular matrix.
+
+        Forward substitution: row i of the inverse is e_i minus the sum over
+        j < i of entry (i, j) times row j of the inverse, so every step stays
+        in the integers.  The Pieri matrices are lower unitriangular in label
+        order; any other input signals a bug upstream and raises.
+        """
+        d = len(self.rows)
+        if len(self.col_labels) != d:
+            raise DomainError(f"cannot invert a {d}x{len(self.col_labels)} matrix")
+        rows, sparse = [], []
+        for i, row in enumerate(self.rows):
+            if row[i] != 1 or any(row[i + 1:]):
+                raise DomainError(f"matrix is not lower unitriangular at row {i}")
+            acc = [0] * d
+            acc[i] = 1
+            for j, a in enumerate(row[:i]):
+                if a:
+                    for c, v in sparse[j]:
+                        acc[c] -= a * v
+            rows.append(tuple(acc))
+            sparse.append([(c, v) for c, v in enumerate(acc) if v])
         return BasisMatrix(
             n=self.n,
             k=self.k,
@@ -314,7 +301,7 @@ class BasisMatrix:
             target_kind=self.source_kind,
             row_labels=self.col_labels,
             col_labels=self.row_labels,
-            rows=tuple(tuple(r) for r in invert_integer_matrix([list(r) for r in self.rows])),
+            rows=tuple(rows),
         )
 
     def transposed(self, source_kind, target_kind) -> "BasisMatrix":

@@ -279,7 +279,8 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(case.passed for case in self.cases)
+        """True when there is at least one case and every case passed."""
+        return bool(self.cases) and all(case.passed for case in self.cases)
 
     def to_json(self) -> dict:
         return {
@@ -318,11 +319,12 @@ def verify_duality(n, k) -> VerificationReport:
     """Pair every dual element against every primal one through the M/H
     expansions and compare with the Kronecker delta."""
     system = build_schur_system(n, k)
+    s_in_h = [system.S_in_H(beta) for beta in system.labels]
     failures = []
     for alpha in system.labels:
         qs = system.QS_in_M(alpha)
-        for beta in system.labels:
-            value = pairing(qs, system.S_in_H(beta))
+        for beta, s in zip(system.labels, s_in_h):
+            value = pairing(qs, s)
             if value != (1 if alpha == beta else 0):
                 failures.append(f"<QS{list(alpha)}, S{list(beta)}> = {value}")
     case = VerificationCase(

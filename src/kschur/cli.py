@@ -123,7 +123,7 @@ def _build_matrix(kind, k, n) -> BasisMatrix:
             return system.QS_to_M
         if kind == "h-to-ns":
             return system.H_to_S
-        return system.QS_to_M.inverse()
+        return system.S_to_H.transposed("M", "QS")
     system = bases.build_kschur_system(n, k)
     if kind == "kschur-to-h":
         return system.s_to_h
@@ -156,14 +156,22 @@ def _cache_path(kind, k, n):
 
 
 def cached_matrix_document(kind, k, n) -> dict:
+    """The matrix document, read from the cache only when the cached file
+    matches the request; anything else is recomputed and overwritten."""
     path = _cache_path(kind, k, n)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-        if doc.get("schema_version") == SCHEMA_VERSION and doc.get("kind") == kind:
+        if (
+            doc["schema_version"] == SCHEMA_VERSION
+            and doc["kind"] == kind
+            and doc["n"] == n
+            and doc["k"] == format_k(k)
+            and len(doc["entries"]) == len(doc["row_labels"]) * len(doc["col_labels"])
+        ):
             return doc
-    except (OSError, ValueError):
-        pass
+    except (OSError, ValueError, KeyError, TypeError):
+        pass  # unreadable, not json, or not a matrix document
     doc = matrix_document(kind, k, n)
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -241,11 +249,11 @@ _EXPANSIONS = {
     ("S", "H"): lambda s, i: s.S_in_H(i),
     ("H", "S"): lambda s, i: s.H_in_S(i),
     ("QS", "M"): lambda s, i: s.QS_in_M(i),
-    ("M", "QS"): lambda s, i: s.QS_to_M.inverse().row_combination(i),
+    ("M", "QS"): lambda s, i: s.S_to_H.transposed("M", "QS").row_combination(i),
     ("s", "h"): lambda s, i: s.s_in_h(i),
     ("h", "s"): lambda s, i: s.h_to_s.row_combination(i),
     ("dual-s", "m"): lambda s, i: s.dual_in_m(i),
-    ("m", "dual-s"): lambda s, i: s.dual_to_m.inverse().row_combination(i),
+    ("m", "dual-s"): lambda s, i: s.s_to_h.transposed("m", "dual-s").row_combination(i),
 }
 
 
@@ -269,36 +277,27 @@ def cmd_expand(args) -> int:
     return 0
 
 
+# Suites run once per (n, k) on a grid: their default k list and max n.
+_GRID_SUITES = {"duality": ([2, 3, 4], 7), "projection": ([2, 3], 6), "decomposition": ([2, 3], 6)}
+
+
 def _suite_report(args):
     suite = args.suite
     ks = [parse_k(t) for t in args.k.split(",")] if args.k else None
     max_n = args.max_n
+    if max_n is not None and max_n < 0:
+        raise ValueError(f"--max-n must be nonnegative, got {max_n}")
+    if suite in ("omega", "negativity") and ks and all(k is None for k in ks):
+        raise ValueError(f"the {suite} suite needs a finite k")
     if suite == "appendix":
         return bases.verify_appendix()
-    if suite == "duality":
-        ks = ks or [2, 3, 4]
-        max_n = 7 if max_n is None else max_n
-        cases = []
-        for k in ks:
-            for n in range(max_n + 1):
-                cases.extend(bases.verify_duality(n, k).cases)
-        return bases.VerificationReport("duality", {"max_n": max_n, "k": list(map(format_k, ks))}, tuple(cases))
-    if suite == "projection":
-        ks = ks or [2, 3]
-        max_n = 6 if max_n is None else max_n
-        cases = []
-        for k in ks:
-            for n in range(max_n + 1):
-                cases.extend(bases.verify_projection(n, k).cases)
-        return bases.VerificationReport("projection", {"max_n": max_n, "k": list(map(format_k, ks))}, tuple(cases))
-    if suite == "decomposition":
-        ks = ks or [2, 3]
-        max_n = 6 if max_n is None else max_n
-        cases = []
-        for k in ks:
-            for n in range(max_n + 1):
-                cases.extend(bases.verify_decomposition(n, k).cases)
-        return bases.VerificationReport("decomposition", {"max_n": max_n, "k": list(map(format_k, ks))}, tuple(cases))
+    if suite in _GRID_SUITES:
+        default_ks, default_n = _GRID_SUITES[suite]
+        ks = ks or default_ks
+        max_n = default_n if max_n is None else max_n
+        verify = getattr(bases, f"verify_{suite}")
+        cases = [c for k in ks for n in range(max_n + 1) for c in verify(n, k).cases]
+        return bases.VerificationReport(suite, {"max_n": max_n, "k": list(map(format_k, ks))}, tuple(cases))
     if suite == "stabilization":
         max_n = 6 if max_n is None else max_n
         cases = []

@@ -1,16 +1,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gauss_jordan import invert_integer_matrix
 from kschur import DomainError
 from kschur.algebra import (
+    BasisMatrix,
     H_product,
     LinearCombination,
     M_quasi_shuffle,
     chi_project,
     h_product,
-    invert_integer_matrix,
     pairing,
 )
+from kschur.bases import build_kschur_system, build_schur_system
 
 words = st.lists(st.integers(1, 3), max_size=3).map(tuple)
 
@@ -127,24 +129,79 @@ def test_chi_is_an_algebra_map(x, y):
     assert left == right
 
 
+def forward_inverse(rows):
+    """BasisMatrix.inverse on a bare integer matrix with positional labels."""
+    width = len(rows[0]) if rows else 0
+    matrix = BasisMatrix(
+        n=0, k=None, source_kind="H", target_kind="S",
+        row_labels=tuple((i,) for i in range(len(rows))),
+        col_labels=tuple((j,) for j in range(width)),
+        rows=tuple(tuple(r) for r in rows),
+    )
+    return [list(r) for r in matrix.inverse().rows]
+
+
 def test_invert_examples():
-    assert invert_integer_matrix([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
-    assert invert_integer_matrix([[1, 0], [1, 1]]) == [[1, 0], [-1, 1]]
-    with pytest.raises(DomainError):
-        invert_integer_matrix([[1, 1], [1, 1]])
-    with pytest.raises(DomainError):
-        invert_integer_matrix([[2]])
+    for invert in (invert_integer_matrix, forward_inverse):
+        assert invert([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
+        assert invert([[1, 0], [1, 1]]) == [[1, 0], [-1, 1]]
+        with pytest.raises(DomainError):
+            invert([[1, 1], [1, 1]])
+        with pytest.raises(DomainError):
+            invert([[2]])
+    # Invertible, but not lower unitriangular: only the oracle accepts it.
+    assert invert_integer_matrix([[1, 1], [0, 1]]) == [[1, -1], [0, 1]]
+    for bad in ([[1, 1], [0, 1]], [[1, 0], [0, -1]], [[1, 0]]):
+        with pytest.raises(DomainError):
+            forward_inverse(bad)
 
 
 def test_invert_round_trip():
     matrix = [[1, 0, 0, 0], [-1, 1, 0, 0], [-1, 0, 1, 0], [1, -1, -1, 1]]
-    inverse = invert_integer_matrix(matrix)
     n = len(matrix)
-    product = [
-        [sum(matrix[i][t] * inverse[t][j] for t in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+    for invert in (invert_integer_matrix, forward_inverse):
+        inverse = invert(matrix)
+        product = [
+            [sum(matrix[i][t] * inverse[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def lower_unitriangular(draw):
+    d = draw(st.integers(0, 12))
+    below = iter(draw(st.lists(st.integers(-5, 5), min_size=d * (d - 1) // 2,
+                               max_size=d * (d - 1) // 2)))
+    return [[next(below) if j < i else int(i == j) for j in range(d)] for i in range(d)]
+
+
+@settings(max_examples=60)
+@given(lower_unitriangular())
+def test_forward_inverse_matches_oracle(matrix):
+    assert forward_inverse(matrix) == invert_integer_matrix(matrix)
+
+
+@settings(max_examples=40)
+@given(lower_unitriangular().filter(len), st.data())
+def test_forward_inverse_rejects_broken_triangle(matrix, data):
+    d = len(matrix)
+    i = data.draw(st.integers(0, d - 1))
+    j = data.draw(st.integers(i, d - 1))
+    matrix[i][j] = data.draw(st.integers(-5, 5).filter(lambda v: v != int(i == j)))
+    with pytest.raises(DomainError):
+        forward_inverse(matrix)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, None])
+def test_pieri_matrix_inverses_match_oracle(k):
+    for n in range(8):
+        for forward in (build_schur_system(n, k).H_to_S, build_kschur_system(n, k).h_to_s):
+            inverse = forward.inverse()
+            assert inverse.row_labels == forward.col_labels
+            assert inverse.col_labels == forward.row_labels
+            expected = invert_integer_matrix([list(r) for r in forward.rows])
+            assert [list(r) for r in inverse.rows] == expected
 
 
 def test_terms_are_sorted_and_exact():

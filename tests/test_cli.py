@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from gauss_jordan import invert_integer_matrix
 from kschur import bases
+from kschur.algebra import LinearCombination
 from kschur.bases import VerificationCase, VerificationReport
-from kschur.cli import main, parse_element_spec, parse_k
+from kschur.cli import _EXPANSIONS, main, parse_element_spec, parse_k
 
 
 def run(capsys, *argv):
@@ -99,6 +101,35 @@ def test_matrix_ignores_corrupt_cache(tmp_path, monkeypatch, capsys):
     assert fresh == again
 
 
+@pytest.mark.parametrize(
+    "planted",
+    [
+        {"n": 4},
+        {"k": 3},
+        {"entries": [1, 0, -1]},
+        {"col_labels": [[3]]},
+    ],
+    ids=["wrong-n", "wrong-k", "short-entries", "wrong-shape"],
+)
+def test_matrix_rejects_mismatched_cache(planted, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    _, cold = run(capsys, "matrix", "--kind", "ns-to-h", "--k", "2", "--n", "3", "--format", "json")
+    path = next(tmp_path.glob("*.json"))
+    path.write_text(json.dumps({**json.loads(cold), **planted}), encoding="utf-8")
+    _, again = run(capsys, "matrix", "--kind", "ns-to-h", "--k", "2", "--n", "3", "--format", "json")
+    assert again == cold
+    assert json.loads(path.read_text(encoding="utf-8")) == json.loads(cold)
+
+
+def test_matrix_rejects_non_object_cache(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    _, cold = run(capsys, "matrix", "--kind", "kschur-to-h", "--k", "3", "--n", "4", "--format", "csv")
+    path = next(tmp_path.glob("*.json"))
+    path.write_text("[1, 2, 3]", encoding="utf-8")
+    _, again = run(capsys, "matrix", "--kind", "kschur-to-h", "--k", "3", "--n", "4", "--format", "csv")
+    assert again == cold
+
+
 def test_kostka_command(capsys):
     code, out = run(capsys, "kostka", "composition", "1,3,1,1", "1,1,2,1,1", "--k", "3", "--order", "paper")
     assert code == 0 and out == "2\n"
@@ -151,6 +182,37 @@ def test_expand_spec_error(capsys):
     assert code == 2
 
 
+def _oracle_expansions(n, k):
+    """Every expansion matrix as (source kind, target kind) -> (system, rows),
+    the inverses taken by Gauss-Jordan rather than forward substitution."""
+    def transpose(rows):
+        return [list(col) for col in zip(*rows)]
+
+    out = {}
+    for system, (H, S, QS, M), forward in (
+        (bases.build_schur_system(n, k), ("H", "S", "QS", "M"), "H_to_S"),
+        (bases.build_kschur_system(n, k), ("h", "s", "dual-s", "m"), "h_to_s"),
+    ):
+        rows = [list(r) for r in getattr(system, forward).rows]
+        out[(H, S)] = (system, rows)
+        out[(S, H)] = (system, invert_integer_matrix(rows))
+        out[(QS, M)] = (system, transpose(rows))
+        out[(M, QS)] = (system, invert_integer_matrix(transpose(rows)))
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3, None])
+def test_expansions_match_oracle(k):
+    for n in range(7):
+        expected = _oracle_expansions(n, k)
+        assert set(expected) == set(_EXPANSIONS)
+        for (source, target), expand in _EXPANSIONS.items():
+            system, rows = expected[(source, target)]
+            for label, row in zip(system.labels, rows):
+                want = LinearCombination(target, k, dict(zip(system.labels, row)))
+                assert expand(system, label) == want, (source, target, label)
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["matrix", "--kind", "bogus", "--k", "2", "--n", "2"])
@@ -193,3 +255,26 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     code, out = run(capsys, "verify", "--suite", "appendix")
     assert code == 1
     assert not json.loads(out)["passed"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "negativity", "--k", "inf"),
+        ("--suite", "duality", "--max-n", "-3"),
+        ("--suite", "stabilization", "--max-n", "-1"),
+        ("--suite", "omega", "--k", "inf"),
+    ],
+)
+def test_verify_refuses_vacuous_requests(argv, capsys):
+    code, out = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+
+
+def test_verify_empty_report_fails(monkeypatch, capsys):
+    empty = VerificationReport("appendix", {}, ())
+    assert not empty.passed
+    monkeypatch.setattr(bases, "verify_appendix", lambda: empty)
+    code, out = run(capsys, "verify", "--suite", "appendix")
+    assert code == 1
+    assert json.loads(out) == {"suite": "appendix", "parameters": {}, "passed": False, "cases": []}
