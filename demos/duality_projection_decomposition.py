@@ -27,19 +27,19 @@ print(f"labels at n={n}, k={k}:", [list(a) for a in system.labels])
 
 alpha = (2, 2)
 print(f"\nQS{list(alpha)} in the monomial basis:")
-for index, coeff in system.QS_in_M(alpha).terms():
+for index, coeff in system.expand("QS", alpha, "M").terms():
     print(f"  {coeff}*M{list(index)}")
 
 print("\npairings <QS[2,2], S[beta]>:")
-qs = system.QS_in_M(alpha)
+qs = system.expand("QS", alpha, "M")
 for beta in system.labels:
-    value = pairing(qs, system.S_in_H(beta))
+    value = pairing(qs, system.expand("S", beta, "H"))
     print(f"  beta={list(beta)}: {value}")
 
 print("\nprojection chi(S[alpha]) versus the k-Schur function:")
 for a in system.labels:
-    image = chi_project(system.S_in_H(a))
-    expected = pside.s_in_h(sort_to_partition(a))
+    image = chi_project(system.expand("S", a, "H"))
+    expected = pside.expand("s", sort_to_partition(a), "h")
     print(f"  alpha={list(a)}: chi(S) == s^(k)_{list(sort_to_partition(a))}? {image == expected}")
 
 lam = (2, 1, 1)
@@ -47,7 +47,8 @@ print(f"\ndecomposition of the dual k-Schur function at lambda={list(lam)}:")
 total = None
 for a in system.labels:
     if sort_to_partition(a) == lam:
-        piece = system.QS_in_M(a)
+        piece = system.expand("QS", a, "M")
         total = piece if total is None else total + piece
         print(f"  + QS{list(a)}")
-print("  sum equals dual-s in M coordinates?", total == monomial_to_M(pside.dual_in_m(lam)))
+dual = pside.expand("dual-s", lam, "m")
+print("  sum equals dual-s in M coordinates?", total == monomial_to_M(dual))

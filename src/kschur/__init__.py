@@ -13,8 +13,7 @@ from .algebra import (
     pairing,
 )
 from .bases import (
-    KSchurSystem,
-    SchurSystem,
+    GradedSystem,
     VerificationCase,
     VerificationReport,
     build_kschur_system,

@@ -13,7 +13,7 @@ Partition-indexed kinds: h, m, s (k-Schur), dual-s (dual k-Schur).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -243,13 +243,29 @@ class BasisMatrix:
         ):
             raise ValueError("matrix shape does not match labels")
 
+    @cached_property
+    def _row_position(self) -> dict:
+        return {label: r for r, label in enumerate(self.row_labels)}
+
+    @cached_property
+    def _col_position(self) -> dict:
+        return {label: c for c, label in enumerate(self.col_labels)}
+
+    def _locate(self, position, label) -> int:
+        try:
+            return position[tuple(label)]
+        except KeyError:
+            raise DomainError(
+                f"no label {tuple(label)!r} in {self.source_kind}->{self.target_kind} "
+                f"at n={self.n}, k={self.k}"
+            ) from None
+
     def entry(self, row_label, col_label) -> int:
-        r = self.row_labels.index(tuple(row_label))
-        c = self.col_labels.index(tuple(col_label))
-        return self.rows[r][c]
+        r = self._locate(self._row_position, row_label)
+        return self.rows[r][self._locate(self._col_position, col_label)]
 
     def row_combination(self, row_label) -> LinearCombination:
-        r = self.row_labels.index(tuple(row_label))
+        r = self._locate(self._row_position, row_label)
         return LinearCombination(
             self.target_kind,
             self.k,
@@ -265,7 +281,7 @@ class BasisMatrix:
             )
         out = {}
         for index, coeff in combo._coeffs.items():
-            r = self.row_labels.index(index)
+            r = self._locate(self._row_position, index)
             for c, v in zip(self.col_labels, self.rows[r]):
                 if v:
                     out[c] = out.get(c, 0) + coeff * v

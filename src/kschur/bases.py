@@ -1,12 +1,12 @@
 """Schur-like dual bases built by iterated Pieri expansion.
 
-For one graded component (degree n, bound k) the composition-side system
-holds three matrices: the expansion of each H word in the Schur-like S
-basis (obtained by running the Pieri rule once per part, last part
-first), its exact inverse, and the transpose, which is the monomial
-expansion of the dual QS basis.  The partition-side system is the same
-construction over k-bounded partitions, giving k-Schur functions in h
-and dual k-Schur functions in m.
+For one graded component (degree n, bound k) a graded system holds the
+expansion of each H word in the Schur-like S basis (obtained by running
+the Pieri rule once per part, last part first) and derives the other
+changes of basis from it: the exact inverse, the transpose, which is the
+monomial expansion of the dual QS basis, and the transpose of the
+inverse.  The partition side is the same construction over k-bounded
+partitions, giving k-Schur functions in h and dual k-Schur functions in m.
 
 Chain counts of horizontal (k-)strips generalize Kostka numbers; both
 content reading orders are exposed because the left Pieri iteration
@@ -17,31 +17,48 @@ conformance report lists every pair where they differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple
 
 from . import compositions as comp
 from . import partitions as part
-from .algebra import BasisMatrix, LinearCombination, pairing
+from .algebra import BasisMatrix, H_product, LinearCombination, chi_project, pairing
 from .errors import DomainError
 from .reference_tables import REFERENCE_MATRICES
 
 # ---------------------------------------------------------------------------
-# chain counting (generalized Kostka numbers)
+# the two sides: compositions and k-bounded partitions
+
+class _Family(NamedTuple):
+    labels: Callable  # (n, k) -> the basis labels in Pieri (unitriangular) order
+    targets: Callable  # (shape, strip size, k) -> shapes one strip above
+    fits: Callable  # (shape, smaller shape) -> containment
+    check: Callable  # validates and canonicalizes a shape
+    kinds: tuple  # (complete, Schur-like, dual, monomial)
+
 
 _FAMILIES = {
-    "composition": (comp.comp_pieri_targets, comp.bottom_aligned_contains, comp.check_composition),
-    "partition": (part.k_pieri_targets, part.contains, part.check_partition),
+    "composition": _Family(
+        comp.enumerate_compositions, comp.comp_pieri_targets,
+        comp.bottom_aligned_contains, comp.check_composition, ("H", "S", "QS", "M"),
+    ),
+    "partition": _Family(
+        part.partitions_of, part.k_pieri_targets,
+        part.contains, part.check_partition, ("h", "s", "dual-s", "m"),
+    ),
 }
 
+
+# ---------------------------------------------------------------------------
+# chain counting (generalized Kostka numbers)
 
 def _chain_content(shape, content, k, family, order):
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if order not in ("paper", "pieri"):
         raise ValueError(f"unknown order convention {order!r}")
-    _, _, check = _FAMILIES[family]
-    shape = check(shape)
+    shape = _FAMILIES[family].check(shape)
     content = comp.check_composition(content)
     if sum(shape) != sum(content):
         raise ValueError(f"size mismatch: |{shape!r}| != |{content!r}|")
@@ -60,7 +77,7 @@ def kostka(shape, content, k=None, family="composition", order="paper") -> int:
 @lru_cache(maxsize=None)
 def _kostka(shape, content, k, family, order) -> int:
     shape, seq = _chain_content(shape, content, k, family, order)
-    targets, fits, _ = _FAMILIES[family]
+    targets, fits = _FAMILIES[family].targets, _FAMILIES[family].fits
     frontier = {(): 1}
     for size in seq:
         step: dict = {}
@@ -77,7 +94,7 @@ def _kostka(shape, content, k, family, order) -> int:
 def kostka_chains(shape, content, k=None, family="composition", order="paper") -> tuple:
     """The chains themselves, each a tuple of shapes starting at the empty one."""
     shape, seq = _chain_content(shape, content, k, family, order)
-    targets, fits, _ = _FAMILIES[family]
+    targets, fits = _FAMILIES[family].targets, _FAMILIES[family].fits
     chains = []
 
     def rec(current, step, acc):
@@ -137,82 +154,74 @@ def _pieri_rows(labels, k, targets):
 
 
 @dataclass(frozen=True)
-class SchurSystem:
-    """Composition-side graded component: H, S and QS/M change of bases."""
+class GradedSystem:
+    """One graded component (degree n, bound k) of either side.
+
+    The Pieri matrix expands the complete kind in the Schur-like kind.
+    The other three changes of basis are derived from it: its inverse, its
+    transpose (dual -> monomial, by duality of the two pairs of bases) and
+    the transpose of the inverse (monomial -> dual).  Each is derived at
+    most once per system.
+    """
 
     n: int
     k: int | None
     labels: tuple
-    H_to_S: BasisMatrix
-    _inverse_cache: list = field(default_factory=list, repr=False, compare=False)
+    pieri: BasisMatrix
 
-    @property
-    def S_to_H(self) -> BasisMatrix:
-        if not self._inverse_cache:
-            self._inverse_cache.append(self.H_to_S.inverse())
-        return self._inverse_cache[0]
+    # perfbench/replay.py stages the inverse through these two names.
+    S_to_H = property(lambda self: self.matrix("S", "H"))
+    s_to_h = property(lambda self: self.matrix("s", "h"))
 
-    @property
-    def QS_to_M(self) -> BasisMatrix:
-        return self.H_to_S.transposed("QS", "M")
+    @cached_property
+    def _matrices(self) -> dict:
+        return {(self.pieri.source_kind, self.pieri.target_kind): self.pieri}
 
-    def S_in_H(self, alpha) -> LinearCombination:
-        return self.S_to_H.row_combination(alpha)
+    def matrix(self, source, target) -> BasisMatrix:
+        """The change of basis from the source kind to the target kind;
+        ValueError for a pair that is not one of the four of this side."""
+        if (source, target) not in self._matrices:
+            complete, schur, dual, monomial = next(
+                f.kinds for f in _FAMILIES.values() if f.kinds[0] == self.pieri.source_kind
+            )
+            if (source, target) == (schur, complete):
+                derived = self.pieri.inverse()
+            elif (source, target) == (dual, monomial):
+                derived = self.pieri.transposed(dual, monomial)
+            elif (source, target) == (monomial, dual):
+                derived = self.matrix(schur, complete).transposed(monomial, dual)
+            else:
+                raise ValueError(f"no expansion from {source!r} to {target!r}")
+            self._matrices[source, target] = derived
+        return self._matrices[source, target]
 
-    def QS_in_M(self, alpha) -> LinearCombination:
-        return self.QS_to_M.row_combination(alpha)
+    def expand(self, kind, index, target) -> LinearCombination:
+        """The basis element kind[index] written in the target kind."""
+        matrix = self.matrix(kind, target)  # an unsupported pair is refused first
+        return matrix.expand(LinearCombination.single(kind, index, self.k))
 
-    def H_in_S(self, beta) -> LinearCombination:
-        return self.H_to_S.row_combination(beta)
 
-
-@dataclass(frozen=True)
-class KSchurSystem:
-    """Partition-side graded component: h, k-Schur and dual k-Schur bases."""
-
-    n: int
-    k: int | None
-    labels: tuple
-    h_to_s: BasisMatrix
-    _inverse_cache: list = field(default_factory=list, repr=False, compare=False)
-
-    @property
-    def s_to_h(self) -> BasisMatrix:
-        if not self._inverse_cache:
-            self._inverse_cache.append(self.h_to_s.inverse())
-        return self._inverse_cache[0]
-
-    @property
-    def dual_to_m(self) -> BasisMatrix:
-        return self.h_to_s.transposed("dual-s", "m")
-
-    def s_in_h(self, lam) -> LinearCombination:
-        return self.s_to_h.row_combination(lam)
-
-    def dual_in_m(self, lam) -> LinearCombination:
-        return self.dual_to_m.row_combination(lam)
+def _build_system(family, n, k) -> GradedSystem:
+    side = _FAMILIES[family]
+    labels = side.labels(n, k)
+    complete, schur, _, _ = side.kinds
+    matrix = BasisMatrix(
+        n=n, k=k, source_kind=complete, target_kind=schur,
+        row_labels=labels, col_labels=labels, rows=_pieri_rows(labels, k, side.targets),
+    )
+    return GradedSystem(n=n, k=k, labels=labels, pieri=matrix)
 
 
 @lru_cache(maxsize=None)
-def build_schur_system(n, k=None) -> SchurSystem:
-    labels = comp.enumerate_compositions(n, k)
-    rows = _pieri_rows(labels, k, comp.comp_pieri_targets)
-    matrix = BasisMatrix(
-        n=n, k=k, source_kind="H", target_kind="S",
-        row_labels=labels, col_labels=labels, rows=rows,
-    )
-    return SchurSystem(n=n, k=k, labels=labels, H_to_S=matrix)
+def build_schur_system(n, k=None) -> GradedSystem:
+    """Composition side: H, the Schur-like S, the dual QS and the monomial M."""
+    return _build_system("composition", n, k)
 
 
 @lru_cache(maxsize=None)
-def build_kschur_system(n, k=None) -> KSchurSystem:
-    labels = part.partitions_of(n, k)
-    rows = _pieri_rows(labels, k, part.k_pieri_targets)
-    matrix = BasisMatrix(
-        n=n, k=k, source_kind="h", target_kind="s",
-        row_labels=labels, col_labels=labels, rows=rows,
-    )
-    return KSchurSystem(n=n, k=k, labels=labels, h_to_s=matrix)
+def build_kschur_system(n, k=None) -> GradedSystem:
+    """Partition side: h, the k-Schur s, the dual k-Schur and the monomial m."""
+    return _build_system("partition", n, k)
 
 
 def monomial_to_M(combo: LinearCombination) -> LinearCombination:
@@ -300,7 +309,7 @@ def verify_appendix() -> VerificationReport:
     for kind, tables in REFERENCE_MATRICES.items():
         for (k, n), (labels, rows) in tables.items():
             system = build_schur_system(n, k)
-            built = system.S_to_H if kind == "ns-to-h" else system.QS_to_M
+            built = system.matrix("S", "H") if kind == "ns-to-h" else system.matrix("QS", "M")
             ok = (
                 list(built.row_labels) == [tuple(l) for l in labels]
                 and [list(r) for r in built.rows] == [list(r) for r in rows]
@@ -319,10 +328,10 @@ def verify_duality(n, k) -> VerificationReport:
     """Pair every dual element against every primal one through the M/H
     expansions and compare with the Kronecker delta."""
     system = build_schur_system(n, k)
-    s_in_h = [system.S_in_H(beta) for beta in system.labels]
+    s_in_h = [system.expand("S", beta, "H") for beta in system.labels]
     failures = []
     for alpha in system.labels:
-        qs = system.QS_in_M(alpha)
+        qs = system.expand("QS", alpha, "M")
         for beta, s in zip(system.labels, s_in_h):
             value = pairing(qs, s)
             if value != (1 if alpha == beta else 0):
@@ -338,14 +347,12 @@ def verify_duality(n, k) -> VerificationReport:
 def verify_projection(n, k) -> VerificationReport:
     """Projecting a Schur-like element onto commuting generators must give
     the k-Schur element of the sorted index."""
-    from .algebra import chi_project
-
     system = build_schur_system(n, k)
     pside = build_kschur_system(n, k)
     cases = []
     for alpha in system.labels:
-        image = chi_project(system.S_in_H(alpha))
-        expected = pside.s_in_h(comp.sort_to_partition(alpha))
+        image = chi_project(system.expand("S", alpha, "H"))
+        expected = pside.expand("s", comp.sort_to_partition(alpha), "h")
         ok = image == expected
         cases.append(
             VerificationCase(
@@ -367,8 +374,8 @@ def verify_decomposition(n, k) -> VerificationReport:
         total = LinearCombination.zero("M", k)
         for alpha in system.labels:
             if comp.sort_to_partition(alpha) == lam:
-                total = total + system.QS_in_M(alpha)
-        expected = monomial_to_M(pside.dual_in_m(lam))
+                total = total + system.expand("QS", alpha, "M")
+        expected = monomial_to_M(pside.expand("dual-s", lam, "m"))
         ok = total == expected
         cases.append(
             VerificationCase(
@@ -389,16 +396,17 @@ def stabilization_check(n) -> VerificationReport:
     pref = build_kschur_system(n, None)
     for k in (n, n + 1, n + 2):
         same = (
-            build_schur_system(n, k).H_to_S.rows == reference.H_to_S.rows
+            build_schur_system(n, k).matrix("H", "S").rows == reference.matrix("H", "S").rows
             and build_schur_system(n, k).labels == reference.labels
-            and build_kschur_system(n, k).h_to_s.rows == pref.h_to_s.rows
+            and build_kschur_system(n, k).matrix("h", "s").rows == pref.matrix("h", "s").rows
         )
         cases.append(VerificationCase(name=f"n={n} k={k} equals unbounded", passed=same))
+    qs_to_m = reference.matrix("QS", "M")
     failures = []
     for lam in pref.labels:
         for beta in reference.labels:
             class_sum = sum(
-                reference.QS_to_M.entry(alpha, beta)
+                qs_to_m.entry(alpha, beta)
                 for alpha in reference.labels
                 if comp.sort_to_partition(alpha) == lam
             )
@@ -459,43 +467,34 @@ def negativity_search(max_total_degree, k) -> dict:
     Schur-like basis in the unbounded one.  Returns all witnesses found."""
     if max_total_degree < 2:
         raise ValueError("max_total_degree must be at least 2")
+
+    def negatives(combo, labels):
+        """(label, coefficient) for each negative coefficient, in label order."""
+        return [(gamma, c) for gamma in labels if (c := combo.coefficient(gamma)) < 0]
+
     product_witnesses = []
     for n1 in range(1, max_total_degree):
         sys1 = build_schur_system(n1, k)
         for n2 in range(1, max_total_degree - n1 + 1):
             sys2 = build_schur_system(n2, k)
             total = build_schur_system(n1 + n2, k)
-            h_to_s = {beta: row for beta, row in zip(total.labels, total.H_to_S.rows)}
+            pieri = total.matrix("H", "S")
+            rights = [(beta, sys2.expand("S", beta, "H")) for beta in sys2.labels]
             for alpha in sys1.labels:
-                left = sys1.S_in_H(alpha)
-                for beta in sys2.labels:
-                    right = sys2.S_in_H(beta)
-                    coeffs = [0] * len(total.labels)
-                    for ia, ca in left.terms():
-                        for ib, cb in right.terms():
-                            row = h_to_s[ia + ib]
-                            c = ca * cb
-                            for j, v in enumerate(row):
-                                if v:
-                                    coeffs[j] += c * v
-                    for gamma, value in zip(total.labels, coeffs):
-                        if value < 0:
-                            product_witnesses.append((alpha, beta, gamma, value))
+                left = sys1.expand("S", alpha, "H")
+                for beta, right in rights:
+                    product = pieri.expand(H_product(left, right))
+                    for gamma, value in negatives(product, total.labels):
+                        product_witnesses.append((alpha, beta, gamma, value))
     classical_witnesses = []
     for n in range(1, max_total_degree + 1):
         bounded = build_schur_system(n, k)
         unbounded = build_schur_system(n, None)
-        h_to_s = {beta: row for beta, row in zip(unbounded.labels, unbounded.H_to_S.rows)}
+        pieri = unbounded.matrix("H", "S")
         for alpha in bounded.labels:
-            coeffs = [0] * len(unbounded.labels)
-            for ib, cb in bounded.S_in_H(alpha).terms():
-                row = h_to_s[ib]
-                for j, v in enumerate(row):
-                    if v:
-                        coeffs[j] += cb * v
-            for gamma, value in zip(unbounded.labels, coeffs):
-                if value < 0:
-                    classical_witnesses.append((alpha, gamma, value))
+            in_h = LinearCombination("H", None, dict(bounded.expand("S", alpha, "H").terms()))
+            for gamma, value in negatives(pieri.expand(in_h), unbounded.labels):
+                classical_witnesses.append((alpha, gamma, value))
     return {"product": product_witnesses, "classical": classical_witnesses}
 
 

@@ -22,21 +22,22 @@ import sys
 import tempfile
 
 from . import bases
-from .algebra import BasisMatrix
+from .algebra import COMPOSITION_KINDS, PARTITION_KINDS
 from .compositions import check_composition
 from .errors import DomainError
 from .partitions import check_partition
 
 SCHEMA_VERSION = "1"
 
-MATRIX_KINDS = (
-    "ns-to-h",
-    "qs-to-m",
-    "kschur-to-h",
-    "dualkschur-to-m",
-    "h-to-ns",
-    "m-to-qs",
-)
+# Each matrix kind as the (source, target) basis kinds it expands between.
+MATRIX_KINDS = {
+    "ns-to-h": ("S", "H"),
+    "qs-to-m": ("QS", "M"),
+    "kschur-to-h": ("s", "h"),
+    "dualkschur-to-m": ("dual-s", "m"),
+    "h-to-ns": ("H", "S"),
+    "m-to-qs": ("M", "QS"),
+}
 
 VERIFY_SUITES = (
     "appendix",
@@ -47,8 +48,6 @@ VERIFY_SUITES = (
     "omega",
     "negativity",
 )
-
-_COMPOSITION_MATRIX = {"ns-to-h", "qs-to-m", "h-to-ns", "m-to-qs"}
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +97,11 @@ def parse_element_spec(text):
     try:
         if index_text.startswith("[") and index_text.endswith("]"):
             index = check_composition(parse_parts(index_text[1:-1]))
-            if kind not in ("H", "M", "S", "QS"):
+            if kind not in COMPOSITION_KINDS:
                 raise ValueError(f"kind {kind!r} does not take a composition index")
         elif index_text.startswith("(") and index_text.endswith(")"):
             index = check_partition(parse_parts(index_text[1:-1]))
-            if kind not in ("h", "m", "s", "dual-s"):
+            if kind not in PARTITION_KINDS:
                 raise ValueError(f"kind {kind!r} does not take a partition index")
         else:
             raise ValueError(f"bad index {index_text!r}; use [..] or (..)")
@@ -114,24 +113,20 @@ def parse_element_spec(text):
 # ---------------------------------------------------------------------------
 # matrix documents and cache
 
-def _build_matrix(kind, k, n) -> BasisMatrix:
-    if kind in _COMPOSITION_MATRIX:
-        system = bases.build_schur_system(n, k)
-        if kind == "ns-to-h":
-            return system.S_to_H
-        if kind == "qs-to-m":
-            return system.QS_to_M
-        if kind == "h-to-ns":
-            return system.H_to_S
-        return system.S_to_H.transposed("M", "QS")
-    system = bases.build_kschur_system(n, k)
-    if kind == "kschur-to-h":
-        return system.s_to_h
-    return system.dual_to_m
+def _system(kind, n, k):
+    """The graded system of the side that the basis kind belongs to."""
+    if kind in COMPOSITION_KINDS:
+        return bases.build_schur_system(n, k)
+    return bases.build_kschur_system(n, k)
+
+
+def _label_format(kind):
+    return format_composition if kind in COMPOSITION_KINDS else format_partition
 
 
 def matrix_document(kind, k, n) -> dict:
-    matrix = _build_matrix(kind, k, n)
+    source, target = MATRIX_KINDS[kind]
+    matrix = _system(source, n, k).matrix(source, target)
     return {
         "schema_version": SCHEMA_VERSION,
         "k": format_k(k),
@@ -184,27 +179,20 @@ def cached_matrix_document(kind, k, n) -> dict:
     return doc
 
 
-def _labels_text(doc, which):
-    composition = doc["kind"] in _COMPOSITION_MATRIX
-    fmt = format_composition if composition else format_partition
-    return [fmt(label) for label in doc[which]]
-
-
 def render_matrix(doc, fmt) -> str:
     rows = len(doc["row_labels"])
     cols = len(doc["col_labels"])
     entries = doc["entries"]
     if fmt == "json":
         return json.dumps(doc, separators=(",", ":"))
+    fmt_label = _label_format(MATRIX_KINDS[doc["kind"]][0])
     if fmt == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([""] + _labels_text(doc, "col_labels"))
-        for r, label in enumerate(_labels_text(doc, "row_labels")):
-            writer.writerow([label] + [str(v) for v in entries[r * cols : (r + 1) * cols]])
+        writer.writerow([""] + [fmt_label(label) for label in doc["col_labels"]])
+        for r, label in enumerate(doc["row_labels"]):
+            writer.writerow([fmt_label(label)] + [str(v) for v in entries[r * cols : (r + 1) * cols]])
         return out.getvalue().rstrip("\n")
-    composition = doc["kind"] in _COMPOSITION_MATRIX
-    fmt_label = format_composition if composition else format_partition
     lines = ["\\bordermatrix{"]
     lines.append(
         "~ & " + " & ".join(fmt_label(l, sep=", ") for l in doc["col_labels"]) + " \\cr"
@@ -245,35 +233,12 @@ def cmd_kostka(args) -> int:
     return 0
 
 
-_EXPANSIONS = {
-    ("S", "H"): lambda s, i: s.S_in_H(i),
-    ("H", "S"): lambda s, i: s.H_in_S(i),
-    ("QS", "M"): lambda s, i: s.QS_in_M(i),
-    ("M", "QS"): lambda s, i: s.S_to_H.transposed("M", "QS").row_combination(i),
-    ("s", "h"): lambda s, i: s.s_in_h(i),
-    ("h", "s"): lambda s, i: s.h_to_s.row_combination(i),
-    ("dual-s", "m"): lambda s, i: s.dual_in_m(i),
-    ("m", "dual-s"): lambda s, i: s.s_to_h.transposed("m", "dual-s").row_combination(i),
-}
-
-
 def cmd_expand(args) -> int:
     kind, index, k = parse_element_spec(args.element)
-    target = args.target
-    if (kind, target) not in _EXPANSIONS:
-        raise ValueError(f"no expansion from {kind!r} to {target!r}")
-    if k is not None and any(p > k for p in index):
-        raise DomainError(f"index {index!r} is not {k}-bounded")
-    n = sum(index)
-    if kind in ("H", "M", "S", "QS"):
-        system = bases.build_schur_system(n, k)
-        fmt = format_composition
-    else:
-        system = bases.build_kschur_system(n, k)
-        fmt = format_partition
-    combo = _EXPANSIONS[(kind, target)](system, index)
+    combo = _system(kind, sum(index), k).expand(kind, index, args.target)
+    fmt = _label_format(kind)
     for term_index, coeff in combo.terms():
-        print(f"{coeff}*{target}{fmt(term_index)}")
+        print(f"{coeff}*{args.target}{fmt(term_index)}")
     return 0
 
 

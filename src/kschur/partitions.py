@@ -222,17 +222,6 @@ def partitions_of(n, k=None) -> tuple:
     return tuple(out)
 
 
-def _core_profile(kappa, k) -> tuple[int, ...]:
-    hooks = hook_lengths(kappa)
-    counts = [
-        sum(1 for c in range(1, kappa[r - 1] + 1) if hooks[(r, c)] <= k)
-        for r in range(1, len(kappa) + 1)
-    ]
-    while counts and counts[-1] == 0:
-        counts.pop()
-    return tuple(counts)
-
-
 @lru_cache(maxsize=None)
 def _core_profile_index(k, bound):
     """Map hook <= k row-count profiles to the (k+1)-cores of size <= bound."""
@@ -240,7 +229,7 @@ def _core_profile_index(k, bound):
     for size in range(bound + 1):
         for kappa in partitions_of(size):
             if is_core(kappa, k + 1):
-                index.setdefault(_core_profile(kappa, k), []).append(kappa)
+                index.setdefault(core_to_bounded(kappa, k), []).append(kappa)
     return {profile: tuple(cores) for profile, cores in index.items()}
 
 

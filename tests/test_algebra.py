@@ -196,12 +196,29 @@ def test_forward_inverse_rejects_broken_triangle(matrix, data):
 @pytest.mark.parametrize("k", [2, 3, 4, None])
 def test_pieri_matrix_inverses_match_oracle(k):
     for n in range(8):
-        for forward in (build_schur_system(n, k).H_to_S, build_kschur_system(n, k).h_to_s):
+        for forward in (build_schur_system(n, k).matrix("H", "S"), build_kschur_system(n, k).matrix("h", "s")):
             inverse = forward.inverse()
             assert inverse.row_labels == forward.col_labels
             assert inverse.col_labels == forward.row_labels
             expected = invert_integer_matrix([list(r) for r in forward.rows])
             assert [list(r) for r in inverse.rows] == expected
+
+
+def test_missing_label_lookups_name_the_label():
+    labels = ((2,), (1, 1))
+    matrix = BasisMatrix(
+        n=2, k=None, source_kind="H", target_kind="S",
+        row_labels=labels, col_labels=labels, rows=((1, 0), (1, 1)),
+    )
+    with pytest.raises(DomainError, match=r"\(3,\)"):
+        matrix.entry((3,), (2,))
+    with pytest.raises(DomainError, match=r"\(1, 2\)"):
+        matrix.entry((2,), (1, 2))
+    with pytest.raises(DomainError, match=r"\(1, 2\)"):
+        matrix.row_combination((1, 2))
+    with pytest.raises(DomainError, match=r"\(1, 2\)"):
+        matrix.expand(H((1, 1)) + H((1, 2)))
+    assert matrix.entry((1, 1), (2,)) == 1
 
 
 def test_terms_are_sorted_and_exact():

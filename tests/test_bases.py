@@ -1,7 +1,7 @@
 import pytest
 
 from kschur import DomainError
-from kschur.algebra import LinearCombination, pairing
+from kschur.algebra import BasisMatrix, LinearCombination, pairing
 from kschur.bases import (
     build_kschur_system,
     build_schur_system,
@@ -86,7 +86,7 @@ def test_system_inverse_round_trip():
     for k in (2, 3, None):
         for n in range(6):
             system = build_schur_system(n, k)
-            product = system.S_to_H.matmul(system.H_to_S)
+            product = system.S_to_H.matmul(system.matrix("H", "S"))
             size = len(system.labels)
             assert product == tuple(
                 tuple(int(i == j) for j in range(size)) for i in range(size)
@@ -97,7 +97,7 @@ def test_unit_diagonal_and_dominance_support():
     for k in (2, 3):
         for n in range(7):
             system = build_schur_system(n, k)
-            for beta, row in zip(system.labels, system.H_to_S.rows):
+            for beta, row in zip(system.labels, system.matrix("H", "S").rows):
                 for alpha, value in zip(system.labels, row):
                     if alpha == beta:
                         assert value == 1
@@ -114,8 +114,8 @@ def test_h_to_s_corollary_round_trip():
             system = build_schur_system(n, k)
             for beta in system.labels:
                 acc = LinearCombination.zero("H", k)
-                for alpha, coeff in system.H_in_S(beta).terms():
-                    acc = acc + coeff * system.S_in_H(alpha)
+                for alpha, coeff in system.expand("H", beta, "S").terms():
+                    acc = acc + coeff * system.expand("S", alpha, "H")
                 assert acc == LinearCombination.single("H", beta, k)
 
 
@@ -125,7 +125,7 @@ def test_dual_expansion_matches_pieri_kostka():
             system = build_schur_system(n, k)
             for alpha in system.labels:
                 for beta in system.labels:
-                    assert system.QS_to_M.entry(alpha, beta) == kostka(
+                    assert system.matrix("QS", "M").entry(alpha, beta) == kostka(
                         alpha, beta, k, "composition", "pieri"
                     )
 
@@ -136,7 +136,7 @@ def test_dual_kschur_expansion_matches_partition_kostka():
             system = build_kschur_system(n, k)
             for lam in system.labels:
                 for mu in system.labels:
-                    assert system.dual_to_m.entry(lam, mu) == kostka(
+                    assert system.matrix("dual-s", "m").entry(lam, mu) == kostka(
                         lam, mu, k, "partition", "pieri"
                     )
 
@@ -147,20 +147,20 @@ def test_classical_partition_system_matches_ssyt_oracle():
         system = build_kschur_system(n, None)
         for mu in system.labels:
             for lam in system.labels:
-                assert system.h_to_s.entry(mu, lam) == ssyt_count(lam, mu)
+                assert system.matrix("h", "s").entry(mu, lam) == ssyt_count(lam, mu)
 
 
 def test_kschur_degree_two_example():
     for k in (2, 3, 5):
         system = build_kschur_system(2, k)
-        assert system.s_in_h((1, 1)) == LinearCombination(
+        assert system.expand("s", (1, 1), "h") == LinearCombination(
             "h", k, {(1, 1): 1, (2,): -1}
         )
 
 
 def test_dual_kschur_monomial_coefficient_example():
     system = build_kschur_system(4, 3)
-    assert system.dual_in_m((2, 1, 1)).coefficient((1, 1, 1, 1)) == 2
+    assert system.expand("dual-s", (2, 1, 1), "m").coefficient((1, 1, 1, 1)) == 2
 
 
 def test_duality_projection_decomposition_reports():
@@ -176,9 +176,9 @@ def test_pairing_of_dual_bases_is_kronecker():
         for n in range(6):
             system = build_schur_system(n, k)
             for alpha in system.labels:
-                qs = system.QS_in_M(alpha)
+                qs = system.expand("QS", alpha, "M")
                 for beta in system.labels:
-                    assert pairing(qs, system.S_in_H(beta)) == (1 if alpha == beta else 0)
+                    assert pairing(qs, system.expand("S", beta, "H")) == (1 if alpha == beta else 0)
 
 
 def test_monomial_to_M_identification():
@@ -213,6 +213,27 @@ def test_classical_limit_kostka_against_ssyt():
 def test_stabilization():
     for n in range(6):
         assert stabilization_check(n).passed
+
+
+def test_verifiers_derive_each_transpose_once(monkeypatch):
+    transposed = BasisMatrix.transposed
+    calls = []
+
+    def counted(self, source_kind, target_kind):
+        calls.append((self.n, self.k, source_kind, target_kind))
+        return transposed(self, source_kind, target_kind)
+
+    monkeypatch.setattr(BasisMatrix, "transposed", counted)
+    build_schur_system.cache_clear()
+    build_kschur_system.cache_clear()
+    stabilization_check(7)
+    for n in range(6):
+        verify_duality(n, 3)
+        verify_decomposition(n, 3)
+    assert calls and len(calls) == len(set(calls))
+    system = build_schur_system(5, 3)
+    assert system.matrix("QS", "M") is system.matrix("QS", "M")
+    assert system.matrix("M", "QS") is system.matrix("M", "QS")
 
 
 def test_omega_report_small():

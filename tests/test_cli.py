@@ -1,12 +1,23 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from gauss_jordan import invert_integer_matrix
 from kschur import bases
-from kschur.algebra import LinearCombination
+from kschur.algebra import COMPOSITION_KINDS, LinearCombination
 from kschur.bases import VerificationCase, VerificationReport
-from kschur.cli import _EXPANSIONS, main, parse_element_spec, parse_k
+from kschur.cli import (
+    MATRIX_KINDS,
+    format_composition,
+    format_k,
+    format_partition,
+    main,
+    matrix_document,
+    parse_element_spec,
+    parse_k,
+)
 
 
 def run(capsys, *argv):
@@ -189,11 +200,11 @@ def _oracle_expansions(n, k):
         return [list(col) for col in zip(*rows)]
 
     out = {}
-    for system, (H, S, QS, M), forward in (
-        (bases.build_schur_system(n, k), ("H", "S", "QS", "M"), "H_to_S"),
-        (bases.build_kschur_system(n, k), ("h", "s", "dual-s", "m"), "h_to_s"),
+    for system, (H, S, QS, M) in (
+        (bases.build_schur_system(n, k), ("H", "S", "QS", "M")),
+        (bases.build_kschur_system(n, k), ("h", "s", "dual-s", "m")),
     ):
-        rows = [list(r) for r in getattr(system, forward).rows]
+        rows = [list(r) for r in system.matrix(H, S).rows]
         out[(H, S)] = (system, rows)
         out[(S, H)] = (system, invert_integer_matrix(rows))
         out[(QS, M)] = (system, transpose(rows))
@@ -202,15 +213,41 @@ def _oracle_expansions(n, k):
 
 
 @pytest.mark.parametrize("k", [2, 3, None])
-def test_expansions_match_oracle(k):
+def test_expansions_match_oracle(k, capsys):
     for n in range(7):
         expected = _oracle_expansions(n, k)
-        assert set(expected) == set(_EXPANSIONS)
-        for (source, target), expand in _EXPANSIONS.items():
-            system, rows = expected[(source, target)]
+        assert len(expected) == 8 and set(MATRIX_KINDS.values()) < set(expected)
+        for kind, pair in MATRIX_KINDS.items():
+            _, rows = expected[pair]
+            assert matrix_document(kind, k, n)["entries"] == [v for row in rows for v in row], kind
+        for (source, target), (system, rows) in expected.items():
+            fmt = format_composition if source in COMPOSITION_KINDS else format_partition
             for label, row in zip(system.labels, rows):
                 want = LinearCombination(target, k, dict(zip(system.labels, row)))
-                assert expand(system, label) == want, (source, target, label)
+                code, out = run(capsys, "expand", f"{source}:{fmt(label)}@k={format_k(k)}", target)
+                assert code == 0
+                assert out.splitlines() == [f"{c}*{target}{fmt(i)}" for i, c in want.terms()], (
+                    source, target, label,
+                )
+
+
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+
+
+def test_recorded_outputs(monkeypatch, tmp_path, capsys):
+    """Every recorded request still gives its recorded exit code, stdout
+    digest and verify case count; matrix requests also on a warm cache."""
+    requests = json.loads(REFERENCES.read_text(encoding="utf-8"))["requests"]
+    assert requests
+    for number, (request, ref) in enumerate(sorted(requests.items())):
+        monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path / str(number)))
+        argv = request.split(" ")
+        for _ in range(2 if argv[0] == "matrix" else 1):
+            code, out = run(capsys, *argv)
+            assert code == ref["exit"], request
+            assert hashlib.sha256(out.encode()).hexdigest() == ref["sha256"], request
+            if argv[0] == "verify":
+                assert len(json.loads(out)["cases"]) == ref["cases"], request
 
 
 def test_usage_error_exit_code():
