@@ -3,7 +3,6 @@ non-commutative symmetric functions, with the supporting combinatorics of
 k-bounded partitions, cores and composition posets."""
 
 from .algebra import (
-    BasisLabel,
     BasisMatrix,
     LinearCombination,
     H_product,

@@ -14,19 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 from .errors import DomainError
 
 COMPOSITION_KINDS = frozenset({"H", "M", "S", "QS"})
 PARTITION_KINDS = frozenset({"h", "m", "s", "dual-s"})
 ALL_KINDS = COMPOSITION_KINDS | PARTITION_KINDS
-
-
-class BasisLabel(NamedTuple):
-    kind: str
-    index: tuple
-    k: int | None
 
 
 def _check_kind(kind):
@@ -70,9 +63,6 @@ class LinearCombination:
             (index, self._coeffs[index])
             for index in sorted(self._coeffs, key=lambda i: (sum(i), i))
         )
-
-    def labels(self):
-        return tuple(BasisLabel(self.kind, index, self.k) for index, _ in self.terms())
 
     def is_zero(self) -> bool:
         return not self._coeffs

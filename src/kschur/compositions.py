@@ -13,6 +13,11 @@ higher up.  A skew shape is a horizontal strip exactly when its cells,
 taken in increasing column order, can be added one at a time as covers;
 since the columns are distinct that insertion order is unique, so the
 predicate is decided by a single simulation.
+
+Pieri targets are generated rather than filtered: they are the cover
+chains whose new cells lie in strictly increasing columns
+(:func:`partitions.column_chains`), and the k-condition on their sorted
+shapes is read from the partition side's :func:`k_pieri_targets`.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
-from .partitions import is_horizontal_k_strip
+from .partitions import column_chains, is_horizontal_k_strip, k_pieri_targets
 
 Cell = tuple[int, int]  # 1-based (row, column)
 
@@ -50,21 +55,23 @@ def sort_to_partition(alpha) -> tuple[int, ...]:
     return tuple(sorted(alpha, reverse=True))
 
 
-@lru_cache(maxsize=None)
-def covers_up(beta, bound=None) -> tuple:
-    """Compositions covering beta: prepend a 1, or bump the leftmost part
-    of some size m to m + 1.  Results with a part above bound are dropped."""
-    out = []
-    if bound is None or bound >= 1:
-        out.append((1,) + beta)
+def composition_covers(beta, k):
+    """Covers of beta, each with the column of its new cell: prepending a 1
+    adds a cell in column 1, and bumping the leftmost part of some size m
+    to m + 1 adds one in column m + 1.  Parts above k are not formed."""
+    if k is None or k >= 1:
+        yield 1, (1,) + beta
     seen = set()
     for pos, part in enumerate(beta):
-        if part in seen:
-            continue
+        if part not in seen and (k is None or part < k):
+            yield part + 1, beta[:pos] + (part + 1,) + beta[pos + 1 :]
         seen.add(part)
-        if bound is None or part + 1 <= bound:
-            out.append(beta[:pos] + (part + 1,) + beta[pos + 1 :])
-    return tuple(sorted(out))
+
+
+@lru_cache(maxsize=None)
+def covers_up(beta, bound=None) -> tuple:
+    """Compositions covering beta, sorted, with no part above bound."""
+    return tuple(sorted(alpha for _, alpha in composition_covers(beta, bound)))
 
 
 @lru_cache(maxsize=None)
@@ -173,16 +180,14 @@ def is_horizontal_k_comp_strip(alpha, beta, k) -> bool:
 @lru_cache(maxsize=None)
 def comp_pieri_targets(beta, i, k=None) -> tuple:
     """k-bounded compositions reached from beta by a horizontal
-    k-composition strip of size i."""
+    k-composition strip of size i: the column chains of covers whose sorted
+    shape is a k-Pieri target of the sorted beta."""
     if i < 1 or (k is not None and i > k):
         raise ValueError(f"strip size {i} out of range for k={k}")
     require_k_bounded(beta, k)
-    frontier = {beta}
-    for _ in range(i):
-        frontier = {gamma for b in frontier for gamma in covers_up(b, k)}
-    return tuple(
-        sorted(a for a in frontier if is_horizontal_k_comp_strip(a, beta, k))
-    )
+    sorted_targets = k_pieri_targets(sort_to_partition(beta), i, k)
+    strips = column_chains(beta, i, composition_covers, k)
+    return tuple(sorted(a for a in strips if sort_to_partition(a) in sorted_targets))
 
 
 def compositions_of(n, k=None):

@@ -98,9 +98,11 @@ def core_to_bounded(kappa, k) -> tuple[int, ...]:
     kappa = check_partition(kappa)
     if k is None:
         return kappa
-    if not is_core(kappa, k + 1):
-        raise DomainError(f"{kappa!r} is not a {k + 1}-core")
+    if k < 1:
+        raise DomainError("core parameter must be at least 2")
     hooks = hook_lengths(kappa)
+    if k + 1 in hooks.values():
+        raise DomainError(f"{kappa!r} is not a {k + 1}-core")
     counts = [
         sum(1 for c in range(1, kappa[r - 1] + 1) if hooks[(r, c)] <= k)
         for r in range(1, len(kappa) + 1)
@@ -148,47 +150,45 @@ def is_horizontal_k_strip(lam, mu, k) -> bool:
     return is_vertical_strip(k_conjugate(lam, k), k_conjugate(mu, k))
 
 
-def _strip_extensions(lam, i, cap):
-    """All partitions obtained from lam by adding a horizontal strip of
-    i cells, every part at most cap (cap=None for no bound)."""
-    m = len(lam)
-    results = []
+def partition_covers(lam, k):
+    """Covers of lam in Young's lattice, each with the column of its new
+    cell: row r may grow when row r - 1 is longer, and its new cell lies in
+    column lam_r + 1.  Parts above k are not formed."""
+    for r, part in enumerate(lam + (0,)):
+        if (r == 0 or lam[r - 1] > part) and (k is None or part < k):
+            yield part + 1, lam[:r] + (part + 1,) + lam[r + 1 :]
 
-    def rec(row, remaining, acc):
-        if row == m:
-            if remaining == 0:
-                results.append(acc)
-                return
-            bound = lam[m - 1] if m else remaining
-            if cap is not None:
-                bound = min(bound, cap)
-            if remaining <= bound:
-                results.append(acc + (remaining,))
-            return
-        low = lam[row]
-        high = lam[row - 1] if row else low + remaining
-        high = min(high, low + remaining)
-        if cap is not None:
-            high = min(high, cap)
-        for value in range(low, high + 1):
-            rec(row + 1, remaining - (value - low), acc + (value,))
 
-    rec(0, i, ())
-    return results
+def column_chains(shape, i, covers, k) -> list:
+    """Shapes reached from shape by i covers whose new cells lie in strictly
+    increasing columns; covers(shape, k) yields (column, cover) pairs.
+
+    On Young's lattice and on the composition cover order these are exactly
+    the horizontal strips of size i.  Distinct columns fix the order in
+    which the cells are added, so no shape is reached twice.
+    """
+    chains = [(shape, 0)]
+    for _ in range(i):
+        chains = [
+            (grown, column)
+            for s, last in chains
+            for column, grown in covers(s, k)
+            if column > last
+        ]
+    return [s for s, _ in chains]
 
 
 @lru_cache(maxsize=None)
 def k_pieri_targets(lam, i, k) -> tuple:
-    """k-bounded partitions reached from lam by a horizontal k-strip of size i."""
+    """k-bounded partitions reached from lam by a horizontal k-strip of size i:
+    the horizontal strips whose k-conjugates grow by a vertical strip."""
     if i < 1 or (k is not None and i > k):
         raise ValueError(f"strip size {i} out of range for k={k}")
     require_k_bounded(lam, k)
+    conj = k_conjugate(lam, k)
+    strips = column_chains(lam, i, partition_covers, k)
     return tuple(
-        sorted(
-            mu
-            for mu in _strip_extensions(lam, i, k)
-            if is_horizontal_k_strip(mu, lam, k)
-        )
+        sorted(mu for mu in strips if is_vertical_strip(k_conjugate(mu, k), conj))
     )
 
 
@@ -233,14 +233,13 @@ def _core_profile_index(k, bound):
     return {profile: tuple(cores) for profile, cores in index.items()}
 
 
-def core_search_oracle(lam, k, max_size=None) -> tuple:
+def core_search_oracle(lam, k) -> tuple:
     """Exhaustive search for (k+1)-cores whose hook <= k row counts equal lam.
 
-    Independent cross-check for :func:`bounded_to_core`.  The default window
+    Independent cross-check for :func:`bounded_to_core`.  The search window
     n + n(n-1)/2 covers the worst case, a single column at k = 1, whose core
     is the full staircase.
     """
     lam = check_partition(lam)
     n = sum(lam)
-    bound = max_size if max_size is not None else n + n * (n - 1) // 2
-    return _core_profile_index(k, bound).get(lam, ())
+    return _core_profile_index(k, n + n * (n - 1) // 2).get(lam, ())

@@ -1,11 +1,12 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kschur import DomainError
 from kschur.compositions import (
     bottom_aligned_contains,
     check_composition,
     comp_pieri_targets,
+    composition_covers,
     covers_up,
     enumerate_compositions,
     is_horizontal_comp_strip,
@@ -14,6 +15,7 @@ from kschur.compositions import (
     skew_cells,
     sort_to_partition,
 )
+from kschur.partitions import column_chains
 
 compositions = st.lists(st.integers(1, 4), max_size=6).map(tuple)
 
@@ -222,3 +224,48 @@ def test_pieri_targets_are_strips(beta, i):
         assert sum(alpha) == sum(beta) + i
         assert is_horizontal_k_comp_strip(alpha, beta, k)
         assert leq_c(beta, alpha)
+
+
+def _filtered_targets(beta, i, k):
+    """Filter-based oracle: every k-bounded composition i cells larger that
+    forms a horizontal k-composition strip over beta."""
+    return tuple(
+        sorted(
+            alpha
+            for alpha in enumerate_compositions(sum(beta) + i, k)
+            if is_horizontal_k_comp_strip(alpha, beta, k)
+        )
+    )
+
+
+def test_pieri_targets_match_filter_oracle():
+    for k in (1, 2, 3, 4, None):
+        for i in range(1, min(k or 4, 4) + 1):
+            for n in range(9 - i):
+                for beta in enumerate_compositions(n, k):
+                    assert comp_pieri_targets(beta, i, k) == _filtered_targets(
+                        beta, i, k
+                    ), (beta, i, k)
+
+
+def test_column_chains_are_the_comp_strips_once_each():
+    for n in range(7):
+        for beta in enumerate_compositions(n):
+            for i in range(1, 9 - n):
+                chains = column_chains(beta, i, composition_covers, None)
+                assert len(set(chains)) == len(chains)
+                assert set(chains) == {
+                    alpha
+                    for alpha in enumerate_compositions(n + i)
+                    if is_horizontal_comp_strip(alpha, beta)
+                }
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_larger_pieri_targets_match_filter_oracle(data):
+    k = data.draw(st.sampled_from([2, 3, 4, 5, None]))
+    i = data.draw(st.integers(1, min(k or 5, 5)))
+    n = data.draw(st.integers(9 - i, 12 - i))
+    beta = data.draw(st.sampled_from(enumerate_compositions(n, k)))
+    assert comp_pieri_targets(beta, i, k) == _filtered_targets(beta, i, k)

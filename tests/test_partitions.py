@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from kschur import DomainError
+from kschur import DomainError, partitions
 from kschur.partitions import (
     bounded_to_core,
     check_partition,
+    column_chains,
     contains,
     core_search_oracle,
     core_to_bounded,
@@ -15,6 +16,7 @@ from kschur.partitions import (
     is_horizontal_strip,
     k_conjugate,
     k_pieri_targets,
+    partition_covers,
     partitions_of,
     transpose,
 )
@@ -57,6 +59,20 @@ def test_core_to_bounded_examples():
     assert core_to_bounded((2, 1, 1, 1), 3) == (1, 1, 1, 1)
     with pytest.raises(DomainError):
         core_to_bounded((2, 1), 2)  # hook 3 present, not a 3-core
+    with pytest.raises(DomainError):
+        core_to_bounded((1,), 0)
+
+
+def test_core_to_bounded_computes_hooks_once(monkeypatch):
+    calls = []
+
+    def counting(lam):
+        calls.append(lam)
+        return hook_lengths(lam)
+
+    monkeypatch.setattr(partitions, "hook_lengths", counting)
+    assert core_to_bounded((3, 1), 2) == (2, 1)
+    assert calls == [(3, 1)]
 
 
 def test_bounded_to_core_examples():
@@ -111,6 +127,49 @@ def test_k_pieri_targets_examples():
         k_pieri_targets((1,), 4, 3)
     with pytest.raises(ValueError):
         k_pieri_targets((1,), 0, 3)
+
+
+def _filtered_targets(lam, i, k):
+    """Filter-based oracle: every k-bounded partition i cells larger that
+    forms a horizontal k-strip over lam."""
+    return tuple(
+        sorted(
+            mu
+            for mu in partitions_of(sum(lam) + i, k)
+            if is_horizontal_k_strip(mu, lam, k)
+        )
+    )
+
+
+def test_k_pieri_targets_match_filter_oracle():
+    for k in (1, 2, 3, 4, None):
+        for i in range(1, min(k or 4, 4) + 1):
+            for n in range(9 - i):
+                for lam in partitions_of(n, k):
+                    assert k_pieri_targets(lam, i, k) == _filtered_targets(
+                        lam, i, k
+                    ), (lam, i, k)
+
+
+def test_column_chains_are_the_strips_once_each():
+    for n in range(9):
+        for lam in partitions_of(n):
+            for i in range(1, 11 - n):
+                chains = column_chains(lam, i, partition_covers, None)
+                assert len(set(chains)) == len(chains)
+                assert set(chains) == {
+                    mu for mu in partitions_of(n + i) if is_horizontal_strip(mu, lam)
+                }
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_larger_k_pieri_targets_match_filter_oracle(data):
+    k = data.draw(st.sampled_from([2, 3, 4, 5, None]))
+    i = data.draw(st.integers(1, min(k or 5, 5)))
+    n = data.draw(st.integers(9 - i, 16 - i))
+    lam = data.draw(st.sampled_from(partitions_of(n, k)))
+    assert k_pieri_targets(lam, i, k) == _filtered_targets(lam, i, k)
 
 
 def test_dominance():
