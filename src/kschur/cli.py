@@ -254,6 +254,10 @@ def _suite_report(args):
         raise ValueError(f"--max-n must be nonnegative, got {max_n}")
     if suite in ("omega", "negativity") and ks and all(k is None for k in ks):
         raise ValueError(f"the {suite} suite needs a finite k")
+    if suite == "appendix" and (args.k is not None or max_n is not None):
+        raise ValueError("the appendix suite takes neither --max-n nor --k")
+    if suite == "stabilization" and args.k is not None:
+        raise ValueError("the stabilization suite takes no --k")
     if suite == "appendix":
         return bases.verify_appendix()
     if suite in _GRID_SUITES:

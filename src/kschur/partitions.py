@@ -62,10 +62,16 @@ def hook_lengths(lam) -> dict[tuple[int, int], int]:
 
 
 def is_core(lam, t) -> bool:
-    """True when no cell of ``lam`` has hook length exactly ``t``."""
+    """True when no cell of ``lam`` has hook length exactly ``t``.
+
+    Read from the first-column hooks b_i = lam_i + len(lam) - i: the hooks
+    of row i are 1..b_i minus {b_i - b_j : j > i}, so a t-hook exists
+    exactly when some b >= t has b - t outside the set of all b.
+    """
     if t < 2:
         raise DomainError("core parameter must be at least 2")
-    return t not in hook_lengths(lam).values()
+    firsts = {p + len(lam) - i for i, p in enumerate(lam, 1)}
+    return all(b - t < 0 or b - t in firsts for b in firsts)
 
 
 @lru_cache(maxsize=None)
@@ -223,13 +229,12 @@ def partitions_of(n, k=None) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _core_profile_index(k, bound):
-    """Map hook <= k row-count profiles to the (k+1)-cores of size <= bound."""
+def _core_profile_index(k, size):
+    """Map hook <= k row-count profiles to the (k+1)-cores of exactly size."""
     index: dict[tuple, list] = {}
-    for size in range(bound + 1):
-        for kappa in partitions_of(size):
-            if is_core(kappa, k + 1):
-                index.setdefault(core_to_bounded(kappa, k), []).append(kappa)
+    for kappa in partitions_of(size):
+        if is_core(kappa, k + 1):
+            index.setdefault(core_to_bounded(kappa, k), []).append(kappa)
     return {profile: tuple(cores) for profile, cores in index.items()}
 
 
@@ -238,8 +243,14 @@ def core_search_oracle(lam, k) -> tuple:
 
     Independent cross-check for :func:`bounded_to_core`.  The search window
     n + n(n-1)/2 covers the worst case, a single column at k = 1, whose core
-    is the full staircase.
+    is the full staircase.  Matches come in size order from one index per
+    (k, size), so each partition in the window is core-tested once per k
+    however many lam share it.
     """
     lam = check_partition(lam)
     n = sum(lam)
-    return _core_profile_index(k, n + n * (n - 1) // 2).get(lam, ())
+    return tuple(
+        kappa
+        for size in range(n + n * (n - 1) // 2 + 1)
+        for kappa in _core_profile_index(k, size).get(lam, ())
+    )

@@ -301,6 +301,10 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
         ("--suite", "duality", "--max-n", "-3"),
         ("--suite", "stabilization", "--max-n", "-1"),
         ("--suite", "omega", "--k", "inf"),
+        ("--suite", "appendix", "--max-n", "3", "--k", "2"),
+        ("--suite", "appendix", "--max-n", "3"),
+        ("--suite", "appendix", "--k", "2"),
+        ("--suite", "stabilization", "--k", "3"),
     ],
 )
 def test_verify_refuses_vacuous_requests(argv, capsys):

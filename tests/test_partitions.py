@@ -29,6 +29,16 @@ def bounded_partitions(draw, max_len=5, max_part=5):
     return tuple(sorted(parts, reverse=True)), k
 
 
+@st.composite
+def partitions_up_to(draw, size):
+    cap = draw(st.integers(1, size))
+    parts, left = [], draw(st.integers(0, size))
+    while left:
+        parts.append(draw(st.integers(1, min(cap, left))))
+        left -= parts[-1]
+    return tuple(sorted(parts, reverse=True))
+
+
 def test_check_partition_rejects_bad_input():
     with pytest.raises(DomainError):
         check_partition((0, 1))
@@ -51,6 +61,20 @@ def test_is_core():
     assert is_core((), 7)
     with pytest.raises(DomainError):
         is_core((1,), 1)
+
+
+def test_is_core_matches_hook_lengths():
+    for n in range(15):
+        for lam in partitions_of(n):
+            hooks = set(hook_lengths(lam).values())
+            for t in range(2, 17):
+                assert is_core(lam, t) == (t not in hooks), (lam, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(partitions_up_to(40), st.integers(2, 42))
+def test_larger_is_core_matches_hook_lengths(lam, t):
+    assert is_core(lam, t) == (t not in hook_lengths(lam).values())
 
 
 def test_core_to_bounded_examples():
@@ -239,6 +263,22 @@ def test_core_search_oracle_agrees_with_construction():
         for n in range(8):
             for lam in partitions_of(n, k):
                 assert core_search_oracle(lam, k) == (bounded_to_core(lam, k),)
+
+
+def test_core_search_tests_each_partition_once_per_k(monkeypatch):
+    calls = []
+
+    def counting(lam, t):
+        calls.append(lam)
+        return is_core(lam, t)
+
+    monkeypatch.setattr(partitions, "is_core", counting)
+    partitions._core_profile_index.cache_clear()
+    for n in range(8):
+        for lam in partitions_of(n):
+            core_search_oracle(lam, 3)
+    # the largest window, 7 + 7 * 6 / 2 = 28, holds 18460 partitions
+    assert len(calls) == sum(len(partitions_of(size)) for size in range(29)) == 18460
 
 
 def test_partitions_of_order_and_bound():
