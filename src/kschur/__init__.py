@@ -32,7 +32,6 @@ from .bases import (
     verify_projection,
 )
 from .compositions import (
-    SkewCells,
     bottom_aligned_contains,
     check_composition,
     comp_pieri_targets,
@@ -40,8 +39,6 @@ from .compositions import (
     enumerate_compositions,
     is_horizontal_comp_strip,
     is_horizontal_k_comp_strip,
-    leq_c,
-    skew_cells,
     sort_to_partition,
 )
 from .errors import DomainError

@@ -254,14 +254,6 @@ class BasisMatrix:
         r = self._locate(self._row_position, row_label)
         return self.rows[r][self._locate(self._col_position, col_label)]
 
-    def row_combination(self, row_label) -> LinearCombination:
-        r = self._locate(self._row_position, row_label)
-        return LinearCombination(
-            self.target_kind,
-            self.k,
-            {c: v for c, v in zip(self.col_labels, self.rows[r])},
-        )
-
     def expand(self, combo: LinearCombination) -> LinearCombination:
         """Rewrite a combination over the source kind into the target kind."""
         if combo.kind != self.source_kind or combo.k != self.k:

@@ -2,10 +2,11 @@
 expansions and the verification suites.
 
 Output is deterministic byte-for-byte for fixed arguments.  Computed
-matrix documents are cached on disk as json, keyed by kind, k, n and the
-schema version; the cache directory comes from KSCHUR_CACHE_DIR and
-defaults to the user cache directory.  Writes go through a temp file and
-an atomic rename so concurrent invocations stay consistent.
+matrix documents are cached on disk as the json text a json request
+prints, keyed by kind, k, n and the schema version; the cache directory
+comes from KSCHUR_CACHE_DIR and defaults to the user cache directory.
+Writes go through a temp file and an atomic rename so concurrent
+invocations stay consistent.
 
 Exit codes: 0 success or suite pass, 1 verification failure, 2 usage or
 parse error, 3 domain violation.
@@ -14,6 +15,7 @@ parse error, 3 domain violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -150,9 +152,32 @@ def _cache_path(kind, k, n):
     return os.path.join(cache_dir(), f"{kind}_k{format_k(k)}_n{n}_v{SCHEMA_VERSION}.json")
 
 
-def cached_matrix_document(kind, k, n) -> dict:
-    """The matrix document, read from the cache only when the cached file
-    matches the request; anything else is recomputed and overwritten."""
+def _write_cache(path, text):
+    """Write text to path through a temp file and an atomic rename.  The
+    cache is best effort: a failed write is skipped and leaves no temp file."""
+    directory = os.path.dirname(path)
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
+def _document_and_json(kind, k, n):
+    """The matrix document, and its json text when it was computed here.
+
+    A cached file is served only when it matches the request; anything else
+    is recomputed, encoded once, and that text is written over it, so the
+    cache file holds exactly the bytes a json request prints.  The text is
+    None on a cache hit.
+    """
     path = _cache_path(kind, k, n)
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -164,19 +189,19 @@ def cached_matrix_document(kind, k, n) -> dict:
             and doc["k"] == format_k(k)
             and len(doc["entries"]) == len(doc["row_labels"]) * len(doc["col_labels"])
         ):
-            return doc
+            return doc, None
     except (OSError, ValueError, KeyError, TypeError):
         pass  # unreadable, not json, or not a matrix document
     doc = matrix_document(kind, k, n)
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, separators=(",", ":"))
-        os.replace(tmp, path)
-    except OSError:
-        pass  # cache is best effort
-    return doc
+    text = render_matrix(doc, "json")
+    _write_cache(path, text)
+    return doc, text
+
+
+def cached_matrix_document(kind, k, n) -> dict:
+    """The matrix document, read from the cache only when the cached file
+    matches the request; anything else is recomputed and overwritten."""
+    return _document_and_json(kind, k, n)[0]
 
 
 def render_matrix(doc, fmt) -> str:
@@ -211,8 +236,10 @@ def cmd_matrix(args) -> int:
     k = parse_k(args.k)
     if args.n < 0:
         raise ValueError("n must be nonnegative")
-    doc = cached_matrix_document(args.kind, k, args.n)
-    print(render_matrix(doc, args.format))
+    doc, text = _document_and_json(args.kind, k, args.n)
+    if text is None or args.format != "json":
+        text = render_matrix(doc, args.format)
+    print(text)
     return 0
 
 
@@ -252,8 +279,10 @@ def _suite_report(args):
     max_n = args.max_n
     if max_n is not None and max_n < 0:
         raise ValueError(f"--max-n must be nonnegative, got {max_n}")
-    if suite in ("omega", "negativity") and ks and all(k is None for k in ks):
-        raise ValueError(f"the {suite} suite needs a finite k")
+    if suite == "omega" and ks and (len(ks) != 1 or ks[0] is None):
+        raise ValueError("the omega suite takes one finite --k")
+    if suite == "negativity" and ks and None in ks:
+        raise ValueError("the negativity suite takes only finite --k values")
     if suite == "appendix" and (args.k is not None or max_n is not None):
         raise ValueError("the appendix suite takes neither --max-n nor --k")
     if suite == "stabilization" and args.k is not None:
@@ -275,10 +304,9 @@ def _suite_report(args):
         return bases.VerificationReport("stabilization", {"max_n": max_n}, tuple(cases))
     if suite == "omega":
         max_n = 10 if max_n is None else max_n
-        max_k = max((k for k in ks if k is not None), default=5) if ks else 5
-        return bases.verify_omega(max_n, max_k)
+        return bases.verify_omega(max_n, ks[0] if ks else 5)
     max_n = 8 if max_n is None else max_n
-    return bases.verify_negativity(max_n, [k for k in (ks or [2, 3]) if k is not None])
+    return bases.verify_negativity(max_n, ks or [2, 3])
 
 
 def cmd_verify(args) -> int:

@@ -22,7 +22,6 @@ shapes is read from the partition side's :func:`k_pieri_targets`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
@@ -74,47 +73,12 @@ def covers_up(beta, bound=None) -> tuple:
     return tuple(sorted(alpha for _, alpha in composition_covers(beta, bound)))
 
 
-@lru_cache(maxsize=None)
-def leq_c(beta, alpha) -> bool:
-    """Reachability of alpha from beta by a chain of covers.
-
-    Parts never shrink or disappear along a chain, so intermediate
-    compositions are pruned to the length of alpha and to its largest part.
-    """
-    steps = sum(alpha) - sum(beta)
-    if steps < 0:
-        return False
-    if steps == 0:
-        return beta == alpha
-    bound = max(alpha, default=0)
-    if len(beta) > len(alpha) or any(p > bound for p in beta):
-        return False
-    frontier = {beta}
-    for _ in range(steps):
-        frontier = {
-            gamma
-            for b in frontier
-            for gamma in covers_up(b, bound)
-            if len(gamma) <= len(alpha)
-        }
-    return alpha in frontier
-
-
 def bottom_aligned_contains(alpha, beta) -> bool:
     """True when beta fits inside alpha aligned with alpha's last rows."""
     shift = len(alpha) - len(beta)
     if shift < 0:
         return False
     return all(b <= alpha[shift + j] for j, b in enumerate(beta))
-
-
-@dataclass(frozen=True)
-class SkewCells:
-    """The cells of alpha outside beta, with beta bottom-aligned in alpha."""
-
-    cells: frozenset
-    outer: tuple
-    inner: tuple
 
 
 def _skew_cell_list(alpha, beta) -> list[Cell]:
@@ -126,13 +90,6 @@ def _skew_cell_list(alpha, beta) -> list[Cell]:
         r = shift + 1 + j
         cells.extend((r, c) for c in range(b + 1, alpha[r - 1] + 1))
     return cells
-
-
-def skew_cells(alpha, beta) -> SkewCells:
-    """Bottom-aligned skew cells; raises when beta does not fit in alpha."""
-    if not bottom_aligned_contains(alpha, beta):
-        raise ValueError(f"{beta!r} does not sit bottom-aligned inside {alpha!r}")
-    return SkewCells(frozenset(_skew_cell_list(alpha, beta)), tuple(alpha), tuple(beta))
 
 
 def is_horizontal_comp_strip(alpha, beta) -> bool:

@@ -215,8 +215,6 @@ def test_missing_label_lookups_name_the_label():
     with pytest.raises(DomainError, match=r"\(1, 2\)"):
         matrix.entry((2,), (1, 2))
     with pytest.raises(DomainError, match=r"\(1, 2\)"):
-        matrix.row_combination((1, 2))
-    with pytest.raises(DomainError, match=r"\(1, 2\)"):
         matrix.expand(H((1, 1)) + H((1, 2)))
     assert matrix.entry((1, 1), (2,)) == 1
 

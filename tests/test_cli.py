@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from gauss_jordan import invert_integer_matrix
-from kschur import bases
+from kschur import bases, cli
 from kschur.algebra import COMPOSITION_KINDS, LinearCombination
 from kschur.bases import VerificationCase, VerificationReport
 from kschur.cli import (
@@ -17,6 +17,7 @@ from kschur.cli import (
     matrix_document,
     parse_element_spec,
     parse_k,
+    render_matrix,
 )
 
 
@@ -139,6 +140,50 @@ def test_matrix_rejects_non_object_cache(tmp_path, monkeypatch, capsys):
     path.write_text("[1, 2, 3]", encoding="utf-8")
     _, again = run(capsys, "matrix", "--kind", "kschur-to-h", "--k", "3", "--n", "4", "--format", "csv")
     assert again == cold
+
+
+def test_matrix_cache_file_is_the_json_output(tmp_path, monkeypatch, capsys):
+    """A cold json request encodes its document once, with json.dumps, and
+    writes exactly the printed bytes to the cache."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    calls = []
+    dumps = json.dumps
+
+    def counted_dumps(*args, **kwargs):
+        calls.append(args)
+        return dumps(*args, **kwargs)
+
+    def no_dump(*args, **kwargs):
+        raise AssertionError("json.dump called")
+
+    monkeypatch.setattr(cli.json, "dumps", counted_dumps)
+    monkeypatch.setattr(cli.json, "dump", no_dump)
+    code, out = run(capsys, "matrix", "--kind", "h-to-ns", "--k", "3", "--n", "5", "--format", "json")
+    assert code == 0 and len(calls) == 1
+    assert next(tmp_path.glob("*.json")).read_bytes() == out.removesuffix("\n").encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "latex"])
+def test_matrix_cold_other_format_then_warm_json(fmt, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path / "json"))
+    _, cold = run(capsys, "matrix", "--kind", "dualkschur-to-m", "--k", "2", "--n", "5", "--format", "json")
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path / fmt))
+    run(capsys, "matrix", "--kind", "dualkschur-to-m", "--k", "2", "--n", "5", "--format", fmt)
+    _, warm = run(capsys, "matrix", "--kind", "dualkschur-to-m", "--k", "2", "--n", "5", "--format", "json")
+    assert warm == cold
+
+
+def test_matrix_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+
+    def failing_replace(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", failing_replace)
+    code, out = run(capsys, "matrix", "--kind", "ns-to-h", "--k", "2", "--n", "4", "--format", "json")
+    assert code == 0
+    assert out == render_matrix(matrix_document("ns-to-h", 2, 4), "json") + "\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_kostka_command(capsys):
@@ -272,7 +317,7 @@ def test_verify_small_grids(capsys):
     assert code == 0 and json.loads(out)["passed"]
     code, out = run(capsys, "verify", "--suite", "stabilization", "--max-n", "4")
     assert code == 0 and json.loads(out)["passed"]
-    code, out = run(capsys, "verify", "--suite", "omega", "--max-n", "6", "--k", "2,3")
+    code, out = run(capsys, "verify", "--suite", "omega", "--max-n", "6", "--k", "3")
     assert code == 0 and json.loads(out)["passed"]
 
 
@@ -301,6 +346,9 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
         ("--suite", "duality", "--max-n", "-3"),
         ("--suite", "stabilization", "--max-n", "-1"),
         ("--suite", "omega", "--k", "inf"),
+        ("--suite", "omega", "--k", "3,inf"),
+        ("--suite", "omega", "--k", "3,1"),
+        ("--suite", "negativity", "--k", "2,inf"),
         ("--suite", "appendix", "--max-n", "3", "--k", "2"),
         ("--suite", "appendix", "--max-n", "3"),
         ("--suite", "appendix", "--k", "2"),
