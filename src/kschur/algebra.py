@@ -315,11 +315,18 @@ class BasisMatrix:
         )
 
     def matmul(self, other: "BasisMatrix") -> tuple:
-        """Plain entry product self @ other, for identity checks."""
+        """Entry product self @ other, row by row: each nonzero entry (i, j)
+        of self adds that multiple of the nonzeros of row j of other into a
+        dense accumulator for row i.  The duality suite reads one of these."""
         if self.col_labels != other.row_labels:
             raise ValueError("label mismatch in matrix product")
-        cols = list(zip(*other.rows)) if other.rows else []
-        return tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.rows
-        )
+        sparse = [[(c, v) for c, v in enumerate(row) if v] for row in other.rows]
+        out = []
+        for row in self.rows:
+            acc = [0] * len(other.col_labels)
+            for j, a in enumerate(row):
+                if a:
+                    for c, v in sparse[j]:
+                        acc[c] += a * v
+            out.append(tuple(acc))
+        return tuple(out)

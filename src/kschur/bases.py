@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 from . import compositions as comp
 from . import partitions as part
-from .algebra import BasisMatrix, H_product, LinearCombination, chi_project, pairing
+from .algebra import BasisMatrix, H_product, LinearCombination, chi_project
 from .errors import DomainError
 from .reference_tables import REFERENCE_MATRICES
 
@@ -74,40 +74,39 @@ def kostka(shape, content, k=None, family="composition", order="paper") -> int:
     return _kostka(tuple(shape), tuple(content), k, family, order)
 
 
-@lru_cache(maxsize=None)
-def _kostka(shape, content, k, family, order) -> int:
-    shape, seq = _chain_content(shape, content, k, family, order)
-    targets, fits = _FAMILIES[family].targets, _FAMILIES[family].fits
+def _chain_counts(seq, k, targets) -> dict:
+    """Chains from the empty shape adding one strip per size in seq, in
+    order, through targets(shape, size, k): {end shape: number of chains}."""
     frontier = {(): 1}
     for size in seq:
         step: dict = {}
         for gamma, count in frontier.items():
             for delta in targets(gamma, size, k):
-                if fits(shape, delta):
-                    step[delta] = step.get(delta, 0) + count
+                step[delta] = step.get(delta, 0) + count
         frontier = step
-        if not frontier:
-            return 0
-    return frontier.get(shape, 0)
+    return frontier
+
+
+def _targets_inside(shape, family):
+    """The family's strip targets, pruned to those that fit inside shape."""
+    targets, fits = _FAMILIES[family].targets, _FAMILIES[family].fits
+    return lambda gamma, size, k: [d for d in targets(gamma, size, k) if fits(shape, d)]
+
+
+@lru_cache(maxsize=None)
+def _kostka(shape, content, k, family, order) -> int:
+    shape, seq = _chain_content(shape, content, k, family, order)
+    return _chain_counts(seq, k, _targets_inside(shape, family)).get(shape, 0)
 
 
 def kostka_chains(shape, content, k=None, family="composition", order="paper") -> tuple:
     """The chains themselves, each a tuple of shapes starting at the empty one."""
     shape, seq = _chain_content(shape, content, k, family, order)
-    targets, fits = _FAMILIES[family].targets, _FAMILIES[family].fits
-    chains = []
-
-    def rec(current, step, acc):
-        if step == len(seq):
-            if current == shape:
-                chains.append(acc)
-            return
-        for delta in targets(current, seq[step], k):
-            if fits(shape, delta):
-                rec(delta, step + 1, acc + (delta,))
-
-    rec((), 0, ((),))
-    return tuple(chains)
+    targets = _targets_inside(shape, family)
+    chains = [((),)]
+    for size in seq:
+        chains = [chain + (delta,) for chain in chains for delta in targets(chain[-1], size, k)]
+    return tuple(chain for chain in chains if chain[-1] == shape)
 
 
 def order_convention_report(max_n, ks) -> dict:
@@ -136,18 +135,13 @@ def order_convention_report(max_n, ks) -> dict:
 # graded systems
 
 def _pieri_rows(labels, k, targets):
-    rows = []
+    """Row beta counts the strip chains of content beta read back to front:
+    the Pieri rule applied once per part, last part first."""
     position = {label: j for j, label in enumerate(labels)}
+    rows = []
     for beta in labels:
-        vec = {(): 1}
-        for size in reversed(beta):
-            step: dict = {}
-            for gamma, count in vec.items():
-                for delta in targets(gamma, size, k):
-                    step[delta] = step.get(delta, 0) + count
-            vec = step
         row = [0] * len(labels)
-        for alpha, count in vec.items():
+        for alpha, count in _chain_counts(reversed(beta), k, targets).items():
             row[position[alpha]] = count
         rows.append(tuple(row))
     return tuple(rows)
@@ -225,14 +219,14 @@ def build_kschur_system(n, k=None) -> GradedSystem:
 
 
 def monomial_to_M(combo: LinearCombination) -> LinearCombination:
-    """Identify m with the sum of M over all rearrangements of the index."""
+    """Identify m with the sum of M over all rearrangements of the index
+    (its k-bounded compositions, read from ``compositions.rearrangements``)."""
     if combo.kind != "m":
         raise DomainError(f"expected kind 'm', got {combo.kind!r}")
     out = {}
     for mu, coeff in combo.terms():
-        for alpha in comp.enumerate_compositions(sum(mu), combo.k):
-            if comp.sort_to_partition(alpha) == mu:
-                out[alpha] = out.get(alpha, 0) + coeff
+        for alpha in comp.rearrangements(sum(mu), combo.k).get(mu, ()):
+            out[alpha] = out.get(alpha, 0) + coeff
     return LinearCombination("M", combo.k, out)
 
 
@@ -314,28 +308,23 @@ def verify_appendix() -> VerificationReport:
                 list(built.row_labels) == [tuple(l) for l in labels]
                 and [list(r) for r in built.rows] == [list(r) for r in rows]
             )
-            cases.append(
-                VerificationCase(
-                    name=f"{kind} k={k} n={n}",
-                    passed=ok,
-                    detail=None if ok else f"expected {rows}, built {built.rows}",
-                )
-            )
+            detail = None if ok else f"expected {rows}, built {built.rows}"
+            cases.append(VerificationCase(f"{kind} k={k} n={n}", ok, detail))
     return VerificationReport("appendix", {}, tuple(cases))
 
 
 def verify_duality(n, k) -> VerificationReport:
-    """Pair every dual element against every primal one through the M/H
-    expansions and compare with the Kronecker delta."""
+    """Check <QS[alpha], S[beta]> against the Kronecker delta.  Since QS->M
+    is the transpose of H->S, the pairing through the M/H expansions is
+    entry (beta, alpha) of the one product (S->H)(H->S)."""
     system = build_schur_system(n, k)
-    s_in_h = [system.expand("S", beta, "H") for beta in system.labels]
-    failures = []
-    for alpha in system.labels:
-        qs = system.expand("QS", alpha, "M")
-        for beta, s in zip(system.labels, s_in_h):
-            value = pairing(qs, s)
-            if value != (1 if alpha == beta else 0):
-                failures.append(f"<QS{list(alpha)}, S{list(beta)}> = {value}")
+    product = system.matrix("S", "H").matmul(system.pieri)
+    failures = [
+        f"<QS{list(alpha)}, S{list(beta)}> = {value}"
+        for a, (alpha, column) in enumerate(zip(system.labels, zip(*product)))
+        for b, (beta, value) in enumerate(zip(system.labels, column))
+        if value != (a == b)
+    ]
     case = VerificationCase(
         name=f"duality n={n} k={k}",
         passed=not failures,
@@ -354,13 +343,8 @@ def verify_projection(n, k) -> VerificationReport:
         image = chi_project(system.expand("S", alpha, "H"))
         expected = pside.expand("s", comp.sort_to_partition(alpha), "h")
         ok = image == expected
-        cases.append(
-            VerificationCase(
-                name=f"chi(S{list(alpha)}) n={n} k={k}",
-                passed=ok,
-                detail=None if ok else f"{image!r} != {expected!r}",
-            )
-        )
+        detail = None if ok else f"{image!r} != {expected!r}"
+        cases.append(VerificationCase(f"chi(S{list(alpha)}) n={n} k={k}", ok, detail))
     return VerificationReport("projection", {"n": n, "k": k}, tuple(cases))
 
 
@@ -369,21 +353,15 @@ def verify_decomposition(n, k) -> VerificationReport:
     Schur-like elements over all rearrangements of its parts."""
     system = build_schur_system(n, k)
     pside = build_kschur_system(n, k)
+    rearranged = comp.rearrangements(n, k)
     cases = []
     for lam in pside.labels:
-        total = LinearCombination.zero("M", k)
-        for alpha in system.labels:
-            if comp.sort_to_partition(alpha) == lam:
-                total = total + system.expand("QS", alpha, "M")
+        parts = (system.expand("QS", alpha, "M") for alpha in rearranged[lam])
+        total = sum(parts, LinearCombination.zero("M", k))
         expected = monomial_to_M(pside.expand("dual-s", lam, "m"))
         ok = total == expected
-        cases.append(
-            VerificationCase(
-                name=f"dual-s{list(lam)} n={n} k={k}",
-                passed=ok,
-                detail=None if ok else f"{total!r} != {expected!r}",
-            )
-        )
+        detail = None if ok else f"{total!r} != {expected!r}"
+        cases.append(VerificationCase(f"dual-s{list(lam)} n={n} k={k}", ok, detail))
     return VerificationReport("decomposition", {"n": n, "k": k}, tuple(cases))
 
 
@@ -402,14 +380,11 @@ def stabilization_check(n) -> VerificationReport:
         )
         cases.append(VerificationCase(name=f"n={n} k={k} equals unbounded", passed=same))
     qs_to_m = reference.matrix("QS", "M")
+    rearranged = comp.rearrangements(n)
     failures = []
     for lam in pref.labels:
         for beta in reference.labels:
-            class_sum = sum(
-                qs_to_m.entry(alpha, beta)
-                for alpha in reference.labels
-                if comp.sort_to_partition(alpha) == lam
-            )
+            class_sum = sum(qs_to_m.entry(alpha, beta) for alpha in rearranged[lam])
             expected = ssyt_count(lam, comp.sort_to_partition(beta))
             if class_sum != expected:
                 failures.append(f"lambda={lam} beta={beta}: {class_sum} != {expected}")

@@ -254,8 +254,7 @@ def cmd_kostka(args) -> int:
         check_composition(content)
     except DomainError as exc:
         raise ValueError(str(exc)) from exc
-    k = parse_k(args.k) if args.k is not None else None
-    value = bases.kostka(shape, content, k, args.family, args.order)
+    value = bases.kostka(shape, content, parse_k(args.k), args.family, args.order)
     print(value)
     return 0
 

@@ -23,6 +23,7 @@ shapes is read from the partition side's :func:`k_pieri_targets`.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 
 from .errors import DomainError
 from .partitions import column_chains, is_horizontal_k_strip, k_pieri_targets
@@ -172,3 +173,11 @@ def enumerate_compositions(n, k=None) -> tuple:
             reverse=True,
         )
     )
+
+
+@lru_cache(maxsize=None)
+def rearrangements(n, k=None) -> dict:
+    """The k-bounded compositions of n grouped by sorted parts: each partition
+    maps to its rearrangements in label order; one with none is absent."""
+    labels = enumerate_compositions(n, k)
+    return {lam: tuple(group) for lam, group in groupby(labels, sort_to_partition)}

@@ -204,6 +204,54 @@ def test_pieri_matrix_inverses_match_oracle(k):
             assert [list(r) for r in inverse.rows] == expected
 
 
+def labelled(rows, row_count, col_count, source="S", target="H"):
+    """rows as a BasisMatrix whose labels are (0,), (1,), ... on both sides."""
+    return BasisMatrix(
+        n=0, k=None, source_kind=source, target_kind=target,
+        row_labels=tuple((i,) for i in range(row_count)),
+        col_labels=tuple((j,) for j in range(col_count)),
+        rows=tuple(tuple(row) for row in rows),
+    )
+
+
+@st.composite
+def sparse_matrix(draw, row_count, col_count):
+    """An integer matrix with at least one zero row and one zero column
+    whenever it has a row and a column to zero."""
+    rows = [draw(st.lists(st.integers(-3, 3), min_size=col_count, max_size=col_count))
+            for _ in range(row_count)]
+    if row_count and col_count:
+        zero_row = draw(st.integers(0, row_count - 1))
+        zero_col = draw(st.integers(0, col_count - 1))
+        rows = [[0 if i == zero_row or j == zero_col else v for j, v in enumerate(row)]
+                for i, row in enumerate(rows)]
+    return rows
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_matmul_matches_naive_product(m, p, q, data):
+    left = data.draw(sparse_matrix(m, p))
+    right = data.draw(sparse_matrix(p, q))
+    naive = tuple(
+        tuple(sum(left[i][t] * right[t][j] for t in range(p)) for j in range(q))
+        for i in range(m)
+    )
+    assert labelled(left, m, p).matmul(labelled(right, p, q, "H", "S")) == naive
+
+
+def test_matmul_refuses_mismatched_labels():
+    left = labelled([[1, 0], [0, 1]], 2, 2)
+    right = BasisMatrix(
+        n=0, k=None, source_kind="H", target_kind="S",
+        row_labels=((1,), (0,)), col_labels=((0,), (1,)), rows=((1, 0), (0, 1)),
+    )
+    with pytest.raises(ValueError, match="label mismatch"):
+        left.matmul(right)
+    with pytest.raises(ValueError, match="label mismatch"):
+        left.matmul(labelled([[1, 0, 0]], 1, 3, "H", "S"))
+
+
 def test_missing_label_lookups_name_the_label():
     labels = ((2,), (1, 1))
     matrix = BasisMatrix(

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
-from kschur import DomainError
+from kschur import DomainError, bases
 from kschur.algebra import BasisMatrix, LinearCombination, pairing
 from kschur.bases import (
+    GradedSystem,
     build_kschur_system,
     build_schur_system,
     kostka,
@@ -179,6 +182,86 @@ def test_pairing_of_dual_bases_is_kronecker():
                 qs = system.expand("QS", alpha, "M")
                 for beta in system.labels:
                     assert pairing(qs, system.expand("S", beta, "H")) == (1 if alpha == beta else 0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, None])
+def test_duality_product_entries_are_pairings(k):
+    # The d^2 pairing form is the specification of the one product that
+    # verify_duality reads: <QS[alpha], S[beta]> is its entry (beta, alpha).
+    # On the true matrices both sides are the identity, so the identity is
+    # also checked on a wrong S->H, where a transposed product shows.
+    for n in range(7):
+        system = build_schur_system(n, k)
+        first, last = system.labels[0], system.labels[-1]
+        broken = with_entry_changed(system, "S", "H", {(last, first): 1, (first, last): 2})
+        for graded in (system, broken):
+            product = graded.matrix("S", "H").matmul(graded.matrix("H", "S"))
+            for a, alpha in enumerate(graded.labels):
+                qs = graded.expand("QS", alpha, "M")
+                for b, beta in enumerate(graded.labels):
+                    assert product[b][a] == pairing(qs, graded.expand("S", beta, "H"))
+
+
+def with_entry_changed(system, source, target, changes):
+    """A copy of the graded system whose source->target matrix has the
+    given {(row label, column label): delta} added to its entries."""
+    matrix = system.matrix(source, target)
+    rows = [list(row) for row in matrix.rows]
+    for (row_label, col_label), delta in changes.items():
+        rows[matrix.row_labels.index(row_label)][matrix.col_labels.index(col_label)] += delta
+    broken = GradedSystem(n=system.n, k=system.k, labels=system.labels, pieri=system.pieri)
+    broken._matrices[source, target] = replace(matrix, rows=tuple(map(tuple, rows)))
+    return broken
+
+
+def test_duality_fails_on_a_wrong_inverse(monkeypatch):
+    system = build_schur_system(5, 3)
+    first, last = system.labels[0], system.labels[-1]
+    broken = with_entry_changed(system, "S", "H", {(last, first): 1})
+    monkeypatch.setattr(bases, "build_schur_system", lambda n, k=None: broken)
+    report = verify_duality(5, 3)
+    assert not report.passed
+    assert report.cases[0].detail == f"<QS{list(first)}, S{list(last)}> = 1"
+
+
+def test_duality_failures_are_listed_alpha_major(monkeypatch):
+    system = build_schur_system(5, 3)
+    changes = {(beta, beta): 1 for beta in system.labels[-2:]}
+    broken = with_entry_changed(system, "S", "H", changes)
+    monkeypatch.setattr(bases, "build_schur_system", lambda n, k=None: broken)
+    bad = [
+        (alpha, beta, value)
+        for alpha in system.labels
+        for beta in system.labels
+        if (value := pairing(broken.expand("QS", alpha, "M"), broken.expand("S", beta, "H")))
+        != (alpha == beta)
+    ]
+    assert len({beta for _, beta, _ in bad[:5]}) == 2  # the order is visible
+    report = verify_duality(5, 3)
+    assert not report.passed
+    assert report.cases[0].detail == "; ".join(
+        f"<QS{list(alpha)}, S{list(beta)}> = {value}" for alpha, beta, value in bad[:5]
+    )
+
+
+def test_classical_suites_fail_on_a_wrong_dual_entry(monkeypatch):
+    real = bases.build_schur_system
+    system = real(5, None)
+    first = system.labels[0]
+    broken = with_entry_changed(system, "QS", "M", {(first, first): 1})
+    monkeypatch.setattr(
+        bases, "build_schur_system", lambda n, k=None: broken if k is None else real(n, k)
+    )
+    cases = stabilization_check(5).cases
+    assert [case.passed for case in cases] == [True, True, True, False]
+    assert "classical Kostka" in cases[-1].name
+    assert not verify_decomposition(5, None).passed
+
+
+@pytest.mark.parametrize("family", ["composition", "partition"])
+def test_kostka_prunes_chains_to_the_shape(family):
+    # Unpruned, the composition side would walk all 2^23 compositions of 24.
+    assert kostka((24,), (1,) * 24, None, family, "paper") == 1
 
 
 def test_monomial_to_M_identification():
