@@ -12,6 +12,7 @@ Partition-indexed kinds: h, m, s (k-Schur), dual-s (dual k-Schur).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -314,19 +315,23 @@ class BasisMatrix:
             rows=tuple(zip(*self.rows)) if self.rows else (),
         )
 
-    def matmul(self, other: "BasisMatrix") -> tuple:
-        """Entry product self @ other, row by row: each nonzero entry (i, j)
-        of self adds that multiple of the nonzeros of row j of other into a
-        dense accumulator for row i.  The duality suite reads one of these."""
+    def matmul(self, other: "BasisMatrix") -> Iterator[tuple]:
+        """Entry product self @ other, yielded row by row, so only one row
+        of the product is held at a time: each nonzero entry (i, j) of self
+        adds that multiple of the nonzeros of row j of other into a dense
+        accumulator for row i.  Mismatched labels raise at the call.  The
+        duality suite reads one of these."""
         if self.col_labels != other.row_labels:
             raise ValueError("label mismatch in matrix product")
         sparse = [[(c, v) for c, v in enumerate(row) if v] for row in other.rows]
-        out = []
-        for row in self.rows:
-            acc = [0] * len(other.col_labels)
-            for j, a in enumerate(row):
-                if a:
-                    for c, v in sparse[j]:
-                        acc[c] += a * v
-            out.append(tuple(acc))
-        return tuple(out)
+
+        def product_rows():
+            for row in self.rows:
+                acc = [0] * len(other.col_labels)
+                for j, a in enumerate(row):
+                    if a:
+                        for c, v in sparse[j]:
+                            acc[c] += a * v
+                yield tuple(acc)
+
+        return product_rows()

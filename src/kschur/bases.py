@@ -297,6 +297,12 @@ class VerificationReport:
         }
 
 
+def _case(name, failures) -> VerificationCase:
+    """The case that passes when failures is empty; its detail joins the
+    first five failures."""
+    return VerificationCase(name, not failures, "; ".join(failures[:5]) or None)
+
+
 def verify_appendix() -> VerificationReport:
     """Rebuild the published small tables and compare entry for entry."""
     cases = []
@@ -319,18 +325,17 @@ def verify_duality(n, k) -> VerificationReport:
     entry (beta, alpha) of the one product (S->H)(H->S)."""
     system = build_schur_system(n, k)
     product = system.matrix("S", "H").matmul(system.pieri)
-    failures = [
-        f"<QS{list(alpha)}, S{list(beta)}> = {value}"
-        for a, (alpha, column) in enumerate(zip(system.labels, zip(*product)))
-        for b, (beta, value) in enumerate(zip(system.labels, column))
+    # The rows arrive beta-major and only the off-identity entries are kept;
+    # sorting lists them alpha-major.
+    bad = sorted(
+        (a, b, value)
+        for b, row in enumerate(product)
+        for a, value in enumerate(row)
         if value != (a == b)
-    ]
-    case = VerificationCase(
-        name=f"duality n={n} k={k}",
-        passed=not failures,
-        detail="; ".join(failures[:5]) or None,
     )
-    return VerificationReport("duality", {"n": n, "k": k}, (case,))
+    labels = system.labels
+    failures = [f"<QS{list(labels[a])}, S{list(labels[b])}> = {value}" for a, b, value in bad]
+    return VerificationReport("duality", {"n": n, "k": k}, (_case(f"duality n={n} k={k}", failures),))
 
 
 def verify_projection(n, k) -> VerificationReport:
@@ -383,25 +388,20 @@ def stabilization_check(n) -> VerificationReport:
     rearranged = comp.rearrangements(n)
     failures = []
     for lam in pref.labels:
+        counts = {mu: ssyt_count(lam, mu) for mu in pref.labels}  # one count per partition
         for beta in reference.labels:
             class_sum = sum(qs_to_m.entry(alpha, beta) for alpha in rearranged[lam])
-            expected = ssyt_count(lam, comp.sort_to_partition(beta))
+            expected = counts[comp.sort_to_partition(beta)]
             if class_sum != expected:
                 failures.append(f"lambda={lam} beta={beta}: {class_sum} != {expected}")
-    cases.append(
-        VerificationCase(
-            name=f"n={n} classical Kostka against tableau oracle",
-            passed=not failures,
-            detail="; ".join(failures[:5]) or None,
-        )
-    )
+    cases.append(_case(f"n={n} classical Kostka against tableau oracle", failures))
     return VerificationReport("stabilization", {"n": n}, tuple(cases))
 
 
-def verify_omega(max_n, max_k, oracle_max_n=7) -> VerificationReport:
+def verify_omega(max_n, max_k) -> VerificationReport:
     """Involution, size preservation, core round trips and bijectivity of
     the bounded-partition/core correspondence; the construction is checked
-    against the exhaustive core search at small sizes."""
+    against the exhaustive core search for n <= 7."""
     cases = []
     for k in range(1, max_k + 1):
         bad = []
@@ -419,17 +419,11 @@ def verify_omega(max_n, max_k, oracle_max_n=7) -> VerificationReport:
                 seen[core] = lam
                 if k >= n and conj != part.transpose(lam):
                     bad.append(f"large-k transpose {lam} k={k}")
-                if n <= oracle_max_n:
+                if n <= 7:
                     matches = part.core_search_oracle(lam, k)
                     if matches != (core,):
                         bad.append(f"oracle disagrees at {lam} k={k}: {matches}")
-        cases.append(
-            VerificationCase(
-                name=f"k={k} n<={max_n}",
-                passed=not bad,
-                detail="; ".join(bad[:5]) or None,
-            )
-        )
+        cases.append(_case(f"k={k} n<={max_n}", bad))
     return VerificationReport("omega", {"max_n": max_n, "max_k": max_k}, tuple(cases))
 
 

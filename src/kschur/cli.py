@@ -41,15 +41,17 @@ MATRIX_KINDS = {
     "m-to-qs": ("M", "QS"),
 }
 
-VERIFY_SUITES = (
-    "appendix",
-    "duality",
-    "projection",
-    "decomposition",
-    "stabilization",
-    "omega",
-    "negativity",
-)
+# Each verify suite with its default --max-n and default --k list.  None
+# marks a flag that the suite does not read; such a flag is refused.
+VERIFY_SUITES = {
+    "appendix": (None, None),
+    "duality": (7, (2, 3, 4)),
+    "projection": (6, (2, 3)),
+    "decomposition": (6, (2, 3)),
+    "stabilization": (6, None),
+    "omega": (10, (5,)),
+    "negativity": (8, (2, 3)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -268,44 +270,32 @@ def cmd_expand(args) -> int:
     return 0
 
 
-# Suites run once per (n, k) on a grid: their default k list and max n.
-_GRID_SUITES = {"duality": ([2, 3, 4], 7), "projection": ([2, 3], 6), "decomposition": ([2, 3], 6)}
-
-
 def _suite_report(args):
     suite = args.suite
-    ks = [parse_k(t) for t in args.k.split(",")] if args.k else None
-    max_n = args.max_n
+    default_n, default_ks = VERIFY_SUITES[suite]
+    for flag, value, default in (("--max-n", args.max_n, default_n), ("--k", args.k, default_ks)):
+        if value is not None and default is None:
+            raise ValueError(f"the {suite} suite takes no {flag}")
+    ks = [parse_k(t) for t in args.k.split(",")] if args.k else default_ks
+    max_n = default_n if args.max_n is None else args.max_n
     if max_n is not None and max_n < 0:
         raise ValueError(f"--max-n must be nonnegative, got {max_n}")
-    if suite == "omega" and ks and (len(ks) != 1 or ks[0] is None):
+    if suite == "omega" and (len(ks) != 1 or ks[0] is None):
         raise ValueError("the omega suite takes one finite --k")
-    if suite == "negativity" and ks and None in ks:
+    if suite == "negativity" and None in ks:
         raise ValueError("the negativity suite takes only finite --k values")
-    if suite == "appendix" and (args.k is not None or max_n is not None):
-        raise ValueError("the appendix suite takes neither --max-n nor --k")
-    if suite == "stabilization" and args.k is not None:
-        raise ValueError("the stabilization suite takes no --k")
     if suite == "appendix":
         return bases.verify_appendix()
-    if suite in _GRID_SUITES:
-        default_ks, default_n = _GRID_SUITES[suite]
-        ks = ks or default_ks
-        max_n = default_n if max_n is None else max_n
-        verify = getattr(bases, f"verify_{suite}")
-        cases = [c for k in ks for n in range(max_n + 1) for c in verify(n, k).cases]
-        return bases.VerificationReport(suite, {"max_n": max_n, "k": list(map(format_k, ks))}, tuple(cases))
-    if suite == "stabilization":
-        max_n = 6 if max_n is None else max_n
-        cases = []
-        for n in range(max_n + 1):
-            cases.extend(bases.stabilization_check(n).cases)
-        return bases.VerificationReport("stabilization", {"max_n": max_n}, tuple(cases))
     if suite == "omega":
-        max_n = 10 if max_n is None else max_n
-        return bases.verify_omega(max_n, ks[0] if ks else 5)
-    max_n = 8 if max_n is None else max_n
-    return bases.verify_negativity(max_n, ks or [2, 3])
+        return bases.verify_omega(max_n, ks[0])
+    if suite == "negativity":
+        return bases.verify_negativity(max_n, ks)
+    # The other suites run once per degree n, and per k when they read --k.
+    check = bases.stabilization_check if suite == "stabilization" else getattr(bases, f"verify_{suite}")
+    k_args = [(k,) for k in ks] if ks else [()]
+    cases = [c for k_arg in k_args for n in range(max_n + 1) for c in check(n, *k_arg).cases]
+    parameters = {"max_n": max_n, **({"k": list(map(format_k, ks))} if ks else {})}
+    return bases.VerificationReport(suite, parameters, tuple(cases))
 
 
 def cmd_verify(args) -> int:

@@ -102,7 +102,7 @@ def test_criterion_5_projection_and_decomposition():
 
 def test_criterion_6_omega_involution_and_core_bijection():
     with criterion(6, "omega-involution-and-core-bijection"):
-        report = verify_omega(10, 5, oracle_max_n=7)
+        report = verify_omega(10, 5)
         assert report.passed, [c.detail for c in report.cases if not c.passed]
 
 

@@ -237,7 +237,7 @@ def test_matmul_matches_naive_product(m, p, q, data):
         tuple(sum(left[i][t] * right[t][j] for t in range(p)) for j in range(q))
         for i in range(m)
     )
-    assert labelled(left, m, p).matmul(labelled(right, p, q, "H", "S")) == naive
+    assert tuple(labelled(left, m, p).matmul(labelled(right, p, q, "H", "S"))) == naive
 
 
 def test_matmul_refuses_mismatched_labels():

@@ -360,6 +360,25 @@ def test_verify_refuses_vacuous_requests(argv, capsys):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize(
+    "suite, parameters",
+    [
+        ("appendix", {}),
+        ("duality", {"max_n": 7, "k": [2, 3, 4]}),
+        ("projection", {"max_n": 6, "k": [2, 3]}),
+        ("decomposition", {"max_n": 6, "k": [2, 3]}),
+        ("stabilization", {"max_n": 6}),
+        ("omega", {"max_n": 10, "max_k": 5}),
+        ("negativity", {"max_total_degree": 8, "k": [2, 3]}),
+    ],
+)
+def test_verify_defaults(suite, parameters, capsys):
+    code, out = run(capsys, "verify", "--suite", suite)
+    report = json.loads(out)
+    assert code == 0 and report["passed"]
+    assert report["parameters"] == parameters
+
+
 def test_verify_empty_report_fails(monkeypatch, capsys):
     empty = VerificationReport("appendix", {}, ())
     assert not empty.passed
