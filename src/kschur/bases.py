@@ -62,16 +62,16 @@ def _chain_content(shape, content, k, family, order):
     content = comp.check_composition(content)
     if sum(shape) != sum(content):
         raise ValueError(f"size mismatch: |{shape!r}| != |{content!r}|")
-    if k is not None:
-        part.require_k_bounded(part.check_partition(sorted(shape, reverse=True)), k)
-        comp.require_k_bounded(content, k)
+    part.require_k_bounded(comp.sort_to_partition(shape), k)
+    part.require_k_bounded(content, k)
     return shape, content if order == "paper" else content[::-1]
 
 
 def kostka(shape, content, k=None, family="composition", order="paper") -> int:
     """Number of chains from the empty shape to ``shape`` adding horizontal
     (k-)strips of the content sizes, read in the given order."""
-    return _kostka(tuple(shape), tuple(content), k, family, order)
+    shape, seq = _chain_content(shape, content, k, family, order)
+    return _chain_counts(seq, k, _targets_inside(shape, family)).get(shape, 0)
 
 
 def _chain_counts(seq, k, targets) -> dict:
@@ -91,12 +91,6 @@ def _targets_inside(shape, family):
     """The family's strip targets, pruned to those that fit inside shape."""
     targets, fits = _FAMILIES[family].targets, _FAMILIES[family].fits
     return lambda gamma, size, k: [d for d in targets(gamma, size, k) if fits(shape, d)]
-
-
-@lru_cache(maxsize=None)
-def _kostka(shape, content, k, family, order) -> int:
-    shape, seq = _chain_content(shape, content, k, family, order)
-    return _chain_counts(seq, k, _targets_inside(shape, family)).get(shape, 0)
 
 
 def kostka_chains(shape, content, k=None, family="composition", order="paper") -> tuple:

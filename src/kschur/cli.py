@@ -9,7 +9,7 @@ Writes go through a temp file and an atomic rename so concurrent
 invocations stay consistent.
 
 Exit codes: 0 success or suite pass, 1 verification failure, 2 usage or
-parse error, 3 domain violation.
+parse error, 3 domain violation, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ import tempfile
 
 from . import bases
 from .algebra import COMPOSITION_KINDS, PARTITION_KINDS
-from .compositions import check_composition
+from .compositions import check_composition, enumerate_compositions
 from .errors import DomainError
-from .partitions import check_partition
+from .partitions import check_partition, partitions_of
 
 SCHEMA_VERSION = "1"
 
@@ -128,18 +128,24 @@ def _label_format(kind):
     return format_composition if kind in COMPOSITION_KINDS else format_partition
 
 
-def matrix_document(kind, k, n) -> dict:
-    source, target = MATRIX_KINDS[kind]
-    matrix = _system(source, n, k).matrix(source, target)
+def _header(kind, k, n) -> dict:
+    """Every field of the matrix document but its entries; builds no system."""
+    side = enumerate_compositions if MATRIX_KINDS[kind][0] in COMPOSITION_KINDS else partitions_of
+    labels = [list(label) for label in side(n, k)]
     return {
         "schema_version": SCHEMA_VERSION,
         "k": format_k(k),
         "n": n,
         "kind": kind,
-        "row_labels": [list(label) for label in matrix.row_labels],
-        "col_labels": [list(label) for label in matrix.col_labels],
-        "entries": [v for row in matrix.rows for v in row],
+        "row_labels": labels,
+        "col_labels": labels,
     }
+
+
+def matrix_document(kind, k, n) -> dict:
+    source, target = MATRIX_KINDS[kind]
+    matrix = _system(source, n, k).matrix(source, target)
+    return {**_header(kind, k, n), "entries": [v for row in matrix.rows for v in row]}
 
 
 def cache_dir():
@@ -175,23 +181,20 @@ def _write_cache(path, text):
 def _document_and_json(kind, k, n):
     """The matrix document, and its json text when it was computed here.
 
-    A cached file is served only when it matches the request; anything else
-    is recomputed, encoded once, and that text is written over it, so the
-    cache file holds exactly the bytes a json request prints.  The text is
-    None on a cache hit.
+    A cached file is served only when it equals the request's header plus
+    d^2 integer entries; anything else is recomputed, encoded once, and that
+    text is written over it, so the cache file holds exactly the bytes a json
+    request prints.  The text is None on a cache hit.
     """
     path = _cache_path(kind, k, n)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-        if (
-            doc["schema_version"] == SCHEMA_VERSION
-            and doc["kind"] == kind
-            and doc["n"] == n
-            and doc["k"] == format_k(k)
-            and len(doc["entries"]) == len(doc["row_labels"]) * len(doc["col_labels"])
-        ):
-            return doc, None
+        served = {**_header(kind, k, n), "entries": doc["entries"]}
+        entries, d = served["entries"], len(served["row_labels"])
+        if doc == served and type(entries) is list and len(entries) == d * d:
+            if {*map(type, entries)} <= {int}:  # no bool, float or string entries
+                return served, None
     except (OSError, ValueError, KeyError, TypeError):
         pass  # unreadable, not json, or not a matrix document
     doc = matrix_document(kind, k, n)
@@ -348,7 +351,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout closed early (`| head`): exit 128 + SIGPIPE; devnull absorbs the exit flush
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import groupby
 
 from .errors import DomainError
-from .partitions import column_chains, is_horizontal_k_strip, k_pieri_targets
+from .partitions import column_chains, is_horizontal_k_strip, k_pieri_targets, require_k_bounded
 
 Cell = tuple[int, int]  # 1-based (row, column)
 
@@ -36,18 +36,8 @@ def check_composition(parts, k=None) -> tuple[int, ...]:
     alpha = tuple(int(p) for p in parts)
     if any(p < 1 for p in alpha):
         raise DomainError(f"composition parts must be positive: {alpha!r}")
-    if k is not None and any(p > k for p in alpha):
-        raise DomainError(f"{alpha!r} is not {k}-bounded")
+    require_k_bounded(alpha, k)
     return alpha
-
-
-def is_k_bounded(alpha, k) -> bool:
-    return k is None or all(p <= k for p in alpha)
-
-
-def require_k_bounded(alpha, k) -> None:
-    if not is_k_bounded(alpha, k):
-        raise DomainError(f"{alpha!r} is not {k}-bounded")
 
 
 def sort_to_partition(alpha) -> tuple[int, ...]:
@@ -68,7 +58,6 @@ def composition_covers(beta, k):
         seen.add(part)
 
 
-@lru_cache(maxsize=None)
 def covers_up(beta, bound=None) -> tuple:
     """Compositions covering beta, sorted, with no part above bound."""
     return tuple(sorted(alpha for _, alpha in composition_covers(beta, bound)))
@@ -127,22 +116,16 @@ def is_horizontal_comp_strip(alpha, beta) -> bool:
 
 def is_horizontal_k_comp_strip(alpha, beta, k) -> bool:
     """Horizontal composition strip whose sorted shapes differ by a
-    horizontal k-strip."""
-    require_k_bounded(alpha, k)
-    require_k_bounded(beta, k)
-    if not is_horizontal_comp_strip(alpha, beta):
-        return False
-    return is_horizontal_k_strip(sort_to_partition(alpha), sort_to_partition(beta), k)
+    horizontal k-strip (which checks the bound)."""
+    sorted_strip = is_horizontal_k_strip(sort_to_partition(alpha), sort_to_partition(beta), k)
+    return sorted_strip and is_horizontal_comp_strip(alpha, beta)
 
 
 @lru_cache(maxsize=None)
 def comp_pieri_targets(beta, i, k=None) -> tuple:
     """k-bounded compositions reached from beta by a horizontal
     k-composition strip of size i: the column chains of covers whose sorted
-    shape is a k-Pieri target of the sorted beta."""
-    if i < 1 or (k is not None and i > k):
-        raise ValueError(f"strip size {i} out of range for k={k}")
-    require_k_bounded(beta, k)
+    shape is a k-Pieri target of the sorted beta (which checks i and k)."""
     sorted_targets = k_pieri_targets(sort_to_partition(beta), i, k)
     strips = column_chains(beta, i, composition_covers, k)
     return tuple(sorted(a for a in strips if sort_to_partition(a) in sorted_targets))

@@ -28,13 +28,14 @@ def check_partition(parts) -> tuple[int, ...]:
     return lam
 
 
-def is_k_bounded(lam, k) -> bool:
-    return k is None or not lam or lam[0] <= k
+def is_k_bounded(parts, k) -> bool:
+    """True when no part of a partition or composition exceeds k."""
+    return k is None or all(p <= k for p in parts)
 
 
-def require_k_bounded(lam, k) -> None:
-    if not is_k_bounded(lam, k):
-        raise DomainError(f"{lam!r} is not {k}-bounded")
+def require_k_bounded(parts, k) -> None:
+    if not is_k_bounded(parts, k):
+        raise DomainError(f"{parts!r} is not {k}-bounded")
 
 
 def transpose(lam) -> tuple[int, ...]:
@@ -74,7 +75,6 @@ def is_core(lam, t) -> bool:
     return all(b - t < 0 or b - t in firsts for b in firsts)
 
 
-@lru_cache(maxsize=None)
 def bounded_to_core(lam, k) -> tuple[int, ...]:
     """The (k+1)-core attached to a k-bounded partition.
 

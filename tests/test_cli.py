@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -113,16 +116,23 @@ def test_matrix_ignores_corrupt_cache(tmp_path, monkeypatch, capsys):
     assert fresh == again
 
 
-@pytest.mark.parametrize(
-    "planted",
-    [
-        {"n": 4},
-        {"k": 3},
-        {"entries": [1, 0, -1]},
-        {"col_labels": [[3]]},
-    ],
-    ids=["wrong-n", "wrong-k", "short-entries", "wrong-shape"],
-)
+# Fields planted over the cold ns-to-h (3, 2) document, whose labels are
+# [2,1], [1,2], [1,1,1]; every one of them must be recomputed.
+MISMATCHED_CACHE = {
+    "wrong-n": {"n": 4},
+    "wrong-k": {"k": 3},
+    "short-entries": {"entries": [1, 0, -1]},
+    "wrong-shape": {"col_labels": [[3]]},
+    "reordered-labels": {"row_labels": [[1, 2], [2, 1], [1, 1, 1]], "col_labels": [[1, 2], [2, 1], [1, 1, 1]]},
+    "integer-labels": {"row_labels": [1, 2, 3]},
+    "string-entries": {"entries": ["x"] * 9},
+    "float-entries": {"entries": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, -1.0, 0.0, 1.0]},
+    "bool-entries": {"entries": [True, False, False, False, True, False, False, False, True]},
+    "extra-key": {"note": "edited"},
+}
+
+
+@pytest.mark.parametrize("planted", MISMATCHED_CACHE.values(), ids=MISMATCHED_CACHE)
 def test_matrix_rejects_mismatched_cache(planted, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
     _, cold = run(capsys, "matrix", "--kind", "ns-to-h", "--k", "2", "--n", "3", "--format", "json")
@@ -131,6 +141,36 @@ def test_matrix_rejects_mismatched_cache(planted, tmp_path, monkeypatch, capsys)
     _, again = run(capsys, "matrix", "--kind", "ns-to-h", "--k", "2", "--n", "3", "--format", "json")
     assert again == cold
     assert json.loads(path.read_text(encoding="utf-8")) == json.loads(cold)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "latex"])
+@pytest.mark.parametrize("planted", MISMATCHED_CACHE.values(), ids=MISMATCHED_CACHE)
+def test_matrix_rejects_mismatched_cache_in_text_formats(planted, fmt, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    argv = ("matrix", "--kind", "ns-to-h", "--k", "2", "--n", "3", "--format")
+    _, cold = run(capsys, *argv, "json")
+    path = next(tmp_path.glob("*.json"))
+    path.write_text(json.dumps({**json.loads(cold), **planted}), encoding="utf-8")
+    code, again = run(capsys, *argv, fmt)
+    assert code == 0 and again == render_matrix(json.loads(cold), fmt) + "\n"
+    assert path.read_text(encoding="utf-8") == cold.removesuffix("\n")
+
+
+def test_matrix_warm_hit_builds_no_system(tmp_path, monkeypatch, capsys):
+    """A warm request reads its header from the label enumeration alone."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    requests = [("ns-to-h", "3", "5"), ("dualkschur-to-m", "inf", "6")]
+    cold = {r: run(capsys, "matrix", "--kind", r[0], "--k", r[1], "--n", r[2])[1] for r in requests}
+
+    def no_build(*args):
+        raise AssertionError("a warm hit built a graded system")
+
+    monkeypatch.setattr(bases, "build_schur_system", no_build)
+    monkeypatch.setattr(bases, "build_kschur_system", no_build)
+    for (kind, k, n), text in cold.items():
+        for fmt in ("json", "csv", "latex"):
+            code, warm = run(capsys, "matrix", "--kind", kind, "--k", k, "--n", n, "--format", fmt)
+            assert code == 0 and warm == render_matrix(json.loads(text), fmt) + "\n"
 
 
 def test_matrix_rejects_non_object_cache(tmp_path, monkeypatch, capsys):
@@ -184,6 +224,21 @@ def test_matrix_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch, ca
     assert code == 0
     assert out == render_matrix(matrix_document("ns-to-h", 2, 4), "json") + "\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    """The n = 9 csv (about 150 KB) outgrows a 64 KiB pipe buffer, so the
+    child always writes into the pipe after the reader has closed it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"), KSCHUR_CACHE_DIR=str(tmp_path))
+    argv = ["matrix", "--kind", "h-to-ns", "--k", "inf", "--n", "9", "--format", "csv"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "kschur.cli", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as child:
+        assert child.stdout.read(1) == b","
+        child.stdout.close()
+        stderr = child.stderr.read()
+        code = child.wait(timeout=60)
+    assert (code, stderr) == (141, b"")
 
 
 def test_kostka_command(capsys):

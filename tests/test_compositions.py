@@ -53,6 +53,9 @@ def test_check_composition():
         check_composition([1, 0])
     with pytest.raises(DomainError):
         check_composition([4, 1], k=3)
+    with pytest.raises(DomainError, match=r"^\(3, 1\) is not 2-bounded$"):
+        check_composition((3, 1), 2)
+    assert check_composition((1, 2), 2) == (1, 2)
 
 
 def test_covers_up_examples():
@@ -198,6 +201,8 @@ def test_comp_pieri_targets_examples():
     assert comp_pieri_targets((), 1, None) == ((1,),)
     with pytest.raises(ValueError):
         comp_pieri_targets((1,), 4, 3)
+    with pytest.raises(DomainError, match=r"^\(4, 1\) is not 3-bounded$"):
+        comp_pieri_targets((1, 4), 1, 3)  # the bound is read from the sorted beta
 
 
 def test_worked_example_branch_continues_to_final_shape():

@@ -99,6 +99,14 @@ def test_core_to_bounded_computes_hooks_once(monkeypatch):
     assert calls == [(3, 1)]
 
 
+def test_is_k_bounded_reads_every_part():
+    # Compositions share the check, so it may not read only the first part.
+    assert not partitions.is_k_bounded((1, 3), 2)
+    assert partitions.is_k_bounded((2, 1), 2)
+    assert partitions.is_k_bounded((), 1)
+    assert partitions.is_k_bounded((7, 9), None)
+
+
 def test_bounded_to_core_examples():
     assert bounded_to_core((2, 1), 2) == (3, 1)
     assert bounded_to_core((1, 1, 1, 1), 3) == (2, 1, 1, 1)
