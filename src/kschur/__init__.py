@@ -1,36 +1,14 @@
 """Exact dual Schur-like bases for k-bounded quasi-symmetric and
 non-commutative symmetric functions, with the supporting combinatorics of
-k-bounded partitions, cores and composition posets."""
+k-bounded partitions, cores and composition posets.
 
-from .algebra import (
-    BasisMatrix,
-    LinearCombination,
-    H_product,
-    M_quasi_shuffle,
-    chi_project,
-    h_product,
-    pairing,
-)
-from .bases import (
-    GradedSystem,
-    VerificationCase,
-    VerificationReport,
-    build_kschur_system,
-    build_schur_system,
-    kostka,
-    kostka_chains,
-    monomial_to_M,
-    negativity_search,
-    order_convention_report,
-    ssyt_count,
-    stabilization_check,
-    verify_appendix,
-    verify_decomposition,
-    verify_duality,
-    verify_negativity,
-    verify_omega,
-    verify_projection,
-)
+The algebra and bases names are imported on first access, so a program
+that needs only the label layer (compositions, partitions, errors) does
+not load the linear algebra or the graded systems.
+"""
+
+from importlib import import_module
+
 from .compositions import (
     bottom_aligned_contains,
     check_composition,
@@ -59,3 +37,47 @@ from .partitions import (
 )
 
 __version__ = "0.1.0"
+
+# Each lazily imported name with the submodule that defines it.
+_LAZY = {
+    name: module
+    for module, names in {
+        "algebra": (
+            "BasisMatrix",
+            "LinearCombination",
+            "H_product",
+            "M_quasi_shuffle",
+            "chi_project",
+            "h_product",
+            "pairing",
+        ),
+        "bases": (
+            "GradedSystem",
+            "VerificationCase",
+            "VerificationReport",
+            "build_kschur_system",
+            "build_schur_system",
+            "kostka",
+            "kostka_chains",
+            "monomial_to_M",
+            "negativity_search",
+            "order_convention_report",
+            "ssyt_count",
+            "stabilization_check",
+            "verify_appendix",
+            "verify_decomposition",
+            "verify_duality",
+            "verify_negativity",
+            "verify_omega",
+            "verify_projection",
+        ),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)

@@ -16,10 +16,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from .compositions import COMPOSITION_KINDS
 from .errors import DomainError
+from .partitions import PARTITION_KINDS, is_k_bounded
 
-COMPOSITION_KINDS = frozenset({"H", "M", "S", "QS"})
-PARTITION_KINDS = frozenset({"h", "m", "s", "dual-s"})
 ALL_KINDS = COMPOSITION_KINDS | PARTITION_KINDS
 
 
@@ -42,7 +42,7 @@ class LinearCombination:
             coeff = int(coeff)
             if coeff:
                 index = tuple(index)
-                if k is not None and any(p > k for p in index):
+                if not is_k_bounded(index, k):
                     raise DomainError(f"index {index!r} is not {k}-bounded")
                 clean[index] = coeff
         self._coeffs = clean
@@ -186,7 +186,7 @@ def M_quasi_shuffle(a: LinearCombination, b: LinearCombination) -> LinearCombina
     for ia, ca in a._coeffs.items():
         for ib, cb in b._coeffs.items():
             for word, mult in _quasi_shuffle_words(ia, ib):
-                if k is not None and any(p > k for p in word):
+                if not is_k_bounded(word, k):
                     continue
                 out[word] = out.get(word, 0) + ca * cb * mult
     return LinearCombination("M", k, out)

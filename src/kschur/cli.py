@@ -6,7 +6,9 @@ matrix documents are cached on disk as the json text a json request
 prints, keyed by kind, k, n and the schema version; the cache directory
 comes from KSCHUR_CACHE_DIR and defaults to the user cache directory.
 Writes go through a temp file and an atomic rename so concurrent
-invocations stay consistent.
+invocations stay consistent.  A cached file is served only when its bytes
+are exactly that text; a warm request then prints or renders it without
+parsing it and without importing the algebra or bases modules.
 
 Exit codes: 0 success or suite pass, 1 verification failure, 2 usage or
 parse error, 3 domain violation, 141 stdout closed by its reader.
@@ -20,14 +22,13 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 
-from . import bases
-from .algebra import COMPOSITION_KINDS, PARTITION_KINDS
-from .compositions import check_composition, enumerate_compositions
+from .compositions import COMPOSITION_KINDS, check_composition, enumerate_compositions
 from .errors import DomainError
-from .partitions import check_partition, partitions_of
+from .partitions import PARTITION_KINDS, check_partition, partitions_of
 
 SCHEMA_VERSION = "1"
 
@@ -119,6 +120,8 @@ def parse_element_spec(text):
 
 def _system(kind, n, k):
     """The graded system of the side that the basis kind belongs to."""
+    from . import bases
+
     if kind in COMPOSITION_KINDS:
         return bases.build_schur_system(n, k)
     return bases.build_kschur_system(n, k)
@@ -142,10 +145,11 @@ def _header(kind, k, n) -> dict:
     }
 
 
-def matrix_document(kind, k, n) -> dict:
+def matrix_document(kind, k, n, header=None) -> dict:
+    """The computed matrix document; header, when given, is _header(kind, k, n)."""
     source, target = MATRIX_KINDS[kind]
     matrix = _system(source, n, k).matrix(source, target)
-    return {**_header(kind, k, n), "entries": [v for row in matrix.rows for v in row]}
+    return {**(header or _header(kind, k, n)), "entries": [v for row in matrix.rows for v in row]}
 
 
 def cache_dir():
@@ -178,60 +182,97 @@ def _write_cache(path, text):
             os.unlink(tmp)
 
 
-def _document_and_json(kind, k, n):
-    """The matrix document, and its json text when it was computed here.
+# A comma that no canonical json int follows up to the next comma or the end.
+_NON_INT = re.compile(r",(?!(?:0|-?[1-9][0-9]*)(?:,|\Z))")
 
-    A cached file is served only when it equals the request's header plus
-    d^2 integer entries; anything else is recomputed, encoded once, and that
-    text is written over it, so the cache file holds exactly the bytes a json
-    request prints.  The text is None on a cache hit.
+
+def _read_cache(path, header):
+    """The cached file's text when its bytes are exactly the json that a
+    json request for this header prints, None otherwise.
+
+    The file must be the header's canonical prefix, then d^2 canonical ints
+    separated by single commas, then the closing ]}.  It is checked as
+    text, never parsed: a file that parses to the same document but is
+    spelled otherwise (spaces, -0, other key order, escapes) is refused.
     """
-    path = _cache_path(kind, k, n)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-        served = {**_header(kind, k, n), "entries": doc["entries"]}
-        entries, d = served["entries"], len(served["row_labels"])
-        if doc == served and type(entries) is list and len(entries) == d * d:
-            if {*map(type, entries)} <= {int}:  # no bool, float or string entries
-                return served, None
-    except (OSError, ValueError, KeyError, TypeError):
-        pass  # unreadable, not json, or not a matrix document
-    doc = matrix_document(kind, k, n)
-    text = render_matrix(doc, "json")
-    _write_cache(path, text)
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, ValueError):  # missing, unreadable or not utf-8
+        return None
+    prefix = json.dumps({**header, "entries": []}, separators=(",", ":"))[:-2]
+    entries = "," + text[len(prefix) : -2]  # a comma before every entry
+    d = len(header["row_labels"])
+    if (
+        text.startswith(prefix)
+        and text.endswith("]}")
+        and entries.count(",") == d * d
+        and not _NON_INT.search(entries)
+    ):
+        return text
+    return None
+
+
+def _compute_and_cache(kind, k, n, header):
+    """The computed document and its json text, which is written to the cache."""
+    doc = matrix_document(kind, k, n, header)
+    text = json.dumps(doc, separators=(",", ":"))
+    _write_cache(_cache_path(kind, k, n), text)
     return doc, text
 
 
 def cached_matrix_document(kind, k, n) -> dict:
     """The matrix document, read from the cache only when the cached file
-    matches the request; anything else is recomputed and overwritten."""
-    return _document_and_json(kind, k, n)[0]
+    is exactly its canonical json; anything else is recomputed and
+    overwritten."""
+    header = _header(kind, k, n)
+    text = _read_cache(_cache_path(kind, k, n), header)
+    if text is None:
+        return _compute_and_cache(kind, k, n, header)[0]
+    return json.loads(text)
+
+
+def _text_rows(text, d):
+    """Each row of a cached file's d x d entries as the comma-joined text of
+    its entries, sliced from the body one row at a time."""
+    row = re.compile(r"(?:[^,]*,){%d}[^,\]]*" % (d - 1))  # the last entry ends at ]
+    start = text.rindex("[") + 1  # the body holds only digits, signs and commas
+    for _ in range(d):
+        end = row.match(text, start).end()
+        yield text[start:end]
+        start = end + 1
+
+
+def _document_rows(doc):
+    """Each row of a document's entries as comma-joined text."""
+    entries, cols = doc["entries"], len(doc["col_labels"])
+    for r in range(len(doc["row_labels"])):
+        yield ",".join(map(str, entries[r * cols : (r + 1) * cols]))
+
+
+def _write_table(out, header, rows, fmt):
+    """Write the csv or latex table of a matrix to out, line by line; rows
+    yields each row as the comma-joined text of its entries."""
+    fmt_label = _label_format(MATRIX_KINDS[header["kind"]][0])
+    if fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow([""] + [fmt_label(label) for label in header["col_labels"]])
+        for label, row in zip(header["row_labels"], rows):
+            writer.writerow([fmt_label(label), *row.split(",")])
+        return
+    out.write("\\bordermatrix{\n")
+    out.write("~ & " + " & ".join(fmt_label(l, sep=", ") for l in header["col_labels"]) + " \\cr\n")
+    for label, row in zip(header["row_labels"], rows):
+        out.write(f"{fmt_label(label, sep=', ')} & {row.replace(',', ' & ')} \\cr\n")
+    out.write("}\n")
 
 
 def render_matrix(doc, fmt) -> str:
-    rows = len(doc["row_labels"])
-    cols = len(doc["col_labels"])
-    entries = doc["entries"]
     if fmt == "json":
         return json.dumps(doc, separators=(",", ":"))
-    fmt_label = _label_format(MATRIX_KINDS[doc["kind"]][0])
-    if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([""] + [fmt_label(label) for label in doc["col_labels"]])
-        for r, label in enumerate(doc["row_labels"]):
-            writer.writerow([fmt_label(label)] + [str(v) for v in entries[r * cols : (r + 1) * cols]])
-        return out.getvalue().rstrip("\n")
-    lines = ["\\bordermatrix{"]
-    lines.append(
-        "~ & " + " & ".join(fmt_label(l, sep=", ") for l in doc["col_labels"]) + " \\cr"
-    )
-    for r in range(rows):
-        body = " & ".join(str(v) for v in entries[r * cols : (r + 1) * cols])
-        lines.append(f"{fmt_label(doc['row_labels'][r], sep=', ')} & {body} \\cr")
-    lines.append("}")
-    return "\n".join(lines)
+    out = io.StringIO()
+    _write_table(out, doc, _document_rows(doc), fmt)
+    return out.getvalue()[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +282,17 @@ def cmd_matrix(args) -> int:
     k = parse_k(args.k)
     if args.n < 0:
         raise ValueError("n must be nonnegative")
-    doc, text = _document_and_json(args.kind, k, args.n)
-    if text is None or args.format != "json":
-        text = render_matrix(doc, args.format)
-    print(text)
+    header = _header(args.kind, k, args.n)
+    text = _read_cache(_cache_path(args.kind, k, args.n), header)
+    if text is None:
+        doc, text = _compute_and_cache(args.kind, k, args.n, header)
+        rows = _document_rows(doc)
+    else:
+        rows = _text_rows(text, len(header["row_labels"]))
+    if args.format == "json":
+        print(text)
+    else:
+        _write_table(sys.stdout, header, rows, args.format)
     return 0
 
 
@@ -259,6 +307,8 @@ def cmd_kostka(args) -> int:
         check_composition(content)
     except DomainError as exc:
         raise ValueError(str(exc)) from exc
+    from . import bases
+
     value = bases.kostka(shape, content, parse_k(args.k), args.family, args.order)
     print(value)
     return 0
@@ -274,6 +324,8 @@ def cmd_expand(args) -> int:
 
 
 def _suite_report(args):
+    from . import bases
+
     suite = args.suite
     default_n, default_ks = VERIFY_SUITES[suite]
     for flag, value, default in (("--max-n", args.max_n, default_n), ("--k", args.k, default_ks)):

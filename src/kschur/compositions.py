@@ -28,6 +28,9 @@ from itertools import groupby
 from .errors import DomainError
 from .partitions import column_chains, is_horizontal_k_strip, k_pieri_targets, require_k_bounded
 
+# The basis kinds indexed by compositions (see :mod:`kschur.algebra`).
+COMPOSITION_KINDS = frozenset({"H", "M", "S", "QS"})
+
 Cell = tuple[int, int]  # 1-based (row, column)
 
 

@@ -156,6 +156,72 @@ def test_matrix_rejects_mismatched_cache_in_text_formats(planted, fmt, tmp_path,
     assert path.read_text(encoding="utf-8") == cold.removesuffix("\n")
 
 
+def _entry_as_minus_zero(text):
+    """text with its first 0 entry written as -0."""
+    head, body = text.rsplit("[", 1)
+    entries = body.removesuffix("]}").split(",")
+    entries[entries.index("0")] = "-0"
+    return head + "[" + ",".join(entries) + "]}"
+
+
+# Raw-text edits of the cold ns-to-h (3, 2) json; each still parses to the
+# same document, but its bytes are not what a json request prints, so each
+# must be recomputed and overwritten.
+NONCANONICAL_CACHE = {
+    "space-after-comma": lambda text: text.replace(",", ", "),
+    "minus-zero": _entry_as_minus_zero,
+    "reordered-keys": lambda text: json.dumps(dict(reversed(json.loads(text).items())), separators=(",", ":")),
+    "escaped-kind": lambda text: text.replace('"kind":"ns-to-h"', '"kind":"\\u006es-to-h"'),
+    "trailing-newline": lambda text: text + "\n",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
+@pytest.mark.parametrize("edit", NONCANONICAL_CACHE.values(), ids=NONCANONICAL_CACHE)
+def test_matrix_rewrites_noncanonical_cache(edit, fmt, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    argv = ("matrix", "--kind", "ns-to-h", "--k", "2", "--n", "3", "--format")
+    _, cold = run(capsys, *argv, "json")
+    text = cold.removesuffix("\n")
+    path = next(tmp_path.glob("*.json"))
+    edited = edit(text)
+    assert edited != text and json.loads(edited) == json.loads(text)
+    path.write_text(edited, encoding="utf-8")
+    code, again = run(capsys, *argv, fmt)
+    assert code == 0 and again == render_matrix(json.loads(text), fmt) + "\n"
+    assert path.read_text(encoding="utf-8") == text
+
+
+def test_matrix_warm_hit_imports_only_the_label_layer(tmp_path):
+    """A warm request, run in a fresh interpreter, loads no build layer;
+    the cold request that fills the cache shows that the check can see one."""
+    child = (
+        "import runpy, sys\n"
+        "sys.argv = ['kschur', *sys.argv[1:]]\n"
+        "try:\n"
+        "    runpy.run_module('kschur.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(*sorted(name for name in sys.modules if name.startswith('kschur')), file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"), KSCHUR_CACHE_DIR=str(tmp_path))
+    build_layer = {"kschur.algebra", "kschur.bases", "kschur.reference_tables"}
+
+    def loaded(*argv):
+        result = subprocess.run(
+            [sys.executable, "-c", child, *argv], env=env, capture_output=True, text=True, timeout=60, check=True
+        )
+        return result.stdout, set(result.stderr.split())
+
+    argv = ("matrix", "--kind", "h-to-ns", "--k", "3", "--n", "6", "--format")
+    cold, modules = loaded(*argv, "json")
+    assert build_layer <= modules
+    for fmt in ("json", "csv", "latex"):
+        warm, modules = loaded(*argv, fmt)
+        assert warm == render_matrix(json.loads(cold), fmt) + "\n"
+        assert not build_layer & modules
+
+
 def test_matrix_warm_hit_builds_no_system(tmp_path, monkeypatch, capsys):
     """A warm request reads its header from the label enumeration alone."""
     monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
@@ -282,8 +348,9 @@ def test_expand_partition_side(capsys):
 
 
 def test_expand_domain_violation(capsys):
-    code, _ = run(capsys, "expand", "S:[3]@k=2", "H")
+    code = main(["expand", "S:[3]@k=2", "H"])
     assert code == 3
+    assert capsys.readouterr().err == "error: index (3,) is not 2-bounded\n"
 
 
 def test_expand_spec_error(capsys):

@@ -1,0 +1,81 @@
+from importlib import import_module
+
+import pytest
+
+import kschur
+
+# The names the package exported eagerly before the algebra and bases
+# names became lazy, by defining submodule.
+EXPORTS = {
+    "algebra": (
+        "BasisMatrix",
+        "LinearCombination",
+        "H_product",
+        "M_quasi_shuffle",
+        "chi_project",
+        "h_product",
+        "pairing",
+    ),
+    "bases": (
+        "GradedSystem",
+        "VerificationCase",
+        "VerificationReport",
+        "build_kschur_system",
+        "build_schur_system",
+        "kostka",
+        "kostka_chains",
+        "monomial_to_M",
+        "negativity_search",
+        "order_convention_report",
+        "ssyt_count",
+        "stabilization_check",
+        "verify_appendix",
+        "verify_decomposition",
+        "verify_duality",
+        "verify_negativity",
+        "verify_omega",
+        "verify_projection",
+    ),
+    "compositions": (
+        "bottom_aligned_contains",
+        "check_composition",
+        "comp_pieri_targets",
+        "covers_up",
+        "enumerate_compositions",
+        "is_horizontal_comp_strip",
+        "is_horizontal_k_comp_strip",
+        "sort_to_partition",
+    ),
+    "errors": ("DomainError",),
+    "partitions": (
+        "bounded_to_core",
+        "check_partition",
+        "core_search_oracle",
+        "core_to_bounded",
+        "dominance_leq",
+        "hook_lengths",
+        "is_core",
+        "is_horizontal_k_strip",
+        "is_horizontal_strip",
+        "k_conjugate",
+        "k_pieri_targets",
+        "partitions_of",
+        "transpose",
+    ),
+}
+
+
+@pytest.mark.parametrize("module", EXPORTS)
+def test_package_exports(module):
+    defining = import_module(f"kschur.{module}")
+    for name in EXPORTS[module]:
+        namespace = {}
+        exec(f"from kschur import {name}", namespace)
+        assert namespace[name] is getattr(defining, name)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        kschur.no_such_name
+    assert not hasattr(kschur, "build_system")
+
