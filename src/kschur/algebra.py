@@ -12,9 +12,11 @@ Partition-indexed kinds: h, m, s (k-Schur), dual-s (dual k-Schur).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from itertools import compress
 
 from .compositions import COMPOSITION_KINDS
 from .errors import DomainError
@@ -215,7 +217,9 @@ class BasisMatrix:
     """Labelled exact integer matrix for one graded component.
 
     Row label r expands as: source_kind[r] = sum over columns c of
-    entry(r, c) * target_kind[c].
+    entry(r, c) * target_kind[c].  Row r is stored sparse, as the parallel
+    tuples cols[r] (strictly increasing column positions) and vals[r] (the
+    nonzero entries there).
     """
 
     n: int
@@ -224,15 +228,29 @@ class BasisMatrix:
     target_kind: str
     row_labels: tuple
     col_labels: tuple
-    rows: tuple  # tuple of tuples of int
+    cols: tuple  # per row, a tuple of strictly increasing column positions
+    vals: tuple  # per row, a tuple of the nonzero ints at those positions
 
     def __post_init__(self):
         _check_kind(self.source_kind)
         _check_kind(self.target_kind)
-        if len(self.rows) != len(self.row_labels) or any(
-            len(r) != len(self.col_labels) for r in self.rows
+        width = len(self.col_labels)
+        if len(self.cols) != len(self.row_labels) or len(self.vals) != len(self.row_labels) or any(
+            len(c) != len(v) or (c and not 0 <= c[0] <= c[-1] < width) for c, v in zip(self.cols, self.vals)
         ):
             raise ValueError("matrix shape does not match labels")
+
+    @property
+    def rows(self) -> tuple:
+        """The dense rows, built afresh on each read, for display and tests;
+        the matrix computations read cols and vals."""
+        out = []
+        for cols, vals in zip(self.cols, self.vals):
+            row = [0] * len(self.col_labels)
+            for c, v in zip(cols, vals):
+                row[c] = v
+            out.append(tuple(row))
+        return tuple(out)
 
     @cached_property
     def _row_position(self) -> dict:
@@ -253,7 +271,10 @@ class BasisMatrix:
 
     def entry(self, row_label, col_label) -> int:
         r = self._locate(self._row_position, row_label)
-        return self.rows[r][self._locate(self._col_position, col_label)]
+        c = self._locate(self._col_position, col_label)
+        cols = self.cols[r]
+        i = bisect_left(cols, c)
+        return self.vals[r][i] if i < len(cols) and cols[i] == c else 0
 
     def expand(self, combo: LinearCombination) -> LinearCombination:
         """Rewrite a combination over the source kind into the target kind."""
@@ -265,9 +286,9 @@ class BasisMatrix:
         out = {}
         for index, coeff in combo._coeffs.items():
             r = self._locate(self._row_position, index)
-            for c, v in zip(self.col_labels, self.rows[r]):
-                if v:
-                    out[c] = out.get(c, 0) + coeff * v
+            for c, v in zip(self.cols[r], self.vals[r]):
+                label = self.col_labels[c]
+                out[label] = out.get(label, 0) + coeff * v
         return LinearCombination(self.target_kind, self.k, out)
 
     def inverse(self) -> "BasisMatrix":
@@ -275,63 +296,60 @@ class BasisMatrix:
 
         Forward substitution: row i of the inverse is e_i minus the sum over
         j < i of entry (i, j) times row j of the inverse, so every step stays
-        in the integers.  The Pieri matrices are lower unitriangular in label
+        in the integers.  Each row is summed in a dense accumulator and
+        stored sparse.  The Pieri matrices are lower unitriangular in label
         order; any other input signals a bug upstream and raises.
         """
-        d = len(self.rows)
+        d = len(self.cols)
         if len(self.col_labels) != d:
             raise DomainError(f"cannot invert a {d}x{len(self.col_labels)} matrix")
-        rows, sparse = [], []
-        for i, row in enumerate(self.rows):
-            if row[i] != 1 or any(row[i + 1:]):
+        cols, vals = [], []
+        for i, (row_cols, row_vals) in enumerate(zip(self.cols, self.vals)):
+            # columns increase, so the diagonal 1 must be the last entry
+            if not row_cols or row_cols[-1] != i or row_vals[-1] != 1:
                 raise DomainError(f"matrix is not lower unitriangular at row {i}")
-            acc = [0] * d
+            acc = [0] * (i + 1)
             acc[i] = 1
-            for j, a in enumerate(row[:i]):
-                if a:
-                    for c, v in sparse[j]:
-                        acc[c] -= a * v
-            rows.append(tuple(acc))
-            sparse.append([(c, v) for c, v in enumerate(acc) if v])
-        return BasisMatrix(
-            n=self.n,
-            k=self.k,
-            source_kind=self.target_kind,
-            target_kind=self.source_kind,
-            row_labels=self.col_labels,
-            col_labels=self.row_labels,
-            rows=tuple(rows),
+            for j, a in zip(row_cols[:-1], row_vals[:-1]):
+                for c, v in zip(cols[j], vals[j]):
+                    acc[c] -= a * v
+            cols.append(tuple(compress(range(i + 1), acc)))
+            vals.append(tuple(filter(None, acc)))
+        return replace(
+            self, source_kind=self.target_kind, target_kind=self.source_kind, row_labels=self.col_labels,
+            col_labels=self.row_labels, cols=tuple(cols), vals=tuple(vals),
         )
 
     def transposed(self, source_kind, target_kind) -> "BasisMatrix":
-        """Transpose with relabelled kinds (the duality-partner matrix)."""
-        return BasisMatrix(
-            n=self.n,
-            k=self.k,
-            source_kind=source_kind,
-            target_kind=target_kind,
-            row_labels=self.col_labels,
-            col_labels=self.row_labels,
-            rows=tuple(zip(*self.rows)) if self.rows else (),
+        """Transpose with relabelled kinds (the duality-partner matrix):
+        each entry is appended to its column's bucket, in row order."""
+        cols = [[] for _ in self.col_labels]
+        vals = [[] for _ in self.col_labels]
+        for r, (row_cols, row_vals) in enumerate(zip(self.cols, self.vals)):
+            for c, v in zip(row_cols, row_vals):
+                cols[c].append(r)
+                vals[c].append(v)
+        return replace(
+            self, source_kind=source_kind, target_kind=target_kind, row_labels=self.col_labels,
+            col_labels=self.row_labels, cols=tuple(map(tuple, cols)), vals=tuple(map(tuple, vals)),
         )
 
     def matmul(self, other: "BasisMatrix") -> Iterator[tuple]:
-        """Entry product self @ other, yielded row by row, so only one row
-        of the product is held at a time: each nonzero entry (i, j) of self
-        adds that multiple of the nonzeros of row j of other into a dense
-        accumulator for row i.  Mismatched labels raise at the call.  The
-        duality suite reads one of these."""
+        """Entry product self @ other, yielded row by row as (cols, vals)
+        pairs, so only one row of the product is held at a time: each
+        nonzero entry (i, j) of self adds that multiple of row j of other
+        into a dense accumulator for row i.  Mismatched labels raise at the
+        call.  The duality suite reads one of these."""
         if self.col_labels != other.row_labels:
             raise ValueError("label mismatch in matrix product")
-        sparse = [[(c, v) for c, v in enumerate(row) if v] for row in other.rows]
+        width, other_cols, other_vals = range(len(other.col_labels)), other.cols, other.vals
 
         def product_rows():
-            for row in self.rows:
-                acc = [0] * len(other.col_labels)
-                for j, a in enumerate(row):
-                    if a:
-                        for c, v in sparse[j]:
-                            acc[c] += a * v
-                yield tuple(acc)
+            for row_cols, row_vals in zip(self.cols, self.vals):
+                acc = [0] * len(width)
+                for j, a in zip(row_cols, row_vals):
+                    for c, v in zip(other_cols[j], other_vals[j]):
+                        acc[c] += a * v
+                yield tuple(compress(width, acc)), tuple(filter(None, acc))
 
         return product_rows()

@@ -130,15 +130,17 @@ def order_convention_report(max_n, ks) -> dict:
 
 def _pieri_rows(labels, k, targets):
     """Row beta counts the strip chains of content beta read back to front:
-    the Pieri rule applied once per part, last part first."""
+    the Pieri rule applied once per part, last part first.  Returns the
+    rows as sparse (cols, vals), each row sorted by column."""
     position = {label: j for j, label in enumerate(labels)}
-    rows = []
+    cols, vals = [], []
     for beta in labels:
-        row = [0] * len(labels)
-        for alpha, count in _chain_counts(reversed(beta), k, targets).items():
-            row[position[alpha]] = count
-        rows.append(tuple(row))
-    return tuple(rows)
+        counts = _chain_counts(reversed(beta), k, targets)
+        by_col = dict(zip(map(position.__getitem__, counts), counts.values()))
+        row_cols = tuple(sorted(by_col))  # ints sort faster than (col, count) pairs
+        cols.append(row_cols)
+        vals.append(tuple(map(by_col.__getitem__, row_cols)))
+    return tuple(cols), tuple(vals)
 
 
 @dataclass(frozen=True)
@@ -193,9 +195,10 @@ def _build_system(family, n, k) -> GradedSystem:
     side = _FAMILIES[family]
     labels = side.labels(n, k)
     complete, schur, _, _ = side.kinds
+    cols, vals = _pieri_rows(labels, k, side.targets)
     matrix = BasisMatrix(
         n=n, k=k, source_kind=complete, target_kind=schur,
-        row_labels=labels, col_labels=labels, rows=_pieri_rows(labels, k, side.targets),
+        row_labels=labels, col_labels=labels, cols=cols, vals=vals,
     )
     return GradedSystem(n=n, k=k, labels=labels, pieri=matrix)
 
@@ -319,12 +322,12 @@ def verify_duality(n, k) -> VerificationReport:
     entry (beta, alpha) of the one product (S->H)(H->S)."""
     system = build_schur_system(n, k)
     product = system.matrix("S", "H").matmul(system.pieri)
-    # The rows arrive beta-major and only the off-identity entries are kept;
-    # sorting lists them alpha-major.
+    # The rows arrive beta-major and only the off-identity entries are kept
+    # (a missing diagonal entry reads 0); sorting lists them alpha-major.
     bad = sorted(
         (a, b, value)
-        for b, row in enumerate(product)
-        for a, value in enumerate(row)
+        for b, (cols, vals) in enumerate(product)
+        for a, value in {b: 0, **dict(zip(cols, vals))}.items()
         if value != (a == b)
     )
     labels = system.labels
@@ -372,10 +375,10 @@ def stabilization_check(n) -> VerificationReport:
     reference = build_schur_system(n, None)
     pref = build_kschur_system(n, None)
     for k in (n, n + 1, n + 2):
-        same = (
-            build_schur_system(n, k).matrix("H", "S").rows == reference.matrix("H", "S").rows
-            and build_schur_system(n, k).labels == reference.labels
-            and build_kschur_system(n, k).matrix("h", "s").rows == pref.matrix("h", "s").rows
+        pairs = ((build_schur_system(n, k), reference), (build_kschur_system(n, k), pref))
+        same = pairs[0][0].labels == reference.labels and all(
+            (bounded.pieri.cols, bounded.pieri.vals) == (unbounded.pieri.cols, unbounded.pieri.vals)
+            for bounded, unbounded in pairs
         )
         cases.append(VerificationCase(name=f"n={n} k={k} equals unbounded", passed=same))
     qs_to_m = reference.matrix("QS", "M")

@@ -5,8 +5,10 @@ Output is deterministic byte-for-byte for fixed arguments.  Computed
 matrix documents are cached on disk as the json text a json request
 prints, keyed by kind, k, n and the schema version; the cache directory
 comes from KSCHUR_CACHE_DIR and defaults to the user cache directory.
-Writes go through a temp file and an atomic rename so concurrent
-invocations stay consistent.  A cached file is served only when its bytes
+A cold request streams its output from the sparse matrix rows, one row's
+text at a time, into a temp file and to stdout; an atomic rename then
+makes it the cache file, so concurrent invocations stay consistent.  A
+cached file is served only when its bytes
 are exactly that text; a warm request then prints or renders it without
 parsing it and without importing the algebra or bases modules.
 
@@ -17,8 +19,8 @@ parse error, 3 domain violation, 141 stdout closed by its reader.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
-import csv
 import io
 import json
 import os
@@ -145,11 +147,16 @@ def _header(kind, k, n) -> dict:
     }
 
 
+def _matrix(kind, k, n):
+    """The computed change-of-basis matrix of a matrix kind."""
+    source, target = MATRIX_KINDS[kind]
+    return _system(source, n, k).matrix(source, target)
+
+
 def matrix_document(kind, k, n, header=None) -> dict:
     """The computed matrix document; header, when given, is _header(kind, k, n)."""
-    source, target = MATRIX_KINDS[kind]
-    matrix = _system(source, n, k).matrix(source, target)
-    return {**(header or _header(kind, k, n)), "entries": [v for row in matrix.rows for v in row]}
+    rows = _matrix(kind, k, n).rows
+    return {**(header or _header(kind, k, n)), "entries": [v for row in rows for v in row]}
 
 
 def cache_dir():
@@ -164,22 +171,49 @@ def _cache_path(kind, k, n):
     return os.path.join(cache_dir(), f"{kind}_k{format_k(k)}_n{n}_v{SCHEMA_VERSION}.json")
 
 
-def _write_cache(path, text):
-    """Write text to path through a temp file and an atomic rename.  The
-    cache is best effort: a failed write is skipped and leaves no temp file."""
-    directory = os.path.dirname(path)
-    try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    except OSError:
-        return
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except OSError:
+class _CacheWriter:
+    """A best-effort write of one cache file, as a context manager: text
+    goes to a temp file beside path, renamed onto path when the block ends
+    without an exception.  A failed write or rename, or an exception in the
+    block, drops the temp file and skips later writes; no OSError escapes."""
+
+    def __init__(self, path):
+        self.path, self.handle = path, None
         with contextlib.suppress(OSError):
-            os.unlink(tmp)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            fd, self.tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+            self.handle = os.fdopen(fd, "w", encoding="utf-8")
+
+    def __enter__(self):
+        return self
+
+    def write(self, text):
+        try:
+            if self.handle is not None:
+                self.handle.write(text)
+        except OSError:
+            self._finish(keep=False)
+
+    def __exit__(self, exc_type, exc, traceback):
+        self._finish(keep=exc_type is None)
+
+    def _finish(self, keep):
+        """Close the temp file, then rename it onto path when keep holds,
+        or remove it otherwise or when closing or renaming fails."""
+        handle, self.handle = self.handle, None
+        if handle is not None:
+            with contextlib.suppress(OSError):
+                handle.close()
+                if keep:
+                    os.replace(self.tmp, self.path)
+                    return
+            with contextlib.suppress(OSError):
+                os.unlink(self.tmp)
+
+
+def _json_prefix(header):
+    """The json text of the document up to its first entry."""
+    return json.dumps({**header, "entries": []}, separators=(",", ":"))[:-2]
 
 
 # A comma that no canonical json int follows up to the next comma or the end.
@@ -200,7 +234,7 @@ def _read_cache(path, header):
             text = handle.read()
     except (OSError, ValueError):  # missing, unreadable or not utf-8
         return None
-    prefix = json.dumps({**header, "entries": []}, separators=(",", ":"))[:-2]
+    prefix = _json_prefix(header)
     entries = "," + text[len(prefix) : -2]  # a comma before every entry
     d = len(header["row_labels"])
     if (
@@ -213,23 +247,19 @@ def _read_cache(path, header):
     return None
 
 
-def _compute_and_cache(kind, k, n, header):
-    """The computed document and its json text, which is written to the cache."""
-    doc = matrix_document(kind, k, n, header)
-    text = json.dumps(doc, separators=(",", ":"))
-    _write_cache(_cache_path(kind, k, n), text)
-    return doc, text
-
-
 def cached_matrix_document(kind, k, n) -> dict:
     """The matrix document, read from the cache only when the cached file
     is exactly its canonical json; anything else is recomputed and
     overwritten."""
     header = _header(kind, k, n)
-    text = _read_cache(_cache_path(kind, k, n), header)
-    if text is None:
-        return _compute_and_cache(kind, k, n, header)[0]
-    return json.loads(text)
+    path = _cache_path(kind, k, n)
+    text = _read_cache(path, header)
+    if text is not None:
+        return json.loads(text)
+    doc = matrix_document(kind, k, n, header)
+    with _CacheWriter(path) as cache:
+        cache.write(json.dumps(doc, separators=(",", ":")))
+    return doc
 
 
 def _text_rows(text, d):
@@ -243,22 +273,49 @@ def _text_rows(text, d):
         start = end + 1
 
 
-def _document_rows(doc):
-    """Each row of a document's entries as comma-joined text."""
-    entries, cols = doc["entries"], len(doc["col_labels"])
-    for r in range(len(doc["row_labels"])):
-        yield ",".join(map(str, entries[r * cols : (r + 1) * cols]))
+def _row_texts(matrix):
+    """Each sparse row of a computed matrix as the comma-joined text of all
+    its entries: the nonzeros spliced between runs of zeros, which are
+    slices of one string of "0," repeats."""
+    d = len(matrix.col_labels)
+    zeros = "0," * d
+    for cols, vals in zip(matrix.cols, matrix.vals):
+        parts, start = [], 0
+        for c, v in zip(cols, vals):
+            parts += zeros[: 2 * (c - start)], str(v), ","
+            start = c + 1
+        parts.append(zeros[: 2 * (d - start)])
+        yield "".join(parts)[:-1]
+
+
+def _json_rows(header, rows, write):
+    """Yield rows, each once write has written it as the next entries of
+    the header's json document, the first after the document's prefix."""
+    sep = _json_prefix(header)
+    for row in rows:
+        write(sep)
+        write(row)
+        sep = ","
+        yield row
 
 
 def _write_table(out, header, rows, fmt):
-    """Write the csv or latex table of a matrix to out, line by line; rows
+    """Write the matrix to out as json, csv or latex, line by line; rows
     yields each row as the comma-joined text of its entries."""
+    if fmt == "json":
+        collections.deque(_json_rows(header, rows, out.write), maxlen=0)
+        out.write("]}\n")
+        return
     fmt_label = _label_format(MATRIX_KINDS[header["kind"]][0])
     if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([""] + [fmt_label(label) for label in header["col_labels"]])
+        # Entries are ints and never need quoting; a label does when it holds a comma.
+        def field(label):
+            text = fmt_label(label)
+            return f'"{text}"' if "," in text else text
+
+        out.write("," + ",".join(map(field, header["col_labels"])) + "\n")
         for label, row in zip(header["row_labels"], rows):
-            writer.writerow([fmt_label(label), *row.split(",")])
+            out.write(f"{field(label)},{row}\n")
         return
     out.write("\\bordermatrix{\n")
     out.write("~ & " + " & ".join(fmt_label(l, sep=", ") for l in header["col_labels"]) + " \\cr\n")
@@ -270,8 +327,10 @@ def _write_table(out, header, rows, fmt):
 def render_matrix(doc, fmt) -> str:
     if fmt == "json":
         return json.dumps(doc, separators=(",", ":"))
+    entries, d = doc["entries"], len(doc["col_labels"])
+    rows = (",".join(map(str, entries[i : i + d])) for i in range(0, len(entries), d))
     out = io.StringIO()
-    _write_table(out, doc, _document_rows(doc), fmt)
+    _write_table(out, doc, rows, fmt)
     return out.getvalue()[:-1]
 
 
@@ -283,16 +342,19 @@ def cmd_matrix(args) -> int:
     if args.n < 0:
         raise ValueError("n must be nonnegative")
     header = _header(args.kind, k, args.n)
-    text = _read_cache(_cache_path(args.kind, k, args.n), header)
-    if text is None:
-        doc, text = _compute_and_cache(args.kind, k, args.n, header)
-        rows = _document_rows(doc)
-    else:
-        rows = _text_rows(text, len(header["row_labels"]))
-    if args.format == "json":
+    path = _cache_path(args.kind, k, args.n)
+    text = _read_cache(path, header)
+    if text is not None and args.format == "json":
         print(text)
+    elif text is not None:
+        _write_table(sys.stdout, header, _text_rows(text, len(header["row_labels"])), args.format)
     else:
-        _write_table(sys.stdout, header, rows, args.format)
+        # Cold: each row's text is made once, written to the cache file as
+        # part of the json text and then to stdout in the requested format.
+        with _CacheWriter(path) as cache:
+            rows = _json_rows(header, _row_texts(_matrix(args.kind, k, args.n)), cache.write)
+            _write_table(sys.stdout, header, rows, args.format)
+            cache.write("]}")
     return 0
 
 

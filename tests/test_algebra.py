@@ -13,6 +13,7 @@ from kschur.algebra import (
     pairing,
 )
 from kschur.bases import build_kschur_system, build_schur_system
+from sparse_rows import dense, sparse
 
 words = st.lists(st.integers(1, 3), max_size=3).map(tuple)
 
@@ -136,7 +137,7 @@ def forward_inverse(rows):
         n=0, k=None, source_kind="H", target_kind="S",
         row_labels=tuple((i,) for i in range(len(rows))),
         col_labels=tuple((j,) for j in range(width)),
-        rows=tuple(tuple(r) for r in rows),
+        **sparse(rows),
     )
     return [list(r) for r in matrix.inverse().rows]
 
@@ -210,7 +211,7 @@ def labelled(rows, row_count, col_count, source="S", target="H"):
         n=0, k=None, source_kind=source, target_kind=target,
         row_labels=tuple((i,) for i in range(row_count)),
         col_labels=tuple((j,) for j in range(col_count)),
-        rows=tuple(tuple(row) for row in rows),
+        **sparse(rows),
     )
 
 
@@ -237,14 +238,27 @@ def test_matmul_matches_naive_product(m, p, q, data):
         tuple(sum(left[i][t] * right[t][j] for t in range(p)) for j in range(q))
         for i in range(m)
     )
-    assert tuple(labelled(left, m, p).matmul(labelled(right, p, q, "H", "S"))) == naive
+    assert dense(labelled(left, m, p).matmul(labelled(right, p, q, "H", "S")), q) == naive
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+def test_transposed_and_entries_match_dense_rows(m, p, data):
+    rows = data.draw(sparse_matrix(m, p))
+    matrix = labelled(rows, m, p)
+    assert matrix.rows == tuple(map(tuple, rows))
+    assert all(matrix.entry((i,), (j,)) == rows[i][j] for i in range(m) for j in range(p))
+    transposed = matrix.transposed("QS", "M")
+    assert (transposed.source_kind, transposed.target_kind) == ("QS", "M")
+    assert transposed.row_labels == matrix.col_labels and transposed.col_labels == matrix.row_labels
+    assert transposed.rows == tuple(tuple(rows[i][j] for i in range(m)) for j in range(p))
 
 
 def test_matmul_refuses_mismatched_labels():
     left = labelled([[1, 0], [0, 1]], 2, 2)
     right = BasisMatrix(
         n=0, k=None, source_kind="H", target_kind="S",
-        row_labels=((1,), (0,)), col_labels=((0,), (1,)), rows=((1, 0), (0, 1)),
+        row_labels=((1,), (0,)), col_labels=((0,), (1,)), **sparse([[1, 0], [0, 1]]),
     )
     with pytest.raises(ValueError, match="label mismatch"):
         left.matmul(right)
@@ -256,7 +270,7 @@ def test_missing_label_lookups_name_the_label():
     labels = ((2,), (1, 1))
     matrix = BasisMatrix(
         n=2, k=None, source_kind="H", target_kind="S",
-        row_labels=labels, col_labels=labels, rows=((1, 0), (1, 1)),
+        row_labels=labels, col_labels=labels, **sparse([[1, 0], [1, 1]]),
     )
     with pytest.raises(DomainError, match=r"\(3,\)"):
         matrix.entry((3,), (2,))

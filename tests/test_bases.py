@@ -21,7 +21,9 @@ from kschur.bases import (
     verify_projection,
 )
 from kschur.compositions import enumerate_compositions, sort_to_partition
-from kschur.partitions import dominance_lt, partitions_of
+from kschur.partitions import partitions_of
+from oracles import dominance_lt
+from sparse_rows import dense, sparse
 
 
 def test_kostka_worked_example():
@@ -89,11 +91,30 @@ def test_system_inverse_round_trip():
     for k in (2, 3, None):
         for n in range(6):
             system = build_schur_system(n, k)
-            product = tuple(system.S_to_H.matmul(system.matrix("H", "S")))
             size = len(system.labels)
+            product = dense(system.S_to_H.matmul(system.matrix("H", "S")), size)
             assert product == tuple(
                 tuple(int(i == j) for j in range(size)) for i in range(size)
             )
+
+
+def test_stored_rows_are_sorted_and_nonzero():
+    """Every row of every stored matrix lists strictly increasing columns
+    and only nonzero entries."""
+    for k in (1, 2, 3, None):
+        for n in range(8):
+            for system, kinds in (
+                (build_schur_system(n, k), ("H", "S", "QS", "M")),
+                (build_kschur_system(n, k), ("h", "s", "dual-s", "m")),
+            ):
+                complete, schur, dual, monomial = kinds
+                pairs = ((complete, schur), (schur, complete), (dual, monomial), (monomial, dual))
+                for matrix in (system.matrix(*pair) for pair in pairs):
+                    assert len(matrix.cols) == len(matrix.vals) == len(matrix.row_labels)
+                    for cols, vals in zip(matrix.cols, matrix.vals):
+                        assert len(cols) == len(vals) and 0 not in vals
+                        assert all(a < b for a, b in zip(cols, cols[1:]))
+                        assert not cols or 0 <= cols[0] and cols[-1] < len(matrix.col_labels)
 
 
 def test_unit_diagonal_and_dominance_support():
@@ -195,7 +216,7 @@ def test_duality_product_entries_are_pairings(k):
         first, last = system.labels[0], system.labels[-1]
         broken = with_entry_changed(system, "S", "H", {(last, first): 1, (first, last): 2})
         for graded in (system, broken):
-            product = tuple(graded.matrix("S", "H").matmul(graded.matrix("H", "S")))
+            product = dense(graded.matrix("S", "H").matmul(graded.matrix("H", "S")), len(graded.labels))
             for a, alpha in enumerate(graded.labels):
                 qs = graded.expand("QS", alpha, "M")
                 for b, beta in enumerate(graded.labels):
@@ -210,7 +231,7 @@ def with_entry_changed(system, source, target, changes):
     for (row_label, col_label), delta in changes.items():
         rows[matrix.row_labels.index(row_label)][matrix.col_labels.index(col_label)] += delta
     broken = GradedSystem(n=system.n, k=system.k, labels=system.labels, pieri=system.pieri)
-    broken._matrices[source, target] = replace(matrix, rows=tuple(map(tuple, rows)))
+    broken._matrices[source, target] = replace(matrix, **sparse(rows))
     return broken
 
 
@@ -222,6 +243,18 @@ def test_duality_fails_on_a_wrong_inverse(monkeypatch):
     report = verify_duality(5, 3)
     assert not report.passed
     assert report.cases[0].detail == f"<QS{list(first)}, S{list(last)}> = 1"
+
+
+def test_duality_reports_a_missing_diagonal_entry(monkeypatch):
+    # Zeroing the first diagonal entry of S->H empties the product's first
+    # sparse row, so its diagonal pairing is absent rather than 0.
+    system = build_schur_system(5, 3)
+    first = system.labels[0]
+    broken = with_entry_changed(system, "S", "H", {(first, first): -1})
+    monkeypatch.setattr(bases, "build_schur_system", lambda n, k=None: broken)
+    report = verify_duality(5, 3)
+    assert not report.passed
+    assert report.cases[0].detail == f"<QS{list(first)}, S{list(first)}> = 0"
 
 
 def test_duality_failures_are_listed_alpha_major(monkeypatch):

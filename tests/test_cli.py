@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -249,24 +251,67 @@ def test_matrix_rejects_non_object_cache(tmp_path, monkeypatch, capsys):
 
 
 def test_matrix_cache_file_is_the_json_output(tmp_path, monkeypatch, capsys):
-    """A cold json request encodes its document once, with json.dumps, and
-    writes exactly the printed bytes to the cache."""
+    """A cold request makes each row's text once, whatever the format, and
+    writes the cache file as exactly the bytes a json request prints."""
     monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
-    calls = []
-    dumps = json.dumps
+    made = []
+    row_texts = cli._row_texts
 
-    def counted_dumps(*args, **kwargs):
-        calls.append(args)
-        return dumps(*args, **kwargs)
+    def counted_row_texts(matrix):
+        for row in row_texts(matrix):
+            made.append(row)
+            yield row
 
-    def no_dump(*args, **kwargs):
-        raise AssertionError("json.dump called")
+    monkeypatch.setattr(cli, "_row_texts", counted_row_texts)
+    argv = ("matrix", "--kind", "h-to-ns", "--k", "3", "--n", "5", "--format")
+    d = len(matrix_document("h-to-ns", 3, 5)["row_labels"])
+    for fmt in ("json", "csv", "latex"):
+        for path in tmp_path.glob("*.json"):
+            path.unlink()
+        made.clear()
+        code, out = run(capsys, *argv, fmt)
+        assert code == 0 and len(made) == d
+        text = next(tmp_path.glob("*.json")).read_text(encoding="utf-8")
+        assert text == render_matrix(json.loads(text), "json")
+        assert out == render_matrix(json.loads(text), fmt) + "\n"
+        if fmt == "json":
+            assert out == text + "\n"
 
-    monkeypatch.setattr(cli.json, "dumps", counted_dumps)
-    monkeypatch.setattr(cli.json, "dump", no_dump)
-    code, out = run(capsys, "matrix", "--kind", "h-to-ns", "--k", "3", "--n", "5", "--format", "json")
-    assert code == 0 and len(calls) == 1
-    assert next(tmp_path.glob("*.json")).read_bytes() == out.removesuffix("\n").encode()
+
+CORPUS_KS = (1, 2, 3, None)
+CORPUS_NS = range(8)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
+@pytest.mark.parametrize("kind", list(MATRIX_KINDS))
+def test_cold_stream_matches_dense_document(kind, fmt, tmp_path, monkeypatch, capsys):
+    """The streamed cold output equals the document built from the dense
+    rows and rendered whole, and the cache file is its json text."""
+    for k in CORPUS_KS:
+        for n in CORPUS_NS:
+            monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path / f"{k}-{n}"))
+            code, out = run(capsys, "matrix", "--kind", kind, "--k", str(format_k(k)), "--n", str(n), "--format", fmt)
+            doc = matrix_document(kind, k, n)
+            assert code == 0 and out == render_matrix(doc, fmt) + "\n", (k, n)
+            (path,) = (tmp_path / f"{k}-{n}").iterdir()
+            assert path.read_text(encoding="utf-8") == render_matrix(doc, "json"), (k, n)
+
+
+@pytest.mark.parametrize("kind", list(MATRIX_KINDS))
+def test_csv_table_matches_csv_writer(kind):
+    """The csv rows are written as label plus entry text; the csv module,
+    fed one field per label and entry, is the oracle."""
+    fmt_label = format_composition if MATRIX_KINDS[kind][0] in COMPOSITION_KINDS else format_partition
+    for k in CORPUS_KS:
+        for n in CORPUS_NS:
+            doc = matrix_document(kind, k, n)
+            d = len(doc["col_labels"])
+            expected = io.StringIO()
+            writer = csv.writer(expected, lineterminator="\n")
+            writer.writerow([""] + [fmt_label(label) for label in doc["col_labels"]])
+            for r, label in enumerate(doc["row_labels"]):
+                writer.writerow([fmt_label(label), *doc["entries"][r * d : (r + 1) * d]])
+            assert render_matrix(doc, "csv") + "\n" == expected.getvalue(), (k, n)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "latex"])
@@ -292,6 +337,18 @@ def test_matrix_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch, ca
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
+def test_matrix_failed_streamed_write_keeps_stdout(fmt, tmp_path, monkeypatch, capsys):
+    """A cache file that refuses its first write is dropped, while the
+    request still prints all of its output."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(cli.os, "fdopen", lambda fd, *args, **kwargs: open(fd, encoding="utf-8"))
+    code, out = run(capsys, "matrix", "--kind", "m-to-qs", "--k", "3", "--n", "5", "--format", fmt)
+    assert code == 0
+    assert out == render_matrix(matrix_document("m-to-qs", 3, 5), fmt) + "\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_closed_stdout_exits_141_quietly(tmp_path):
     """The n = 9 csv (about 150 KB) outgrows a 64 KiB pipe buffer, so the
     child always writes into the pipe after the reader has closed it."""
@@ -305,6 +362,8 @@ def test_closed_stdout_exits_141_quietly(tmp_path):
         stderr = child.stderr.read()
         code = child.wait(timeout=60)
     assert (code, stderr) == (141, b"")
+    assert not list(tmp_path.glob("*.tmp"))
+    assert not list(tmp_path.iterdir())  # nor a partial cache file
 
 
 def test_kostka_command(capsys):
