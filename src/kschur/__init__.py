@@ -15,6 +15,8 @@ from .compositions import (
     comp_pieri_targets,
     covers_up,
     enumerate_compositions,
+    is_horizontal_comp_strip,
+    is_horizontal_k_comp_strip,
     sort_to_partition,
 )
 from .errors import DomainError
@@ -23,8 +25,11 @@ from .partitions import (
     check_partition,
     core_search_oracle,
     core_to_bounded,
+    dominance_leq,
     hook_lengths,
     is_core,
+    is_horizontal_k_strip,
+    is_horizontal_strip,
     k_conjugate,
     k_pieri_targets,
     partitions_of,

@@ -212,6 +212,18 @@ def chi_project(g: LinearCombination) -> LinearCombination:
     return g.map_indices(lambda index: tuple(sorted(index, reverse=True)), kind="h")
 
 
+def dense_rows(pairs, width) -> tuple:
+    """Sparse (cols, vals) rows, such as matmul yields, as dense tuples of
+    width entries."""
+    out = []
+    for cols, vals in pairs:
+        row = [0] * width
+        for c, v in zip(cols, vals):
+            row[c] = v
+        out.append(tuple(row))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class BasisMatrix:
     """Labelled exact integer matrix for one graded component.
@@ -244,13 +256,7 @@ class BasisMatrix:
     def rows(self) -> tuple:
         """The dense rows, built afresh on each read, for display and tests;
         the matrix computations read cols and vals."""
-        out = []
-        for cols, vals in zip(self.cols, self.vals):
-            row = [0] * len(self.col_labels)
-            for c, v in zip(cols, vals):
-                row[c] = v
-            out.append(tuple(row))
-        return tuple(out)
+        return dense_rows(zip(self.cols, self.vals), len(self.col_labels))
 
     @cached_property
     def _row_position(self) -> dict:

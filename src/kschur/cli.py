@@ -19,7 +19,6 @@ parse error, 3 domain violation, 141 stdout closed by its reader.
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import io
 import json
@@ -288,10 +287,10 @@ def _row_texts(matrix):
         yield "".join(parts)[:-1]
 
 
-def _json_rows(header, rows, write):
+def _json_rows(prefix, rows, write):
     """Yield rows, each once write has written it as the next entries of
-    the header's json document, the first after the document's prefix."""
-    sep = _json_prefix(header)
+    a json document, the first after the document's prefix."""
+    sep = prefix
     for row in rows:
         write(sep)
         write(row)
@@ -300,12 +299,8 @@ def _json_rows(header, rows, write):
 
 
 def _write_table(out, header, rows, fmt):
-    """Write the matrix to out as json, csv or latex, line by line; rows
-    yields each row as the comma-joined text of its entries."""
-    if fmt == "json":
-        collections.deque(_json_rows(header, rows, out.write), maxlen=0)
-        out.write("]}\n")
-        return
+    """Write the matrix to out as csv or latex, line by line; rows yields
+    each row as the comma-joined text of its entries."""
     fmt_label = _label_format(MATRIX_KINDS[header["kind"]][0])
     if fmt == "csv":
         # Entries are ints and never need quoting; a label does when it holds a comma.
@@ -350,10 +345,20 @@ def cmd_matrix(args) -> int:
         _write_table(sys.stdout, header, _text_rows(text, len(header["row_labels"])), args.format)
     else:
         # Cold: each row's text is made once, written to the cache file as
-        # part of the json text and then to stdout in the requested format.
+        # part of the json text and to stdout in the requested format.
+        rows = _row_texts(_matrix(args.kind, k, args.n))
         with _CacheWriter(path) as cache:
-            rows = _json_rows(header, _row_texts(_matrix(args.kind, k, args.n)), cache.write)
-            _write_table(sys.stdout, header, rows, args.format)
+            if args.format == "json":
+                def write(text):
+                    cache.write(text)
+                    sys.stdout.write(text)
+
+                for _ in _json_rows(_json_prefix(header), rows, write):
+                    pass
+                sys.stdout.write("]}\n")
+            else:
+                rows = _json_rows(_json_prefix(header), rows, cache.write)
+                _write_table(sys.stdout, header, rows, args.format)
             cache.write("]}")
     return 0
 

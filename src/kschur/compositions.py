@@ -11,8 +11,8 @@ columns".  Because a bump may only touch the *leftmost* part of its size,
 a one-cell growth step is blocked whenever an equal-length row lies
 higher up.  A skew shape is a horizontal strip exactly when its cells,
 taken in increasing column order, can be added one at a time as covers;
-since the columns are distinct that insertion order is unique, so one
-simulation decides it (the tests keep that predicate as an oracle).
+since the columns are distinct that insertion order is unique, so the
+predicate is decided by a single simulation.
 
 Pieri targets are generated rather than filtered: they are the cover
 chains whose new cells lie in strictly increasing columns
@@ -26,10 +26,12 @@ from functools import lru_cache
 from itertools import groupby
 
 from .errors import DomainError
-from .partitions import column_chains, k_pieri_targets, require_k_bounded
+from .partitions import column_chains, is_horizontal_k_strip, k_pieri_targets, require_k_bounded
 
 # The basis kinds indexed by compositions (see :mod:`kschur.algebra`).
 COMPOSITION_KINDS = frozenset({"H", "M", "S", "QS"})
+
+Cell = tuple[int, int]  # 1-based (row, column)
 
 
 def check_composition(parts, k=None) -> tuple[int, ...]:
@@ -70,6 +72,56 @@ def bottom_aligned_contains(alpha, beta) -> bool:
     if shift < 0:
         return False
     return all(b <= alpha[shift + j] for j, b in enumerate(beta))
+
+
+def _skew_cell_list(alpha, beta) -> list[Cell]:
+    shift = len(alpha) - len(beta)
+    cells = [
+        (r, c) for r in range(1, shift + 1) for c in range(1, alpha[r - 1] + 1)
+    ]
+    for j, b in enumerate(beta):
+        r = shift + 1 + j
+        cells.extend((r, c) for c in range(b + 1, alpha[r - 1] + 1))
+    return cells
+
+
+def is_horizontal_comp_strip(alpha, beta) -> bool:
+    """True when alpha/beta is a horizontal strip of the cover order.
+
+    Checks bottom-aligned containment and distinct columns, then replays
+    the unique column-increasing insertion and demands every step be a
+    cover: a column-1 cell must open a new top row, and a cell in column c
+    may extend a row only if no higher row currently has length c - 1
+    (that row would be the leftmost part of its size, so the bump would
+    land there instead).  Containment failure returns False, not an error.
+    """
+    shift = len(alpha) - len(beta)
+    if shift < 0 or not bottom_aligned_contains(alpha, beta):
+        return False
+    cells = _skew_cell_list(alpha, beta)
+    columns = [c for _, c in cells]
+    if len(set(columns)) != len(columns):
+        return False
+    lengths = [0] * shift + list(beta)
+    for r, c in sorted(cells, key=lambda cell: cell[1]):
+        if c == 1:
+            if r != 1 or shift != 1:
+                return False
+            lengths[0] = 1
+        else:
+            if lengths[r - 1] != c - 1:
+                return False
+            if any(lengths[q] == c - 1 for q in range(r - 1)):
+                return False
+            lengths[r - 1] = c
+    return True
+
+
+def is_horizontal_k_comp_strip(alpha, beta, k) -> bool:
+    """Horizontal composition strip whose sorted shapes differ by a
+    horizontal k-strip (which checks the bound)."""
+    sorted_strip = is_horizontal_k_strip(sort_to_partition(alpha), sort_to_partition(beta), k)
+    return sorted_strip and is_horizontal_comp_strip(alpha, beta)
 
 
 @lru_cache(maxsize=None)

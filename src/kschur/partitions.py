@@ -129,11 +129,34 @@ def k_conjugate(lam, k) -> tuple[int, ...]:
     return core_to_bounded(transpose(bounded_to_core(lam, k)), k)
 
 
+def is_horizontal_strip(lam, mu) -> bool:
+    """True when mu is contained in lam with at most one new cell per column."""
+    if not contains(lam, mu):
+        return False
+    return all(
+        lam[i + 1] <= (mu[i] if i < len(mu) else 0) for i in range(len(lam) - 1)
+    )
+
+
 def is_vertical_strip(lam, mu) -> bool:
     """True when mu is contained in lam with at most one new cell per row."""
     if not contains(lam, mu):
         return False
     return all(p - (mu[i] if i < len(mu) else 0) <= 1 for i, p in enumerate(lam))
+
+
+def is_horizontal_k_strip(lam, mu, k) -> bool:
+    """Horizontal strip whose k-conjugate difference is a vertical strip.
+
+    Failed containment (of the shapes or of their k-conjugates) returns
+    False rather than raising, keeping the predicate total on pairs of
+    k-bounded partitions.
+    """
+    require_k_bounded(lam, k)
+    require_k_bounded(mu, k)
+    if not is_horizontal_strip(lam, mu):
+        return False
+    return is_vertical_strip(k_conjugate(lam, k), k_conjugate(mu, k))
 
 
 def partition_covers(lam, k):
@@ -176,6 +199,23 @@ def k_pieri_targets(lam, i, k) -> tuple:
     return tuple(
         sorted(mu for mu in strips if is_vertical_strip(k_conjugate(mu, k), conj))
     )
+
+
+def dominance_leq(lam, mu) -> bool:
+    """Dominance comparison of equal-size partitions: lam below (or equal to) mu."""
+    if sum(lam) != sum(mu):
+        raise ValueError("dominance order compares partitions of equal size")
+    total_l = total_m = 0
+    for j in range(max(len(lam), len(mu))):
+        total_l += lam[j] if j < len(lam) else 0
+        total_m += mu[j] if j < len(mu) else 0
+        if total_l > total_m:
+            return False
+    return True
+
+
+def dominance_lt(lam, mu) -> bool:
+    return lam != mu and dominance_leq(lam, mu)
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,8 @@
-"""Dense and sparse rows for the tests.
+"""Sparse rows for the tests.
 
-``BasisMatrix`` stores each row as parallel ``cols`` and ``vals`` tuples and
-``matmul`` yields rows in that form, while the oracles (naive products,
-Gauss-Jordan, hand-written tables) are dense lists of rows.
+``BasisMatrix`` stores each row as parallel ``cols`` and ``vals`` tuples,
+while the oracles (naive products, Gauss-Jordan, hand-written tables) are
+dense lists of rows; ``kschur.algebra.dense_rows`` converts back.
 """
 
 
@@ -13,13 +13,3 @@ def sparse(rows):
         "vals": tuple(tuple(v for v in row if v) for row in rows),
     }
 
-
-def dense(pairs, width):
-    """(cols, vals) rows as dense tuples of width entries."""
-    out = []
-    for cols, vals in pairs:
-        row = [0] * width
-        for c, v in zip(cols, vals):
-            row[c] = v
-        out.append(tuple(row))
-    return tuple(out)

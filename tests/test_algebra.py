@@ -9,11 +9,12 @@ from kschur.algebra import (
     LinearCombination,
     M_quasi_shuffle,
     chi_project,
+    dense_rows,
     h_product,
     pairing,
 )
 from kschur.bases import build_kschur_system, build_schur_system
-from sparse_rows import dense, sparse
+from sparse_rows import sparse
 
 words = st.lists(st.integers(1, 3), max_size=3).map(tuple)
 
@@ -238,7 +239,7 @@ def test_matmul_matches_naive_product(m, p, q, data):
         tuple(sum(left[i][t] * right[t][j] for t in range(p)) for j in range(q))
         for i in range(m)
     )
-    assert dense(labelled(left, m, p).matmul(labelled(right, p, q, "H", "S")), q) == naive
+    assert dense_rows(labelled(left, m, p).matmul(labelled(right, p, q, "H", "S")), q) == naive
 
 
 @settings(max_examples=60)

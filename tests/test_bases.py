@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 from kschur import DomainError, bases
-from kschur.algebra import BasisMatrix, LinearCombination, pairing
+from kschur.algebra import BasisMatrix, LinearCombination, dense_rows, pairing
 from kschur.bases import (
     GradedSystem,
     build_kschur_system,
@@ -21,9 +21,8 @@ from kschur.bases import (
     verify_projection,
 )
 from kschur.compositions import enumerate_compositions, sort_to_partition
-from kschur.partitions import partitions_of
-from oracles import dominance_lt
-from sparse_rows import dense, sparse
+from kschur.partitions import dominance_lt, partitions_of
+from sparse_rows import sparse
 
 
 def test_kostka_worked_example():
@@ -92,7 +91,7 @@ def test_system_inverse_round_trip():
         for n in range(6):
             system = build_schur_system(n, k)
             size = len(system.labels)
-            product = dense(system.S_to_H.matmul(system.matrix("H", "S")), size)
+            product = dense_rows(system.S_to_H.matmul(system.matrix("H", "S")), size)
             assert product == tuple(
                 tuple(int(i == j) for j in range(size)) for i in range(size)
             )
@@ -216,7 +215,7 @@ def test_duality_product_entries_are_pairings(k):
         first, last = system.labels[0], system.labels[-1]
         broken = with_entry_changed(system, "S", "H", {(last, first): 1, (first, last): 2})
         for graded in (system, broken):
-            product = dense(graded.matrix("S", "H").matmul(graded.matrix("H", "S")), len(graded.labels))
+            product = dense_rows(graded.matrix("S", "H").matmul(graded.matrix("H", "S")), len(graded.labels))
             for a, alpha in enumerate(graded.labels):
                 qs = graded.expand("QS", alpha, "M")
                 for b, beta in enumerate(graded.labels):

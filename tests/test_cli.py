@@ -350,20 +350,24 @@ def test_matrix_failed_streamed_write_keeps_stdout(fmt, tmp_path, monkeypatch, c
 
 
 def test_closed_stdout_exits_141_quietly(tmp_path):
-    """The n = 9 csv (about 150 KB) outgrows a 64 KiB pipe buffer, so the
-    child always writes into the pipe after the reader has closed it."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"), KSCHUR_CACHE_DIR=str(tmp_path))
-    argv = ["matrix", "--kind", "h-to-ns", "--k", "inf", "--n", "9", "--format", "csv"]
-    with subprocess.Popen(
-        [sys.executable, "-m", "kschur.cli", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
-    ) as child:
-        assert child.stdout.read(1) == b","
-        child.stdout.close()
-        stderr = child.stderr.read()
-        code = child.wait(timeout=60)
-    assert (code, stderr) == (141, b"")
-    assert not list(tmp_path.glob("*.tmp"))
-    assert not list(tmp_path.iterdir())  # nor a partial cache file
+    """The n = 9 csv and json (each about 150 KB) outgrow a 64 KiB pipe
+    buffer, so the child always writes into the pipe after the reader has
+    closed it.  A cold json request writes each row to the cache temp file
+    and to stdout in turn; either way the temp file must go."""
+    for fmt, first in (("csv", b","), ("json", b"{")):
+        cache = tmp_path / fmt
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"), KSCHUR_CACHE_DIR=str(cache))
+        argv = ["matrix", "--kind", "h-to-ns", "--k", "inf", "--n", "9", "--format", fmt]
+        with subprocess.Popen(
+            [sys.executable, "-m", "kschur.cli", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        ) as child:
+            assert child.stdout.read(1) == first
+            child.stdout.close()
+            stderr = child.stderr.read()
+            code = child.wait(timeout=60)
+        assert (code, stderr) == (141, b""), fmt
+        assert not list(cache.glob("*.tmp")), fmt
+        assert not list(cache.iterdir()), fmt  # nor a partial cache file
 
 
 def test_kostka_command(capsys):

@@ -5,16 +5,18 @@ from hypothesis import given, settings, strategies as st
 
 from kschur import DomainError
 from kschur.compositions import (
+    _skew_cell_list,
     bottom_aligned_contains,
     check_composition,
     comp_pieri_targets,
     composition_covers,
     covers_up,
     enumerate_compositions,
+    is_horizontal_comp_strip,
+    is_horizontal_k_comp_strip,
     sort_to_partition,
 )
 from kschur.partitions import column_chains
-from oracles import _skew_cell_list, is_horizontal_comp_strip, is_horizontal_k_comp_strip, is_horizontal_strip
 
 compositions = st.lists(st.integers(1, 4), max_size=6).map(tuple)
 
@@ -162,6 +164,8 @@ def test_comp_strips_sort_to_partition_strips():
     # A horizontal composition strip always sorts to a horizontal strip of
     # partitions, which is what makes the projection onto commuting
     # generators work.
+    from kschur.partitions import is_horizontal_strip
+
     for n_a in range(7):
         for alpha in enumerate_compositions(n_a):
             for n_b in range(n_a + 1):

@@ -5,8 +5,7 @@ import pytest
 import kschur
 
 # The names the package exported eagerly before the algebra and bases
-# names became lazy, by defining submodule, less the strip and dominance
-# predicates that moved to tests/oracles.py.
+# names became lazy, by defining submodule.
 EXPORTS = {
     "algebra": (
         "BasisMatrix",
@@ -43,6 +42,8 @@ EXPORTS = {
         "comp_pieri_targets",
         "covers_up",
         "enumerate_compositions",
+        "is_horizontal_comp_strip",
+        "is_horizontal_k_comp_strip",
         "sort_to_partition",
     ),
     "errors": ("DomainError",),
@@ -51,8 +52,11 @@ EXPORTS = {
         "check_partition",
         "core_search_oracle",
         "core_to_bounded",
+        "dominance_leq",
         "hook_lengths",
         "is_core",
+        "is_horizontal_k_strip",
+        "is_horizontal_strip",
         "k_conjugate",
         "k_pieri_targets",
         "partitions_of",

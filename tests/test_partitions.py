@@ -9,15 +9,17 @@ from kschur.partitions import (
     contains,
     core_search_oracle,
     core_to_bounded,
+    dominance_leq,
     hook_lengths,
     is_core,
+    is_horizontal_k_strip,
+    is_horizontal_strip,
     k_conjugate,
     k_pieri_targets,
     partition_covers,
     partitions_of,
     transpose,
 )
-from oracles import dominance_leq, is_horizontal_k_strip, is_horizontal_strip
 
 
 @st.composite
