@@ -127,50 +127,42 @@ def _require_kind(combo, kind):
         raise DomainError(f"expected kind {kind!r}, got {combo.kind!r}")
 
 
-def h_product(a: LinearCombination, b: LinearCombination) -> LinearCombination:
-    """Commutative product of complete homogeneous elements: merge and sort."""
-    _require_kind(a, "h")
-    _require_kind(b, "h")
+def _bilinear(a, b, kind, words) -> LinearCombination:
+    """The bilinear extension of a product of kind words, where words(x, y)
+    gives the product of x and y as (word, multiplicity) pairs."""
+    _require_kind(a, kind)
+    _require_kind(b, kind)
     a._require_compatible(b)
     out = {}
     for ia, ca in a._coeffs.items():
         for ib, cb in b._coeffs.items():
-            index = tuple(sorted(ia + ib, reverse=True))
-            out[index] = out.get(index, 0) + ca * cb
-    return LinearCombination("h", a.k, out)
+            for word, mult in words(ia, ib):
+                out[word] = out.get(word, 0) + ca * cb * mult
+    return LinearCombination(kind, a.k, out)
+
+
+def h_product(a: LinearCombination, b: LinearCombination) -> LinearCombination:
+    """Commutative product of complete homogeneous elements: merge and sort."""
+    return _bilinear(a, b, "h", lambda x, y: ((tuple(sorted(x + y, reverse=True)), 1),))
 
 
 def H_product(a: LinearCombination, b: LinearCombination) -> LinearCombination:
     """Free (non-commutative) product of H words: concatenation."""
-    _require_kind(a, "H")
-    _require_kind(b, "H")
-    a._require_compatible(b)
-    out = {}
-    for ia, ca in a._coeffs.items():
-        for ib, cb in b._coeffs.items():
-            index = ia + ib
-            out[index] = out.get(index, 0) + ca * cb
-    return LinearCombination("H", a.k, out)
+    return _bilinear(a, b, "H", lambda x, y: ((x + y, 1),))
 
 
 @lru_cache(maxsize=None)
 def _quasi_shuffle_words(x, y):
     """Quasi-shuffle of two compositions: interleavings where one part of
     each side may merge by addition.  Returns ((word, multiplicity), ...)."""
-    if not x:
-        return ((y, 1),)
-    if not y:
-        return ((x, 1),)
+    if not x or not y:
+        return ((x + y, 1),)
     out = {}
-    for word, mult in _quasi_shuffle_words(x[1:], y):
-        key = (x[0],) + word
-        out[key] = out.get(key, 0) + mult
-    for word, mult in _quasi_shuffle_words(x, y[1:]):
-        key = (y[0],) + word
-        out[key] = out.get(key, 0) + mult
-    for word, mult in _quasi_shuffle_words(x[1:], y[1:]):
-        key = (x[0] + y[0],) + word
-        out[key] = out.get(key, 0) + mult
+    # the first part is x's, y's, or the two merged
+    for head, rest in (((x[0],), (x[1:], y)), ((y[0],), (x, y[1:])), ((x[0] + y[0],), (x[1:], y[1:]))):
+        for word, mult in _quasi_shuffle_words(*rest):
+            word = head + word
+            out[word] = out.get(word, 0) + mult
     return tuple(out.items())
 
 
@@ -180,18 +172,8 @@ def M_quasi_shuffle(a: LinearCombination, b: LinearCombination) -> LinearCombina
     When k is bounded, product terms with a part above k fall into the
     quotient ideal and are discarded.
     """
-    _require_kind(a, "M")
-    _require_kind(b, "M")
-    a._require_compatible(b)
     k = a.k
-    out = {}
-    for ia, ca in a._coeffs.items():
-        for ib, cb in b._coeffs.items():
-            for word, mult in _quasi_shuffle_words(ia, ib):
-                if not is_k_bounded(word, k):
-                    continue
-                out[word] = out.get(word, 0) + ca * cb * mult
-    return LinearCombination("M", k, out)
+    return _bilinear(a, b, "M", lambda x, y: [(w, m) for w, m in _quasi_shuffle_words(x, y) if is_k_bounded(w, k)])
 
 
 _PAIRS = {"M": "H", "m": "h"}
@@ -222,6 +204,15 @@ def dense_rows(pairs, width) -> tuple:
             row[c] = v
         out.append(tuple(row))
     return tuple(out)
+
+
+def _combine_rows(acc, terms, cols, vals) -> tuple:
+    """Add to the dense row acc, for each (j, a) in terms, a times sparse
+    row j of (cols, vals); return the sum sparse, as a (cols, vals) pair."""
+    for j, a in terms:
+        for c, v in zip(cols[j], vals[j]):
+            acc[c] += a * v
+    return tuple(compress(range(len(acc)), acc)), tuple(filter(None, acc))
 
 
 @dataclass(frozen=True)
@@ -302,8 +293,7 @@ class BasisMatrix:
 
         Forward substitution: row i of the inverse is e_i minus the sum over
         j < i of entry (i, j) times row j of the inverse, so every step stays
-        in the integers.  Each row is summed in a dense accumulator and
-        stored sparse.  The Pieri matrices are lower unitriangular in label
+        in the integers.  The Pieri matrices are lower unitriangular in label
         order; any other input signals a bug upstream and raises.
         """
         d = len(self.cols)
@@ -314,13 +304,9 @@ class BasisMatrix:
             # columns increase, so the diagonal 1 must be the last entry
             if not row_cols or row_cols[-1] != i or row_vals[-1] != 1:
                 raise DomainError(f"matrix is not lower unitriangular at row {i}")
-            acc = [0] * (i + 1)
-            acc[i] = 1
-            for j, a in zip(row_cols[:-1], row_vals[:-1]):
-                for c, v in zip(cols[j], vals[j]):
-                    acc[c] -= a * v
-            cols.append(tuple(compress(range(i + 1), acc)))
-            vals.append(tuple(filter(None, acc)))
+            row = _combine_rows([0] * i + [1], zip(row_cols[:-1], [-a for a in row_vals[:-1]]), cols, vals)
+            cols.append(row[0])
+            vals.append(row[1])
         return replace(
             self, source_kind=self.target_kind, target_kind=self.source_kind, row_labels=self.col_labels,
             col_labels=self.row_labels, cols=tuple(cols), vals=tuple(vals),
@@ -342,20 +328,11 @@ class BasisMatrix:
 
     def matmul(self, other: "BasisMatrix") -> Iterator[tuple]:
         """Entry product self @ other, yielded row by row as (cols, vals)
-        pairs, so only one row of the product is held at a time: each
-        nonzero entry (i, j) of self adds that multiple of row j of other
-        into a dense accumulator for row i.  Mismatched labels raise at the
-        call.  The duality suite reads one of these."""
+        pairs, so only one row of the product is held at a time: row i is
+        the combination of the rows of other by the entries of row i of
+        self.  Mismatched labels raise at the call.  The duality suite reads
+        one of these."""
         if self.col_labels != other.row_labels:
             raise ValueError("label mismatch in matrix product")
-        width, other_cols, other_vals = range(len(other.col_labels)), other.cols, other.vals
-
-        def product_rows():
-            for row_cols, row_vals in zip(self.cols, self.vals):
-                acc = [0] * len(width)
-                for j, a in zip(row_cols, row_vals):
-                    for c, v in zip(other_cols[j], other_vals[j]):
-                        acc[c] += a * v
-                yield tuple(compress(width, acc)), tuple(filter(None, acc))
-
-        return product_rows()
+        width = len(other.col_labels)
+        return (_combine_rows([0] * width, zip(*row), other.cols, other.vals) for row in zip(self.cols, self.vals))

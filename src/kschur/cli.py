@@ -88,6 +88,15 @@ def format_partition(lam, sep=","):
     return "(" + sep.join(str(p) for p in lam) + ")"
 
 
+def _checked_label(check, parts):
+    """check(parts), with the DomainError of a malformed label turned into
+    a parse error (exit 2)."""
+    try:
+        return check(parts)
+    except DomainError as exc:
+        raise ValueError(str(exc)) from exc
+
+
 def parse_element_spec(text):
     """Parse 'KIND:INDEX@k=K', e.g. S:[1,1,1]@k=3 or dual-s:(2,1,1)@k=inf.
 
@@ -100,19 +109,16 @@ def parse_element_spec(text):
     kind = kind.strip()
     index_text = index_text.strip()
     k = parse_k(ktext.strip())
-    try:
-        if index_text.startswith("[") and index_text.endswith("]"):
-            index = check_composition(parse_parts(index_text[1:-1]))
-            if kind not in COMPOSITION_KINDS:
-                raise ValueError(f"kind {kind!r} does not take a composition index")
-        elif index_text.startswith("(") and index_text.endswith(")"):
-            index = check_partition(parse_parts(index_text[1:-1]))
-            if kind not in PARTITION_KINDS:
-                raise ValueError(f"kind {kind!r} does not take a partition index")
-        else:
-            raise ValueError(f"bad index {index_text!r}; use [..] or (..)")
-    except DomainError as exc:
-        raise ValueError(str(exc)) from exc
+    if index_text.startswith("[") and index_text.endswith("]"):
+        index = _checked_label(check_composition, parse_parts(index_text[1:-1]))
+        if kind not in COMPOSITION_KINDS:
+            raise ValueError(f"kind {kind!r} does not take a composition index")
+    elif index_text.startswith("(") and index_text.endswith(")"):
+        index = _checked_label(check_partition, parse_parts(index_text[1:-1]))
+        if kind not in PARTITION_KINDS:
+            raise ValueError(f"kind {kind!r} does not take a partition index")
+    else:
+        raise ValueError(f"bad index {index_text!r}; use [..] or (..)")
     return kind, index, k
 
 
@@ -162,7 +168,9 @@ def cache_dir():
     override = os.environ.get("KSCHUR_CACHE_DIR")
     if override:
         return override
-    base = os.environ.get("XDG_CACHE_HOME", os.path.join(os.path.expanduser("~"), ".cache"))
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # unset, empty or relative: ignored, as the XDG spec says
+        base = os.path.join(os.path.expanduser("~"), ".cache")
     return os.path.join(base, "kschur")
 
 
@@ -190,20 +198,17 @@ class _CacheWriter:
         try:
             if self.handle is not None:
                 self.handle.write(text)
-        except OSError:
-            self._finish(keep=False)
+        except OSError as exc:
+            self.__exit__(OSError, exc, None)
 
     def __exit__(self, exc_type, exc, traceback):
-        self._finish(keep=exc_type is None)
-
-    def _finish(self, keep):
-        """Close the temp file, then rename it onto path when keep holds,
-        or remove it otherwise or when closing or renaming fails."""
+        """Close the temp file, then rename it onto path when there was no
+        exception, or remove it otherwise or when closing or renaming fails."""
         handle, self.handle = self.handle, None
         if handle is not None:
             with contextlib.suppress(OSError):
                 handle.close()
-                if keep:
+                if exc_type is None:
                     os.replace(self.tmp, self.path)
                     return
             with contextlib.suppress(OSError):
@@ -298,9 +303,15 @@ def _json_rows(prefix, rows, write):
         yield row
 
 
-def _write_table(out, header, rows, fmt):
-    """Write the matrix to out as csv or latex, line by line; rows yields
-    each row as the comma-joined text of its entries."""
+def _write_table(out, header, rows, fmt, prefix=None):
+    """Write the matrix to out as json, csv or latex, line by line; rows
+    yields each row as the comma-joined text of its entries, and the json
+    text starts with prefix, the _json_prefix of header."""
+    if fmt == "json":
+        for _ in _json_rows(prefix, rows, out.write):
+            pass
+        out.write("]}\n")
+        return
     fmt_label = _label_format(MATRIX_KINDS[header["kind"]][0])
     if fmt == "csv":
         # Entries are ints and never need quoting; a label does when it holds a comma.
@@ -346,34 +357,17 @@ def cmd_matrix(args) -> int:
     else:
         # Cold: each row's text is made once, written to the cache file as
         # part of the json text and to stdout in the requested format.
-        rows = _row_texts(_matrix(args.kind, k, args.n))
+        prefix, rows = _json_prefix(header), _row_texts(_matrix(args.kind, k, args.n))
         with _CacheWriter(path) as cache:
-            if args.format == "json":
-                def write(text):
-                    cache.write(text)
-                    sys.stdout.write(text)
-
-                for _ in _json_rows(_json_prefix(header), rows, write):
-                    pass
-                sys.stdout.write("]}\n")
-            else:
-                rows = _json_rows(_json_prefix(header), rows, cache.write)
-                _write_table(sys.stdout, header, rows, args.format)
+            _write_table(sys.stdout, header, _json_rows(prefix, rows, cache.write), args.format, prefix)
             cache.write("]}")
     return 0
 
 
 def cmd_kostka(args) -> int:
-    shape = parse_parts(args.shape)
-    content = parse_parts(args.content)
-    try:
-        if args.family == "partition":
-            check_partition(shape)
-        else:
-            check_composition(shape)
-        check_composition(content)
-    except DomainError as exc:
-        raise ValueError(str(exc)) from exc
+    shape, content = parse_parts(args.shape), parse_parts(args.content)
+    _checked_label(check_partition if args.family == "partition" else check_composition, shape)
+    _checked_label(check_composition, content)
     from . import bases
 
     value = bases.kostka(shape, content, parse_k(args.k), args.family, args.order)

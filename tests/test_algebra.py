@@ -92,6 +92,28 @@ def test_h_product_associative_commutative(x, y, z):
     assert h_product(h_product(hx, hy), hz) == h_product(hx, h_product(hy, hz))
 
 
+def evaluate_M(alpha, point):
+    """The monomial quasi-symmetric function M_alpha at point: the sum over
+    i_1 < ... < i_l of the products point[i_j] ** alpha[j]."""
+    sums = [1] + [0] * len(alpha)  # sums[j]: the sum for the first j parts
+    for v in point:
+        for j in range(len(alpha), 0, -1):
+            sums[j] += sums[j - 1] * v ** alpha[j - 1]
+    return sums[-1]
+
+
+@given(words, words, st.data())
+def test_quasi_shuffle_matches_evaluation(x, y, data):
+    """In at least len(x) + len(y) variables, where the M_w of the product
+    are independent, M_x M_y evaluated at an integer point equals the
+    evaluation of the quasi-shuffle product.  A plain shuffle, without the
+    merged parts, is also associative and commutative, but fails this."""
+    size = len(x) + len(y)
+    point = data.draw(st.lists(st.integers(-6, 6), min_size=size, max_size=size + 2))
+    product = M_quasi_shuffle(M(x), M(y))
+    assert evaluate_M(x, point) * evaluate_M(y, point) == sum(c * evaluate_M(w, point) for w, c in product.terms())
+
+
 @given(words, words)
 def test_quotient_ideal_soundness(x, y):
     # A product with a factor containing a part above k only produces

@@ -386,6 +386,23 @@ def test_kostka_errors(capsys):
     assert code == 2  # parse error
 
 
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (("composition", "2,0", "1,1"), 2, "error: composition parts must be positive: (2, 0)\n"),
+        (("composition", "2", "0,2"), 2, "error: composition parts must be positive: (0, 2)\n"),
+        (("partition", "1,2", "2,1"), 2, "error: partition parts must weakly decrease: (1, 2)\n"),
+        (("composition", "2,1", "3", "--k", "2"), 3, "error: (3,) is not 2-bounded\n"),
+        (("partition", "2,1", "3", "--k", "2"), 3, "error: (3,) is not 2-bounded\n"),
+    ],
+)
+def test_kostka_label_errors(argv, code, err, capsys):
+    """A malformed shape or content is a usage error; a well-formed content
+    that is not k-bounded is a domain violation."""
+    assert main(["kostka", *argv]) == code
+    assert capsys.readouterr() == ("", err)
+
+
 def test_expand_ns_to_h(capsys):
     code, out = run(capsys, "expand", "S:[1,1,1]@k=3", "H")
     assert code == 0
@@ -478,6 +495,43 @@ def test_recorded_outputs(monkeypatch, tmp_path, capsys):
             assert hashlib.sha256(out.encode()).hexdigest() == ref["sha256"], request
             if argv[0] == "verify":
                 assert len(json.loads(out)["cases"]) == ref["cases"], request
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("--kind", "ns-to-h", "--k", "2", "--n", "-1"), "error: n must be nonnegative\n"),
+        (("--kind", "dualkschur-to-m", "--k", "2", "--n", "-1"), "error: n must be nonnegative\n"),
+        (("--kind", "ns-to-h", "--k", "0", "--n", "2"), "error: k must be at least 1 or 'inf', got '0'\n"),
+        (("--kind", "dualkschur-to-m", "--k", "0", "--n", "2"), "error: k must be at least 1 or 'inf', got '0'\n"),
+    ],
+)
+def test_matrix_usage_errors(argv, err, tmp_path, monkeypatch, capsys):
+    """A negative degree or a zero bound is refused on both sides before
+    any cache file is read or written."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    assert main(["matrix", *argv]) == 2
+    assert capsys.readouterr() == ("", err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("xdg", ["", "relative/cache"])
+def test_cache_dir_ignores_empty_or_relative_xdg_cache_home(xdg, tmp_path, monkeypatch, capsys):
+    """An empty XDG_CACHE_HOME counts as unset and a relative one is
+    ignored, so the cache goes to ~/.cache/kschur, not below the working
+    directory."""
+    home, work = tmp_path / "home", tmp_path / "work"
+    work.mkdir()
+    monkeypatch.delenv("KSCHUR_CACHE_DIR", raising=False)
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+    monkeypatch.chdir(work)
+    assert cli.cache_dir() == str(home / ".cache" / "kschur")
+    assert run(capsys, "matrix", "--kind", "ns-to-h", "--k", "2", "--n", "2")[0] == 0
+    assert list(work.iterdir()) == []
+    assert [p.name for p in (home / ".cache" / "kschur").iterdir()] == ["ns-to-h_k2_n2_v1.json"]
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert cli.cache_dir() == str(tmp_path / "xdg" / "kschur")
 
 
 def test_usage_error_exit_code():

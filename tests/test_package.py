@@ -1,4 +1,6 @@
+import ast
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -79,3 +81,20 @@ def test_unknown_name_raises_attribute_error():
         kschur.no_such_name
     assert not hasattr(kschur, "build_system")
 
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in Path(kschur.__file__).parent.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+)
+def test_module_uses_every_import(path):
+    """Every name a module imports is read in it; the package __init__ is
+    left out, because its imports are re-exports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported <= used, sorted(imported - used)
