@@ -397,8 +397,9 @@ def stabilization_check(n) -> VerificationReport:
 
 def verify_omega(max_n, max_k) -> VerificationReport:
     """Involution, size preservation, core round trips and bijectivity of
-    the bounded-partition/core correspondence; the construction is checked
-    against the exhaustive core search for n <= 7."""
+    the bounded-partition/core correspondence; for n <= 7 the construction
+    is checked against the exhaustive core search, which grows every
+    (k+1)-core of its window from the smaller cores under its first row."""
     cases = []
     for k in range(1, max_k + 1):
         bad = []

@@ -233,9 +233,23 @@ def partitions_of(n, k=None) -> tuple:
 
 @lru_cache(maxsize=None)
 def _core_profile_index(k, size):
-    """Map hook <= k row-count profiles to the (k+1)-cores of exactly size."""
+    """Map hook <= k row-count profiles to the (k+1)-cores of exactly size,
+    each list most dominant first.
+
+    A hook reads only its own row and the rows below it, so the rows under
+    the first row of a t-core form a t-core.  Every (k+1)-core of size is
+    therefore a first row a on top of a smaller core of size - a whose
+    first part is at most a; only these candidates are core-tested.
+    """
+    candidates = [()] if size == 0 else [
+        (first,) + tail
+        for first in range(1, size + 1)
+        for tails in _core_profile_index(k, size - first).values()
+        for tail in tails
+        if not tail or tail[0] <= first
+    ]
     index: dict[tuple, list] = {}
-    for kappa in partitions_of(size):
+    for kappa in sorted(candidates, reverse=True):
         if is_core(kappa, k + 1):
             index.setdefault(core_to_bounded(kappa, k), []).append(kappa)
     return {profile: tuple(cores) for profile, cores in index.items()}
@@ -244,13 +258,18 @@ def _core_profile_index(k, size):
 def core_search_oracle(lam, k) -> tuple:
     """Exhaustive search for (k+1)-cores whose hook <= k row counts equal lam.
 
-    Independent cross-check for :func:`bounded_to_core`.  The search window
-    n + n(n-1)/2 covers the worst case, a single column at k = 1, whose core
-    is the full staircase.  Matches come in size order from one index per
-    (k, size), so each partition in the window is core-tested once per k
-    however many lam share it.
+    Independent cross-check for :func:`bounded_to_core`, with its domain:
+    ``k=None`` gives ``(lam,)`` and a part above k raises
+    :class:`DomainError`.  The search window n + n(n-1)/2 covers the worst
+    case, a single column at k = 1, whose core is the full staircase.
+    Matches come in size order, most dominant first, from one index per
+    (k, size) that holds every (k+1)-core of that size, grown from the
+    cores of smaller sizes.
     """
     lam = check_partition(lam)
+    if k is None:
+        return (lam,)
+    require_k_bounded(lam, k)
     n = sum(lam)
     return tuple(
         kappa

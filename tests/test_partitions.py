@@ -268,12 +268,23 @@ def test_single_cell_k_strip_moves_single_conjugate_cell():
 
 def test_core_search_oracle_agrees_with_construction():
     for k in range(1, 6):
-        for n in range(8):
+        for n in range(9):
             for lam in partitions_of(n, k):
                 assert core_search_oracle(lam, k) == (bounded_to_core(lam, k),)
 
 
-def test_core_search_tests_each_partition_once_per_k(monkeypatch):
+def test_core_search_oracle_domain():
+    """The oracle follows bounded_to_core: k=None is the identity and a
+    part above k is a domain error."""
+    assert core_search_oracle((2, 1), None) == ((2, 1),)
+    assert core_search_oracle((), None) == ((),)
+    with pytest.raises(DomainError):
+        core_search_oracle((3,), 2)
+    with pytest.raises(DomainError):
+        core_search_oracle((2, 2, 1), 1)
+
+
+def test_core_search_core_tests_grown_candidates_once_per_k(monkeypatch):
     calls = []
 
     def counting(lam, t):
@@ -283,10 +294,28 @@ def test_core_search_tests_each_partition_once_per_k(monkeypatch):
     monkeypatch.setattr(partitions, "is_core", counting)
     partitions._core_profile_index.cache_clear()
     for n in range(8):
-        for lam in partitions_of(n):
+        for lam in partitions_of(n, 3):
             core_search_oracle(lam, 3)
-    # the largest window, 7 + 7 * 6 / 2 = 28, holds 18460 partitions
-    assert len(calls) == sum(len(partitions_of(size)) for size in range(29)) == 18460
+    # the largest window, 7 + 7 * 6 / 2 = 28, holds 18460 partitions; only
+    # a first row on a smaller 4-core is tested, the empty partition included
+    assert len(calls) == len(set(calls)) == 882
+    calls.clear()
+    for n in range(8):
+        for lam in partitions_of(n, 3):
+            core_search_oracle(lam, 3)
+    assert calls == []
+
+
+def test_core_generation_matches_brute_force():
+    """Slow oracle for the generated index: filter every partition of each
+    size in the k = 3, n = 7 window through is_core."""
+    for t in range(2, 8):
+        for size in range(29):
+            index = partitions._core_profile_index(t - 1, size)
+            for profile, cores in index.items():
+                assert all(core_to_bounded(kappa, t - 1) == profile for kappa in cores)
+            generated = sorted((kappa for cores in index.values() for kappa in cores), reverse=True)
+            assert generated == [lam for lam in partitions_of(size) if is_core(lam, t)], (t, size)
 
 
 def test_partitions_of_order_and_bound():
