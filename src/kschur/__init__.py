@@ -2,9 +2,10 @@
 non-commutative symmetric functions, with the supporting combinatorics of
 k-bounded partitions, cores and composition posets.
 
-The algebra and bases names are imported on first access, so a program
-that needs only the label layer (compositions, partitions, errors) does
-not load the linear algebra or the graded systems.
+The algebra, systems and bases names are imported on first access, so a
+program that needs only the label layer (compositions, partitions,
+errors) does not load the linear algebra, the graded systems or the
+verifiers.
 """
 
 from importlib import import_module
@@ -51,14 +52,16 @@ _LAZY = {
             "h_product",
             "pairing",
         ),
-        "bases": (
+        "systems": (
             "GradedSystem",
-            "VerificationCase",
-            "VerificationReport",
             "build_kschur_system",
             "build_schur_system",
             "kostka",
             "kostka_chains",
+        ),
+        "bases": (
+            "VerificationCase",
+            "VerificationReport",
             "monomial_to_M",
             "negativity_search",
             "order_convention_report",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import compress
 
@@ -215,7 +214,6 @@ def _combine_rows(acc, terms, cols, vals) -> tuple:
     return tuple(compress(range(len(acc)), acc)), tuple(filter(None, acc))
 
 
-@dataclass(frozen=True)
 class BasisMatrix:
     """Labelled exact integer matrix for one graded component.
 
@@ -225,23 +223,16 @@ class BasisMatrix:
     nonzero entries there).
     """
 
-    n: int
-    k: int | None
-    source_kind: str
-    target_kind: str
-    row_labels: tuple
-    col_labels: tuple
-    cols: tuple  # per row, a tuple of strictly increasing column positions
-    vals: tuple  # per row, a tuple of the nonzero ints at those positions
-
-    def __post_init__(self):
-        _check_kind(self.source_kind)
-        _check_kind(self.target_kind)
-        width = len(self.col_labels)
-        if len(self.cols) != len(self.row_labels) or len(self.vals) != len(self.row_labels) or any(
-            len(c) != len(v) or (c and not 0 <= c[0] <= c[-1] < width) for c, v in zip(self.cols, self.vals)
+    def __init__(self, n, k, source_kind, target_kind, row_labels, col_labels, cols, vals):
+        _check_kind(source_kind)
+        _check_kind(target_kind)
+        width = len(col_labels)
+        if len(cols) != len(row_labels) or len(vals) != len(row_labels) or any(
+            len(c) != len(v) or (c and not 0 <= c[0] <= c[-1] < width) for c, v in zip(cols, vals)
         ):
             raise ValueError("matrix shape does not match labels")
+        self.n, self.k, self.source_kind, self.target_kind = n, k, source_kind, target_kind
+        self.row_labels, self.col_labels, self.cols, self.vals = row_labels, col_labels, cols, vals
 
     @property
     def rows(self) -> tuple:
@@ -307,9 +298,9 @@ class BasisMatrix:
             row = _combine_rows([0] * i + [1], zip(row_cols[:-1], [-a for a in row_vals[:-1]]), cols, vals)
             cols.append(row[0])
             vals.append(row[1])
-        return replace(
-            self, source_kind=self.target_kind, target_kind=self.source_kind, row_labels=self.col_labels,
-            col_labels=self.row_labels, cols=tuple(cols), vals=tuple(vals),
+        return BasisMatrix(
+            self.n, self.k, self.target_kind, self.source_kind, self.col_labels, self.row_labels,
+            tuple(cols), tuple(vals),
         )
 
     def transposed(self, source_kind, target_kind) -> "BasisMatrix":
@@ -321,9 +312,9 @@ class BasisMatrix:
             for c, v in zip(row_cols, row_vals):
                 cols[c].append(r)
                 vals[c].append(v)
-        return replace(
-            self, source_kind=source_kind, target_kind=target_kind, row_labels=self.col_labels,
-            col_labels=self.row_labels, cols=tuple(map(tuple, cols)), vals=tuple(map(tuple, vals)),
+        return BasisMatrix(
+            self.n, self.k, source_kind, target_kind, self.col_labels, self.row_labels,
+            tuple(map(tuple, cols)), tuple(map(tuple, vals)),
         )
 
     def matmul(self, other: "BasisMatrix") -> Iterator[tuple]:

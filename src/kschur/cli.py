@@ -10,7 +10,8 @@ text at a time, into a temp file and to stdout; an atomic rename then
 makes it the cache file, so concurrent invocations stay consistent.  A
 cached file is served only when its bytes
 are exactly that text; a warm request then prints or renders it without
-parsing it and without importing the algebra or bases modules.
+parsing it and without importing the algebra, systems or bases modules.
+Only the verify command imports bases and its reference tables.
 
 Exit codes: 0 success or suite pass, 1 verification failure, 2 usage or
 parse error, 3 domain violation, 141 stdout closed by its reader.
@@ -127,11 +128,11 @@ def parse_element_spec(text):
 
 def _system(kind, n, k):
     """The graded system of the side that the basis kind belongs to."""
-    from . import bases
+    from . import systems
 
     if kind in COMPOSITION_KINDS:
-        return bases.build_schur_system(n, k)
-    return bases.build_kschur_system(n, k)
+        return systems.build_schur_system(n, k)
+    return systems.build_kschur_system(n, k)
 
 
 def _label_format(kind):
@@ -368,9 +369,9 @@ def cmd_kostka(args) -> int:
     shape, content = parse_parts(args.shape), parse_parts(args.content)
     _checked_label(check_partition if args.family == "partition" else check_composition, shape)
     _checked_label(check_composition, content)
-    from . import bases
+    from . import systems
 
-    value = bases.kostka(shape, content, parse_k(args.k), args.family, args.order)
+    value = systems.kostka(shape, content, parse_k(args.k), args.family, args.order)
     print(value)
     return 0
 

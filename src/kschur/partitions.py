@@ -87,9 +87,9 @@ def bounded_to_core(lam, k) -> tuple[int, ...]:
     leftmost cell realizes the largest hook, and that hook only shrinks as
     the row moves right, so each offset is found by a short forward scan.
     """
+    lam = check_partition(lam)
     if k is None:
         return lam
-    lam = check_partition(lam)
     require_k_bounded(lam, k)
     offsets = []  # bottom row first
     ends = []  # right ends (offset + length) of rows already placed

@@ -10,7 +10,6 @@ from kschur.bases import (
     build_kschur_system,
     build_schur_system,
     kostka,
-    kostka_chains,
     negativity_search,
     order_convention_report,
     ssyt_count,
@@ -20,6 +19,7 @@ from kschur.bases import (
 )
 from kschur.compositions import enumerate_compositions, sort_to_partition
 from kschur.partitions import partitions_of
+from kschur.systems import kostka_chains
 
 from golden_appendix import NS_TO_H, QS_TO_M
 

@@ -1,15 +1,11 @@
-from dataclasses import replace
-
 import pytest
 
 from kschur import DomainError, bases
 from kschur.algebra import BasisMatrix, LinearCombination, dense_rows, pairing
 from kschur.bases import (
-    GradedSystem,
     build_kschur_system,
     build_schur_system,
     kostka,
-    kostka_chains,
     monomial_to_M,
     negativity_search,
     order_convention_report,
@@ -22,6 +18,7 @@ from kschur.bases import (
 )
 from kschur.compositions import enumerate_compositions, sort_to_partition
 from kschur.partitions import dominance_lt, partitions_of
+from kschur.systems import GradedSystem, kostka_chains
 from sparse_rows import sparse
 
 
@@ -230,7 +227,9 @@ def with_entry_changed(system, source, target, changes):
     for (row_label, col_label), delta in changes.items():
         rows[matrix.row_labels.index(row_label)][matrix.col_labels.index(col_label)] += delta
     broken = GradedSystem(n=system.n, k=system.k, labels=system.labels, pieri=system.pieri)
-    broken._matrices[source, target] = replace(matrix, **sparse(rows))
+    broken._matrices[source, target] = BasisMatrix(
+        matrix.n, matrix.k, matrix.source_kind, matrix.target_kind, matrix.row_labels, matrix.col_labels, **sparse(rows)
+    )
     return broken
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from gauss_jordan import invert_integer_matrix
-from kschur import bases, cli
+from kschur import bases, cli, systems
 from kschur.algebra import COMPOSITION_KINDS, LinearCombination
 from kschur.bases import VerificationCase, VerificationReport
 from kschur.cli import (
@@ -194,34 +194,64 @@ def test_matrix_rewrites_noncanonical_cache(edit, fmt, tmp_path, monkeypatch, ca
     assert path.read_text(encoding="utf-8") == text
 
 
+# The modules a fresh interpreter holds after a request: run it through
+# runpy, then print every module name to stderr.
+_LOADED_CHILD = (
+    "import runpy, sys\n"
+    "sys.argv = ['kschur', *sys.argv[1:]]\n"
+    "try:\n"
+    "    runpy.run_module('kschur.cli', run_name='__main__')\n"
+    "except SystemExit as exc:\n"
+    "    assert exc.code == 0, exc.code\n"
+    "print(*sorted(sys.modules), file=sys.stderr)\n"
+)
+BUILD_LAYER = {"kschur.algebra", "kschur.systems"}
+VERIFY_LAYER = {"kschur.bases", "kschur.reference_tables"}
+
+
+def loaded_modules(cache_dir, *argv):
+    """The stdout of one request run in a fresh interpreter, and the set of
+    modules loaded when it ends."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"), KSCHUR_CACHE_DIR=str(cache_dir))
+    result = subprocess.run(
+        [sys.executable, "-c", _LOADED_CHILD, *argv], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    return result.stdout, set(result.stderr.split())
+
+
 def test_matrix_warm_hit_imports_only_the_label_layer(tmp_path):
     """A warm request, run in a fresh interpreter, loads no build layer;
     the cold request that fills the cache shows that the check can see one."""
-    child = (
-        "import runpy, sys\n"
-        "sys.argv = ['kschur', *sys.argv[1:]]\n"
-        "try:\n"
-        "    runpy.run_module('kschur.cli', run_name='__main__')\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code == 0, exc.code\n"
-        "print(*sorted(name for name in sys.modules if name.startswith('kschur')), file=sys.stderr)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"), KSCHUR_CACHE_DIR=str(tmp_path))
-    build_layer = {"kschur.algebra", "kschur.bases", "kschur.reference_tables"}
-
-    def loaded(*argv):
-        result = subprocess.run(
-            [sys.executable, "-c", child, *argv], env=env, capture_output=True, text=True, timeout=60, check=True
-        )
-        return result.stdout, set(result.stderr.split())
-
     argv = ("matrix", "--kind", "h-to-ns", "--k", "3", "--n", "6", "--format")
-    cold, modules = loaded(*argv, "json")
-    assert build_layer <= modules
+    cold, modules = loaded_modules(tmp_path, *argv, "json")
+    assert BUILD_LAYER <= modules
     for fmt in ("json", "csv", "latex"):
-        warm, modules = loaded(*argv, fmt)
+        warm, modules = loaded_modules(tmp_path, *argv, fmt)
         assert warm == render_matrix(json.loads(cold), fmt) + "\n"
-        assert not build_layer & modules
+        assert not (BUILD_LAYER | VERIFY_LAYER) & modules
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("matrix", "--kind", "ns-to-h", "--k", "3", "--n", "5"),
+        ("matrix", "--kind", "dualkschur-to-m", "--k", "inf", "--n", "5"),
+        ("expand", "S:[1,1,1,1]@k=inf", "H"),
+        ("kostka", "composition", "1,3,1,1", "1,1,2,1,1", "--k", "3"),
+    ],
+    ids=["composition-matrix", "partition-matrix", "expand", "kostka"],
+)
+def test_cold_request_imports_no_verify_layer(argv, tmp_path):
+    """A cold matrix, expand or kostka request builds through systems and
+    loads neither the verify layer nor dataclasses or inspect."""
+    _, modules = loaded_modules(tmp_path, *argv)
+    assert BUILD_LAYER <= modules
+    assert not (VERIFY_LAYER | {"dataclasses", "inspect"}) & modules
+
+
+def test_verify_imports_the_verify_layer(tmp_path):
+    _, modules = loaded_modules(tmp_path, "verify", "--suite", "appendix")
+    assert BUILD_LAYER | VERIFY_LAYER <= modules
 
 
 def test_matrix_warm_hit_builds_no_system(tmp_path, monkeypatch, capsys):
@@ -233,8 +263,8 @@ def test_matrix_warm_hit_builds_no_system(tmp_path, monkeypatch, capsys):
     def no_build(*args):
         raise AssertionError("a warm hit built a graded system")
 
-    monkeypatch.setattr(bases, "build_schur_system", no_build)
-    monkeypatch.setattr(bases, "build_kschur_system", no_build)
+    monkeypatch.setattr(systems, "build_schur_system", no_build)
+    monkeypatch.setattr(systems, "build_kschur_system", no_build)
     for (kind, k, n), text in cold.items():
         for fmt in ("json", "csv", "latex"):
             code, warm = run(capsys, "matrix", "--kind", kind, "--k", k, "--n", n, "--format", fmt)
@@ -448,8 +478,8 @@ def _oracle_expansions(n, k):
 
     out = {}
     for system, (H, S, QS, M) in (
-        (bases.build_schur_system(n, k), ("H", "S", "QS", "M")),
-        (bases.build_kschur_system(n, k), ("h", "s", "dual-s", "m")),
+        (systems.build_schur_system(n, k), ("H", "S", "QS", "M")),
+        (systems.build_kschur_system(n, k), ("h", "s", "dual-s", "m")),
     ):
         rows = [list(r) for r in system.matrix(H, S).rows]
         out[(H, S)] = (system, rows)

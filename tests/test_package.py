@@ -7,7 +7,7 @@ import pytest
 import kschur
 
 # The names the package exported eagerly before the algebra and bases
-# names became lazy, by defining submodule.
+# names became lazy, by the submodule that defines them now.
 EXPORTS = {
     "algebra": (
         "BasisMatrix",
@@ -18,14 +18,16 @@ EXPORTS = {
         "h_product",
         "pairing",
     ),
-    "bases": (
+    "systems": (
         "GradedSystem",
-        "VerificationCase",
-        "VerificationReport",
         "build_kschur_system",
         "build_schur_system",
         "kostka",
         "kostka_chains",
+    ),
+    "bases": (
+        "VerificationCase",
+        "VerificationReport",
         "monomial_to_M",
         "negativity_search",
         "order_convention_report",
@@ -74,6 +76,14 @@ def test_package_exports(module):
         namespace = {}
         exec(f"from kschur import {name}", namespace)
         assert namespace[name] is getattr(defining, name)
+
+
+def test_bases_reads_the_systems_builders():
+    """bases.build_*_system are the memoized builders of systems, so the
+    suites and a matrix request share one cache of built systems."""
+    bases, systems = import_module("kschur.bases"), import_module("kschur.systems")
+    assert bases.build_schur_system is systems.build_schur_system
+    assert bases.build_kschur_system is systems.build_kschur_system
 
 
 def test_unknown_name_raises_attribute_error():

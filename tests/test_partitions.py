@@ -116,6 +116,15 @@ def test_bounded_to_core_examples():
         bounded_to_core((3, 1), 2)
 
 
+@pytest.mark.parametrize("k", [None, 1, 3])
+@pytest.mark.parametrize("lam", [(1, 2), (0,), (2, -1)])
+def test_bounded_to_core_rejects_a_non_partition_for_every_k(lam, k):
+    """Unbounded k is the identity on partitions only, as in the oracle."""
+    for func in (bounded_to_core, core_search_oracle):
+        with pytest.raises(DomainError, match="partition parts"):
+            func(lam, k)
+
+
 def test_k_conjugate_examples():
     assert k_conjugate((2, 1), 2) == (1, 1, 1)
     assert k_conjugate((1, 1, 1), 3) == (3,)
