@@ -8,6 +8,7 @@ arbitrary precision and nothing here ever touches floating point.
 Composition-indexed kinds: H (complete homogeneous words), M (monomial),
 S (Schur-like, dual to QS), QS (quasi-symmetric Schur-like).
 Partition-indexed kinds: h, m, s (k-Schur), dual-s (dual k-Schur).
+``compositions.SIDE_OF`` gives the side of each kind.
 """
 
 from __future__ import annotations
@@ -17,15 +18,13 @@ from collections.abc import Iterator
 from functools import cached_property, lru_cache
 from itertools import compress
 
-from .compositions import COMPOSITION_KINDS
+from .compositions import SIDE_OF, sort_to_partition
 from .errors import DomainError
-from .partitions import PARTITION_KINDS, is_k_bounded
-
-ALL_KINDS = COMPOSITION_KINDS | PARTITION_KINDS
+from .partitions import is_k_bounded
 
 
 def _check_kind(kind):
-    if kind not in ALL_KINDS:
+    if kind not in SIDE_OF:
         raise DomainError(f"unknown basis kind {kind!r}")
 
 
@@ -142,7 +141,7 @@ def _bilinear(a, b, kind, words) -> LinearCombination:
 
 def h_product(a: LinearCombination, b: LinearCombination) -> LinearCombination:
     """Commutative product of complete homogeneous elements: merge and sort."""
-    return _bilinear(a, b, "h", lambda x, y: ((tuple(sorted(x + y, reverse=True)), 1),))
+    return _bilinear(a, b, "h", lambda x, y: ((sort_to_partition(x + y), 1),))
 
 
 def H_product(a: LinearCombination, b: LinearCombination) -> LinearCombination:
@@ -190,7 +189,7 @@ def pairing(f: LinearCombination, g: LinearCombination) -> int:
 def chi_project(g: LinearCombination) -> LinearCombination:
     """The projection onto commuting generators: H word -> h of sorted parts."""
     _require_kind(g, "H")
-    return g.map_indices(lambda index: tuple(sorted(index, reverse=True)), kind="h")
+    return g.map_indices(sort_to_partition, kind="h")
 
 
 def dense_rows(pairs, width) -> tuple:

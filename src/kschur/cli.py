@@ -28,9 +28,8 @@ import re
 import sys
 import tempfile
 
-from .compositions import COMPOSITION_KINDS, check_composition, enumerate_compositions
+from .compositions import SIDE_OF, SIDES, check_composition
 from .errors import DomainError
-from .partitions import PARTITION_KINDS, check_partition, partitions_of
 
 SCHEMA_VERSION = "1"
 
@@ -81,12 +80,10 @@ def parse_parts(text):
     return tuple(int(p) for p in text.split(","))
 
 
-def format_composition(alpha, sep=","):
-    return "[" + sep.join(str(p) for p in alpha) + "]"
-
-
-def format_partition(lam, sep=","):
-    return "(" + sep.join(str(p) for p in lam) + ")"
+def format_label(kind, label, sep=","):
+    """A label of the basis kind, in the brackets of the kind's side."""
+    opening, closing = SIDE_OF[kind].brackets
+    return opening + sep.join(str(p) for p in label) + closing
 
 
 def _checked_label(check, parts):
@@ -110,17 +107,14 @@ def parse_element_spec(text):
     kind = kind.strip()
     index_text = index_text.strip()
     k = parse_k(ktext.strip())
-    if index_text.startswith("[") and index_text.endswith("]"):
-        index = _checked_label(check_composition, parse_parts(index_text[1:-1]))
-        if kind not in COMPOSITION_KINDS:
-            raise ValueError(f"kind {kind!r} does not take a composition index")
-    elif index_text.startswith("(") and index_text.endswith(")"):
-        index = _checked_label(check_partition, parse_parts(index_text[1:-1]))
-        if kind not in PARTITION_KINDS:
-            raise ValueError(f"kind {kind!r} does not take a partition index")
-    else:
-        raise ValueError(f"bad index {index_text!r}; use [..] or (..)")
-    return kind, index, k
+    for name, side in SIDES.items():
+        opening, closing = side.brackets
+        if index_text.startswith(opening) and index_text.endswith(closing):
+            index = _checked_label(side.check, parse_parts(index_text[1:-1]))
+            if SIDE_OF.get(kind) is not side:
+                raise ValueError(f"kind {kind!r} does not take a {name} index")
+            return kind, index, k
+    raise ValueError(f"bad index {index_text!r}; use [..] or (..)")
 
 
 # ---------------------------------------------------------------------------
@@ -130,19 +124,14 @@ def _system(kind, n, k):
     """The graded system of the side that the basis kind belongs to."""
     from . import systems
 
-    if kind in COMPOSITION_KINDS:
+    if SIDE_OF[kind] is SIDES["composition"]:
         return systems.build_schur_system(n, k)
     return systems.build_kschur_system(n, k)
 
 
-def _label_format(kind):
-    return format_composition if kind in COMPOSITION_KINDS else format_partition
-
-
 def _header(kind, k, n) -> dict:
     """Every field of the matrix document but its entries; builds no system."""
-    side = enumerate_compositions if MATRIX_KINDS[kind][0] in COMPOSITION_KINDS else partitions_of
-    labels = [list(label) for label in side(n, k)]
+    labels = [list(label) for label in SIDE_OF[MATRIX_KINDS[kind][0]].labels(n, k)]
     return {
         "schema_version": SCHEMA_VERSION,
         "k": format_k(k),
@@ -313,11 +302,11 @@ def _write_table(out, header, rows, fmt, prefix=None):
             pass
         out.write("]}\n")
         return
-    fmt_label = _label_format(MATRIX_KINDS[header["kind"]][0])
+    source = MATRIX_KINDS[header["kind"]][0]
     if fmt == "csv":
         # Entries are ints and never need quoting; a label does when it holds a comma.
         def field(label):
-            text = fmt_label(label)
+            text = format_label(source, label)
             return f'"{text}"' if "," in text else text
 
         out.write("," + ",".join(map(field, header["col_labels"])) + "\n")
@@ -325,9 +314,9 @@ def _write_table(out, header, rows, fmt, prefix=None):
             out.write(f"{field(label)},{row}\n")
         return
     out.write("\\bordermatrix{\n")
-    out.write("~ & " + " & ".join(fmt_label(l, sep=", ") for l in header["col_labels"]) + " \\cr\n")
+    out.write("~ & " + " & ".join(format_label(source, l, sep=", ") for l in header["col_labels"]) + " \\cr\n")
     for label, row in zip(header["row_labels"], rows):
-        out.write(f"{fmt_label(label, sep=', ')} & {row.replace(',', ' & ')} \\cr\n")
+        out.write(f"{format_label(source, label, sep=', ')} & {row.replace(',', ' & ')} \\cr\n")
     out.write("}\n")
 
 
@@ -367,7 +356,7 @@ def cmd_matrix(args) -> int:
 
 def cmd_kostka(args) -> int:
     shape, content = parse_parts(args.shape), parse_parts(args.content)
-    _checked_label(check_partition if args.family == "partition" else check_composition, shape)
+    _checked_label(SIDES[args.family].check, shape)
     _checked_label(check_composition, content)
     from . import systems
 
@@ -379,9 +368,8 @@ def cmd_kostka(args) -> int:
 def cmd_expand(args) -> int:
     kind, index, k = parse_element_spec(args.element)
     combo = _system(kind, sum(index), k).expand(kind, index, args.target)
-    fmt = _label_format(kind)
     for term_index, coeff in combo.terms():
-        print(f"{coeff}*{args.target}{fmt(term_index)}")
+        print(f"{coeff}*{args.target}{format_label(kind, term_index)}")
     return 0
 
 
@@ -440,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_matrix.set_defaults(func=cmd_matrix)
 
     p_kostka = sub.add_parser("kostka", help="count strip chains (Kostka numbers)")
-    p_kostka.add_argument("family", choices=("composition", "partition"))
+    p_kostka.add_argument("family", choices=SIDES)
     p_kostka.add_argument("shape", help="comma-separated parts")
     p_kostka.add_argument("content", help="comma-separated parts")
     p_kostka.add_argument("--k", default="inf", help="bound k, or 'inf'")

@@ -18,18 +18,30 @@ Pieri targets are generated rather than filtered: they are the cover
 chains whose new cells lie in strictly increasing columns
 (:func:`partitions.column_chains`), and the k-condition on their sorted
 shapes is read from the partition side's :func:`k_pieri_targets`.
+
+The module ends with the side table: ``SIDES`` describes the composition
+side and the k-bounded partition side once each (labels, Pieri targets,
+containment, label check, label brackets and the four basis kinds), and
+``SIDE_OF`` gives the side of each basis kind.  Every layer that must
+tell the two sides apart reads them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import groupby
+from typing import Callable, NamedTuple
 
 from .errors import DomainError
-from .partitions import column_chains, is_horizontal_k_strip, k_pieri_targets, require_k_bounded
-
-# The basis kinds indexed by compositions (see :mod:`kschur.algebra`).
-COMPOSITION_KINDS = frozenset({"H", "M", "S", "QS"})
+from .partitions import (
+    check_partition,
+    column_chains,
+    contains,
+    is_horizontal_k_strip,
+    k_pieri_targets,
+    partitions_of,
+    require_k_bounded,
+)
 
 Cell = tuple[int, int]  # 1-based (row, column)
 
@@ -167,3 +179,29 @@ def rearrangements(n, k=None) -> dict:
     maps to its rearrangements in label order; one with none is absent."""
     labels = enumerate_compositions(n, k)
     return {lam: tuple(group) for lam, group in groupby(labels, sort_to_partition)}
+
+
+# ---------------------------------------------------------------------------
+# the two sides: compositions and k-bounded partitions
+
+class Side(NamedTuple):
+    labels: Callable  # (n, k) -> the basis labels in Pieri (unitriangular) order
+    targets: Callable  # (shape, strip size, k) -> shapes one strip above
+    fits: Callable  # (shape, smaller shape) -> containment
+    check: Callable  # validates and canonicalizes a label
+    brackets: str  # the opening and closing bracket of a written label
+    kinds: tuple  # (complete, Schur-like, dual, monomial)
+
+
+SIDES = {
+    "composition": Side(
+        enumerate_compositions, comp_pieri_targets, bottom_aligned_contains, check_composition,
+        "[]", ("H", "S", "QS", "M"),
+    ),
+    "partition": Side(
+        partitions_of, k_pieri_targets, contains, check_partition, "()", ("h", "s", "dual-s", "m"),
+    ),
+}
+
+# The side of each basis kind (see :mod:`kschur.algebra`).
+SIDE_OF = {kind: side for side in SIDES.values() for kind in side.kinds}

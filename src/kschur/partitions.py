@@ -17,9 +17,6 @@ from functools import lru_cache
 
 from .errors import DomainError
 
-# The basis kinds indexed by partitions (see :mod:`kschur.algebra`).
-PARTITION_KINDS = frozenset({"h", "m", "s", "dual-s"})
-
 
 def check_partition(parts) -> tuple[int, ...]:
     """Validate and canonicalize a partition given as any iterable."""

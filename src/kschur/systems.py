@@ -8,6 +8,7 @@ changes of basis from it: the exact inverse, the transpose, which is the
 monomial expansion of the dual QS basis, and the transpose of the
 inverse.  The partition side is the same construction over k-bounded
 partitions, giving k-Schur functions in h and dual k-Schur functions in m.
+Both are built from their entry in the side table ``compositions.SIDES``.
 
 Chain counts of horizontal (k-)strips generalize Kostka numbers; both
 content reading orders are exposed because the left Pieri iteration
@@ -21,49 +22,25 @@ in ``bases``.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, NamedTuple
 
-from . import compositions as comp
-from . import partitions as part
 from .algebra import BasisMatrix, LinearCombination
-
-# ---------------------------------------------------------------------------
-# the two sides: compositions and k-bounded partitions
-
-class _Family(NamedTuple):
-    labels: Callable  # (n, k) -> the basis labels in Pieri (unitriangular) order
-    targets: Callable  # (shape, strip size, k) -> shapes one strip above
-    fits: Callable  # (shape, smaller shape) -> containment
-    check: Callable  # validates and canonicalizes a shape
-    kinds: tuple  # (complete, Schur-like, dual, monomial)
-
-
-_FAMILIES = {
-    "composition": _Family(
-        comp.enumerate_compositions, comp.comp_pieri_targets,
-        comp.bottom_aligned_contains, comp.check_composition, ("H", "S", "QS", "M"),
-    ),
-    "partition": _Family(
-        part.partitions_of, part.k_pieri_targets,
-        part.contains, part.check_partition, ("h", "s", "dual-s", "m"),
-    ),
-}
-
+from .compositions import SIDE_OF, SIDES, check_composition, sort_to_partition
+from .partitions import require_k_bounded
 
 # ---------------------------------------------------------------------------
 # chain counting (generalized Kostka numbers)
 
 def _chain_content(shape, content, k, family, order):
-    if family not in _FAMILIES:
+    if family not in SIDES:
         raise ValueError(f"unknown family {family!r}")
     if order not in ("paper", "pieri"):
         raise ValueError(f"unknown order convention {order!r}")
-    shape = _FAMILIES[family].check(shape)
-    content = comp.check_composition(content)
+    shape = SIDES[family].check(shape)
+    content = check_composition(content)
     if sum(shape) != sum(content):
         raise ValueError(f"size mismatch: |{shape!r}| != |{content!r}|")
-    part.require_k_bounded(comp.sort_to_partition(shape), k)
-    part.require_k_bounded(content, k)
+    require_k_bounded(sort_to_partition(shape), k)
+    require_k_bounded(content, k)
     return shape, content if order == "paper" else content[::-1]
 
 
@@ -89,7 +66,7 @@ def _chain_counts(seq, k, targets) -> dict:
 
 def _targets_inside(shape, family):
     """The family's strip targets, pruned to those that fit inside shape."""
-    targets, fits = _FAMILIES[family].targets, _FAMILIES[family].fits
+    targets, fits = SIDES[family].targets, SIDES[family].fits
     return lambda gamma, size, k: [d for d in targets(gamma, size, k) if fits(shape, d)]
 
 
@@ -143,9 +120,7 @@ class GradedSystem:
         """The change of basis from the source kind to the target kind;
         ValueError for a pair that is not one of the four of this side."""
         if (source, target) not in self._matrices:
-            complete, schur, dual, monomial = next(
-                f.kinds for f in _FAMILIES.values() if f.kinds[0] == self.pieri.source_kind
-            )
+            complete, schur, dual, monomial = SIDE_OF[self.pieri.source_kind].kinds
             if (source, target) == (schur, complete):
                 derived = self.pieri.inverse()
             elif (source, target) == (dual, monomial):
@@ -164,7 +139,7 @@ class GradedSystem:
 
 
 def _build_system(family, n, k) -> GradedSystem:
-    side = _FAMILIES[family]
+    side = SIDES[family]
     labels = side.labels(n, k)
     complete, schur, _, _ = side.kinds
     cols, vals = _pieri_rows(labels, k, side.targets)

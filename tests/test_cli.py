@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,13 +12,12 @@ import pytest
 
 from gauss_jordan import invert_integer_matrix
 from kschur import bases, cli, systems
-from kschur.algebra import COMPOSITION_KINDS, LinearCombination
+from kschur.algebra import LinearCombination
 from kschur.bases import VerificationCase, VerificationReport
 from kschur.cli import (
     MATRIX_KINDS,
-    format_composition,
     format_k,
-    format_partition,
+    format_label,
     main,
     matrix_document,
     parse_element_spec,
@@ -331,16 +331,16 @@ def test_cold_stream_matches_dense_document(kind, fmt, tmp_path, monkeypatch, ca
 def test_csv_table_matches_csv_writer(kind):
     """The csv rows are written as label plus entry text; the csv module,
     fed one field per label and entry, is the oracle."""
-    fmt_label = format_composition if MATRIX_KINDS[kind][0] in COMPOSITION_KINDS else format_partition
+    source = MATRIX_KINDS[kind][0]
     for k in CORPUS_KS:
         for n in CORPUS_NS:
             doc = matrix_document(kind, k, n)
             d = len(doc["col_labels"])
             expected = io.StringIO()
             writer = csv.writer(expected, lineterminator="\n")
-            writer.writerow([""] + [fmt_label(label) for label in doc["col_labels"]])
+            writer.writerow([""] + [format_label(source, label) for label in doc["col_labels"]])
             for r, label in enumerate(doc["row_labels"]):
-                writer.writerow([fmt_label(label), *doc["entries"][r * d : (r + 1) * d]])
+                writer.writerow([format_label(source, label), *doc["entries"][r * d : (r + 1) * d]])
             assert render_matrix(doc, "csv") + "\n" == expected.getvalue(), (k, n)
 
 
@@ -463,6 +463,27 @@ def test_expand_domain_violation(capsys):
     assert capsys.readouterr().err == "error: index (3,) is not 2-bounded\n"
 
 
+@pytest.mark.parametrize(
+    "spec, err",
+    [
+        ("S:(2,1)@k=3", "kind 'S' does not take a partition index"),
+        ("s:[1]@k=3", "kind 's' does not take a composition index"),
+        ("X:[1]@k=3", "kind 'X' does not take a composition index"),
+        ("X:(1)@k=3", "kind 'X' does not take a partition index"),
+        ("S:[@k=3", "bad index '['; use [..] or (..)"),
+        ("S:[1)@k=3", "bad index '[1)'; use [..] or (..)"),
+        ("S:1@k=3", "bad index '1'; use [..] or (..)"),
+        ("s:[0]@k=3", "composition parts must be positive: (0,)"),
+        ("S:(1,2)@k=3", "partition parts must weakly decrease: (1, 2)"),
+    ],
+)
+def test_expand_spec_rejections(spec, err, capsys):
+    """A spec whose index does not fit its kind is a usage error, and a
+    malformed index is reported before a kind mismatch."""
+    assert main(["expand", spec, "H"]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
 def test_expand_spec_error(capsys):
     code, _ = run(capsys, "expand", "S:[2,1]", "H")
     assert code == 2
@@ -498,14 +519,25 @@ def test_expansions_match_oracle(k, capsys):
             _, rows = expected[pair]
             assert matrix_document(kind, k, n)["entries"] == [v for row in rows for v in row], kind
         for (source, target), (system, rows) in expected.items():
-            fmt = format_composition if source in COMPOSITION_KINDS else format_partition
             for label, row in zip(system.labels, rows):
                 want = LinearCombination(target, k, dict(zip(system.labels, row)))
-                code, out = run(capsys, "expand", f"{source}:{fmt(label)}@k={format_k(k)}", target)
+                code, out = run(capsys, "expand", f"{source}:{format_label(source, label)}@k={format_k(k)}", target)
                 assert code == 0
-                assert out.splitlines() == [f"{c}*{target}{fmt(i)}" for i, c in want.terms()], (
+                assert out.splitlines() == [f"{c}*{target}{format_label(target, i)}" for i, c in want.terms()], (
                     source, target, label,
                 )
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_command_examples_run():
+    """Each command in the README's "Command line" block exits 0."""
+    block = README.read_text(encoding="utf-8").split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines()]
+    assert commands and all(argv[0] == "kschur" for argv in commands)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
 
 
 REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
