@@ -9,6 +9,11 @@ Composition-indexed kinds: H (complete homogeneous words), M (monomial),
 S (Schur-like, dual to QS), QS (quasi-symmetric Schur-like).
 Partition-indexed kinds: h, m, s (k-Schur), dual-s (dual k-Schur).
 ``compositions.SIDE_OF`` gives the side of each kind.
+
+A ``BasisMatrix`` holds one change of basis as sparse integer rows.  It
+expands combinations, transposes and multiplies row by row; it inverts
+nothing, since ``systems`` builds each inverse it needs from the Pieri
+rule directly.
 """
 
 from __future__ import annotations
@@ -277,30 +282,6 @@ class BasisMatrix:
                 label = self.col_labels[c]
                 out[label] = out.get(label, 0) + coeff * v
         return LinearCombination(self.target_kind, self.k, out)
-
-    def inverse(self) -> "BasisMatrix":
-        """Exact inverse of a lower unitriangular matrix.
-
-        Forward substitution: row i of the inverse is e_i minus the sum over
-        j < i of entry (i, j) times row j of the inverse, so every step stays
-        in the integers.  The Pieri matrices are lower unitriangular in label
-        order; any other input signals a bug upstream and raises.
-        """
-        d = len(self.cols)
-        if len(self.col_labels) != d:
-            raise DomainError(f"cannot invert a {d}x{len(self.col_labels)} matrix")
-        cols, vals = [], []
-        for i, (row_cols, row_vals) in enumerate(zip(self.cols, self.vals)):
-            # columns increase, so the diagonal 1 must be the last entry
-            if not row_cols or row_cols[-1] != i or row_vals[-1] != 1:
-                raise DomainError(f"matrix is not lower unitriangular at row {i}")
-            row = _combine_rows([0] * i + [1], zip(row_cols[:-1], [-a for a in row_vals[:-1]]), cols, vals)
-            cols.append(row[0])
-            vals.append(row[1])
-        return BasisMatrix(
-            self.n, self.k, self.target_kind, self.source_kind, self.col_labels, self.row_labels,
-            tuple(cols), tuple(vals),
-        )
 
     def transposed(self, source_kind, target_kind) -> "BasisMatrix":
         """Transpose with relabelled kinds (the duality-partner matrix):

@@ -16,12 +16,14 @@ predicate is decided by a single simulation.
 
 Pieri targets are generated rather than filtered: they are the cover
 chains whose new cells lie in strictly increasing columns
-(:func:`partitions.column_chains`), and the k-condition on their sorted
-shapes is read from the partition side's :func:`k_pieri_targets`.
+(:func:`partitions.column_chains`), and at bounded k the k-condition on
+their sorted shapes is read from the partition side's
+:func:`k_pieri_targets`.
 
 The module ends with the side table: ``SIDES`` describes the composition
 side and the k-bounded partition side once each (labels, Pieri targets,
-containment, label check, label brackets and the four basis kinds), and
+containment, label check, label brackets, the four basis kinds and the
+label of a product of complete words), and
 ``SIDE_OF`` gives the side of each basis kind.  Every layer that must
 tell the two sides apart reads them.
 """
@@ -41,6 +43,7 @@ from .partitions import (
     k_pieri_targets,
     partitions_of,
     require_k_bounded,
+    require_strip_size,
 )
 
 Cell = tuple[int, int]  # 1-based (row, column)
@@ -140,21 +143,29 @@ def is_horizontal_k_comp_strip(alpha, beta, k) -> bool:
 def comp_pieri_targets(beta, i, k=None) -> tuple:
     """k-bounded compositions reached from beta by a horizontal
     k-composition strip of size i: the column chains of covers whose sorted
-    shape is a k-Pieri target of the sorted beta (which checks i and k)."""
+    shape is a k-Pieri target of the sorted beta (which checks i and k).
+
+    At k = None every chain passes: column c of a composition holds as many
+    cells as column c of its sorted shape, so a chain's new cells, one per
+    column, sort to a horizontal strip, and that is all the check asks."""
+    if k is None:
+        require_strip_size(i, k)
+        return tuple(sorted(column_chains(beta, i, composition_covers, k)))
     sorted_targets = k_pieri_targets(sort_to_partition(beta), i, k)
     strips = column_chains(beta, i, composition_covers, k)
     return tuple(sorted(a for a in strips if sort_to_partition(a) in sorted_targets))
 
 
 def compositions_of(n, k=None):
-    """Yield all k-bounded compositions of n (recursive order)."""
-    if n == 0:
-        yield ()
-        return
-    top = n if k is None else min(n, k)
-    for first in range(1, top + 1):
-        for rest in compositions_of(n - first, k):
-            yield (first,) + rest
+    """Yield all k-bounded compositions of n in lex order, growing each
+    prefix from a stack rather than by recursion."""
+    stack = [((), n)]
+    while stack:
+        prefix, rest = stack.pop()
+        if not rest:
+            yield prefix
+        top = rest if k is None else min(rest, k)
+        stack.extend((prefix + (first,), rest - first) for first in range(top, 0, -1))
 
 
 @lru_cache(maxsize=None)
@@ -191,15 +202,17 @@ class Side(NamedTuple):
     check: Callable  # validates and canonicalizes a label
     brackets: str  # the opening and closing bracket of a written label
     kinds: tuple  # (complete, Schur-like, dual, monomial)
+    label_of: Callable  # parts, in product order -> the label of that complete word
 
 
 SIDES = {
     "composition": Side(
         enumerate_compositions, comp_pieri_targets, bottom_aligned_contains, check_composition,
-        "[]", ("H", "S", "QS", "M"),
+        "[]", ("H", "S", "QS", "M"), tuple,
     ),
     "partition": Side(
         partitions_of, k_pieri_targets, contains, check_partition, "()", ("h", "s", "dual-s", "m"),
+        sort_to_partition,
     ),
 }
 

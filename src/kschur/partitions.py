@@ -184,18 +184,24 @@ def column_chains(shape, i, covers, k) -> list:
     return [s for s, _ in chains]
 
 
+def require_strip_size(i, k) -> None:
+    if i < 1 or (k is not None and i > k):
+        raise ValueError(f"strip size {i} out of range for k={k}")
+
+
 @lru_cache(maxsize=None)
 def k_pieri_targets(lam, i, k) -> tuple:
     """k-bounded partitions reached from lam by a horizontal k-strip of size i:
-    the horizontal strips whose k-conjugates grow by a vertical strip."""
-    if i < 1 or (k is not None and i > k):
-        raise ValueError(f"strip size {i} out of range for k={k}")
+    the horizontal strips whose k-conjugates grow by a vertical strip.  At
+    k = None k-conjugation is transposition, which takes every horizontal
+    strip to a vertical one, so nothing is filtered out."""
+    require_strip_size(i, k)
     require_k_bounded(lam, k)
-    conj = k_conjugate(lam, k)
     strips = column_chains(lam, i, partition_covers, k)
-    return tuple(
-        sorted(mu for mu in strips if is_vertical_strip(k_conjugate(mu, k), conj))
-    )
+    if k is not None:
+        conj = k_conjugate(lam, k)
+        strips = [mu for mu in strips if is_vertical_strip(k_conjugate(mu, k), conj)]
+    return tuple(sorted(strips))
 
 
 def dominance_leq(lam, mu) -> bool:
@@ -217,14 +223,25 @@ def dominance_lt(lam, mu) -> bool:
 
 @lru_cache(maxsize=None)
 def partitions_of(n, k=None) -> tuple:
-    """All k-bounded partitions of n, most dominant first (descending lex)."""
-    if n == 0:
-        return ((),)
-    out = []
+    """All k-bounded partitions of n, most dominant first (descending lex).
+
+    Each partition follows from the one before, with no recursion: its last
+    part above 1 drops by one, and that part with the trailing 1s is dealt
+    out again in parts of the lowered size."""
     top = n if k is None else min(n, k)
-    for first in range(top, 0, -1):
-        for rest in partitions_of(n - first, first):
-            out.append((first,) + rest)
+    if n == 0 or top < 1:
+        return ((),) if n == 0 else ()
+    lam = [top] * (n // top) + [n % top] * (n % top > 0)
+    out = [tuple(lam)]
+    while lam[0] > 1:
+        ones = 0
+        while lam[-1] == 1:
+            lam.pop()
+            ones += 1
+        part = lam.pop()
+        q, r = divmod(part + ones, part - 1)
+        lam += [part - 1] * q + [r] * (r > 0)
+        out.append(tuple(lam))
     return tuple(out)
 
 

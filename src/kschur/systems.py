@@ -1,14 +1,19 @@
-"""Graded systems of Schur-like dual bases, built by iterated Pieri
-expansion, and the strip-chain counts behind them.
+"""Graded systems of Schur-like dual bases, built from the one-strip
+Pieri rule H_i S_gamma = sum of S_delta over the strip targets delta, and
+the strip-chain counts behind them.
 
-For one graded component (degree n, bound k) a graded system holds the
-expansion of each H word in the Schur-like S basis (obtained by running
-the Pieri rule once per part, last part first) and derives the other
-changes of basis from it: the exact inverse, the transpose, which is the
-monomial expansion of the dual QS basis, and the transpose of the
-inverse.  The partition side is the same construction over k-bounded
-partitions, giving k-Schur functions in h and dual k-Schur functions in m.
-Both are built from their entry in the side table ``compositions.SIDES``.
+For one graded component (degree n, bound k) a graded system holds four
+changes of basis, each built when first asked for.  Row beta of H->S
+applies the rule once per part, last part first; labels that end alike
+share those steps.  Row alpha of S->H peels the first part:
+S_alpha = H_{alpha_1} S_rest minus the S of the other targets, read from
+the S->H of lower degree.  At k = inf on partitions the other targets come
+earlier in label order by dominance; at finite k that ordering is observed
+and checked at run time, not proved.  The transposes give the monomial
+expansion of the dual QS basis and its inverse.  The partition side is the
+same construction over k-bounded partitions, giving k-Schur functions in h
+and dual k-Schur functions in m.  Both are built from their entry in the
+side table ``compositions.SIDES``.
 
 Chain counts of horizontal (k-)strips generalize Kostka numbers; both
 content reading orders are exposed because the left Pieri iteration
@@ -24,7 +29,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import BasisMatrix, LinearCombination
-from .compositions import SIDE_OF, SIDES, check_composition, sort_to_partition
+from .compositions import SIDES, check_composition, sort_to_partition
+from .errors import DomainError
 from .partitions import require_k_bounded
 
 # ---------------------------------------------------------------------------
@@ -83,48 +89,115 @@ def kostka_chains(shape, content, k=None, family="composition", order="paper") -
 # ---------------------------------------------------------------------------
 # graded systems
 
-def _pieri_rows(labels, k, targets):
-    """Row beta counts the strip chains of content beta read back to front:
-    the Pieri rule applied once per part, last part first.  Returns the
-    rows as sparse (cols, vals), each row sorted by column."""
-    position = {label: j for j, label in enumerate(labels)}
+@lru_cache(maxsize=None)
+def _position(family, n, k) -> dict:
+    """Each label of degree n -> its position in the labels."""
+    return {label: j for j, label in enumerate(SIDES[family].labels(n, k))}
+
+
+@lru_cache(maxsize=None)
+def _strip(family, k, degree, size) -> tuple:
+    """The strip of one size on label positions: entry g lists the
+    positions, among the labels of degree + size, of the strip targets of
+    label g of the given degree."""
+    side = SIDES[family]
+    position = _position(family, degree + size, k)
+    # the uncached targets: their lru cache would hold each target again
+    targets = side.targets.__wrapped__
+    return tuple(tuple(map(position.__getitem__, targets(shape, size, k))) for shape in side.labels(degree, k))
+
+
+def _pieri_rows(family, n, k):
+    """Row beta of H->S counts the chains of strips of the sizes of beta,
+    last part first: the Pieri rule once per part.  Labels that end alike
+    share those steps, so the labels are walked in the order of their
+    reversed parts, holding one frontier {shape position: chains} per
+    part of the current label's suffix.  Returns sparse (cols, vals)."""
+    labels = SIDES[family].labels(n, k)
+    cols, vals = [None] * len(labels), [None] * len(labels)
+    previous, stack = (), [(0, {0: 1})]  # (degree, frontier) after each suffix
+    for parts, r in sorted((label[::-1], r) for r, label in enumerate(labels)):
+        shared = next((j for j, (a, b) in enumerate(zip(parts, previous)) if a != b), len(previous))
+        del stack[shared + 1 :]
+        degree, frontier = stack[-1]
+        for size in parts[shared:]:
+            strip, step = _strip(family, k, degree, size), {}
+            for g, count in frontier.items():
+                for d in strip[g]:
+                    step[d] = step.get(d, 0) + count
+            degree, frontier = degree + size, step
+            stack.append((degree, frontier))
+        previous = parts
+        cols[r] = tuple(sorted(frontier))
+        vals[r] = tuple(map(frontier.__getitem__, cols[r]))
+    return tuple(cols), tuple(vals)
+
+
+def _peeled_rows(family, n, k, lower):
+    """Row alpha of S->H by peeling its first part: by the Pieri rule
+    S_alpha = H_first S_rest - (the S of the other strip targets of size
+    first on rest), where rest is alpha without its first part and row rest
+    is read from lower[|rest|], the S->H of that degree.  Each other target
+    must come earlier, so that its row is already known; DomainError if
+    not.  Returns sparse (cols, vals)."""
+    if n == 0:
+        return ((0,),), ((1,),)
+    side = SIDES[family]
+    labels = side.labels(n, k)
+    position, lifts = _position(family, n, k), {}
     cols, vals = [], []
-    for beta in labels:
-        counts = _chain_counts(reversed(beta), k, targets)
-        by_col = dict(zip(map(position.__getitem__, counts), counts.values()))
-        row_cols = tuple(sorted(by_col))  # ints sort faster than (col, count) pairs
-        cols.append(row_cols)
-        vals.append(tuple(map(by_col.__getitem__, row_cols)))
+    for i, alpha in enumerate(labels):
+        first, m = alpha[0], n - alpha[0]
+        if first not in lifts:  # column w of degree m -> the column of H_first H_w
+            lifts[first] = [position[side.label_of((first,) + w)] for w in side.labels(m, k)]
+        g = _position(family, m, k)[alpha[1:]]
+        targets = _strip(family, k, m, first)[g]
+        if max(targets, default=-1) != i:
+            raise DomainError(f"{alpha!r} is not the last strip target of its peel at n={n}, k={k}")
+        row = dict(zip(map(lifts[first].__getitem__, lower[m].cols[g]), lower[m].vals[g]))
+        for j in targets:
+            if j != i:
+                for c, v in zip(cols[j], vals[j]):
+                    row[c] = row.get(c, 0) - v
+        cols.append(tuple(sorted(c for c, v in row.items() if v)))
+        vals.append(tuple(map(row.__getitem__, cols[-1])))
     return tuple(cols), tuple(vals)
 
 
 class GradedSystem:
-    """One graded component (degree n, bound k) of either side.
+    """One graded component (degree n, bound k) of one side.
 
-    The Pieri matrix expands the complete kind in the Schur-like kind.
-    The other three changes of basis are derived from it: its inverse, its
-    transpose (dual -> monomial, by duality of the two pairs of bases) and
-    the transpose of the inverse (monomial -> dual).  Each is derived at
-    most once per system.
+    Each of the four changes of basis is built on first use, at most once:
+    the Pieri matrix (complete -> Schur-like) by the strip walk, its
+    inverse (Schur-like -> complete) by peeling first parts against the
+    inverses of lower degree, and their transposes, dual -> monomial and
+    monomial -> dual, by the duality of the two pairs of bases.
     """
 
-    # perfbench/replay.py stages the inverse through these two names.
+    # bases and perfbench/replay.py read these three names.
+    pieri = property(lambda self: self.matrix(*SIDES[self.family].kinds[:2]))
     S_to_H = property(lambda self: self.matrix("S", "H"))
     s_to_h = property(lambda self: self.matrix("s", "h"))
 
-    def __init__(self, n, k, labels, pieri):
-        self.n, self.k, self.labels, self.pieri = n, k, labels, pieri
-        self._matrices = {(pieri.source_kind, pieri.target_kind): pieri}
+    def __init__(self, family, n, k):
+        self.family, self.n, self.k = family, n, k
+        self.labels = SIDES[family].labels(n, k)
+        self._matrices = {}
 
     def matrix(self, source, target) -> BasisMatrix:
         """The change of basis from the source kind to the target kind;
         ValueError for a pair that is not one of the four of this side."""
         if (source, target) not in self._matrices:
-            complete, schur, dual, monomial = SIDE_OF[self.pieri.source_kind].kinds
-            if (source, target) == (schur, complete):
-                derived = self.pieri.inverse()
+            complete, schur, dual, monomial = SIDES[self.family].kinds
+            if (source, target) == (complete, schur):
+                derived = self._square(source, target, _pieri_rows(self.family, self.n, self.k))
+            elif (source, target) == (schur, complete):
+                # lowest degree first, so that no build waits on a deeper one
+                build = _BUILDERS[self.family]
+                lower = [build(m, self.k).matrix(schur, complete) for m in range(self.n)]
+                derived = self._square(source, target, _peeled_rows(self.family, self.n, self.k, lower))
             elif (source, target) == (dual, monomial):
-                derived = self.pieri.transposed(dual, monomial)
+                derived = self.matrix(complete, schur).transposed(dual, monomial)
             elif (source, target) == (monomial, dual):
                 derived = self.matrix(schur, complete).transposed(monomial, dual)
             else:
@@ -132,31 +205,26 @@ class GradedSystem:
             self._matrices[source, target] = derived
         return self._matrices[source, target]
 
+    def _square(self, source, target, rows) -> BasisMatrix:
+        cols, vals = rows
+        return BasisMatrix(self.n, self.k, source, target, self.labels, self.labels, cols, vals)
+
     def expand(self, kind, index, target) -> LinearCombination:
         """The basis element kind[index] written in the target kind."""
         matrix = self.matrix(kind, target)  # an unsupported pair is refused first
         return matrix.expand(LinearCombination.single(kind, index, self.k))
 
 
-def _build_system(family, n, k) -> GradedSystem:
-    side = SIDES[family]
-    labels = side.labels(n, k)
-    complete, schur, _, _ = side.kinds
-    cols, vals = _pieri_rows(labels, k, side.targets)
-    matrix = BasisMatrix(
-        n=n, k=k, source_kind=complete, target_kind=schur,
-        row_labels=labels, col_labels=labels, cols=cols, vals=vals,
-    )
-    return GradedSystem(n=n, k=k, labels=labels, pieri=matrix)
-
-
 @lru_cache(maxsize=None)
 def build_schur_system(n, k=None) -> GradedSystem:
     """Composition side: H, the Schur-like S, the dual QS and the monomial M."""
-    return _build_system("composition", n, k)
+    return GradedSystem("composition", n, k)
 
 
 @lru_cache(maxsize=None)
 def build_kschur_system(n, k=None) -> GradedSystem:
     """Partition side: h, the k-Schur s, the dual k-Schur and the monomial m."""
-    return _build_system("partition", n, k)
+    return GradedSystem("partition", n, k)
+
+
+_BUILDERS = {"composition": build_schur_system, "partition": build_kschur_system}

@@ -1,8 +1,8 @@
 """Slow reference inverse for the tests.
 
 A general Gauss-Jordan over Fraction, independent of the integer forward
-substitution in ``BasisMatrix.inverse``: it assumes no triangular shape,
-so the two agreeing checks the fast routine rather than restating it.
+substitution in ``forward_substitution.py``: it assumes no triangular
+shape, so the two agreeing checks that routine rather than restating it.
 """
 
 from fractions import Fraction

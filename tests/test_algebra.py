@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from forward_substitution import forward_substitution
 from gauss_jordan import invert_integer_matrix
 from kschur import DomainError
 from kschur.algebra import (
@@ -154,7 +155,7 @@ def test_chi_is_an_algebra_map(x, y):
 
 
 def forward_inverse(rows):
-    """BasisMatrix.inverse on a bare integer matrix with positional labels."""
+    """forward_substitution on a bare integer matrix with positional labels."""
     width = len(rows[0]) if rows else 0
     matrix = BasisMatrix(
         n=0, k=None, source_kind="H", target_kind="S",
@@ -162,7 +163,7 @@ def forward_inverse(rows):
         col_labels=tuple((j,) for j in range(width)),
         **sparse(rows),
     )
-    return [list(r) for r in matrix.inverse().rows]
+    return [list(r) for r in forward_substitution(matrix).rows]
 
 
 def test_invert_examples():
@@ -221,7 +222,7 @@ def test_forward_inverse_rejects_broken_triangle(matrix, data):
 def test_pieri_matrix_inverses_match_oracle(k):
     for n in range(8):
         for forward in (build_schur_system(n, k).matrix("H", "S"), build_kschur_system(n, k).matrix("h", "s")):
-            inverse = forward.inverse()
+            inverse = forward_substitution(forward)
             assert inverse.row_labels == forward.col_labels
             assert inverse.col_labels == forward.row_labels
             expected = invert_integer_matrix([list(r) for r in forward.rows])

@@ -1,6 +1,10 @@
+import sys
+from functools import lru_cache
+
 import pytest
 
-from kschur import DomainError, bases
+from forward_substitution import forward_substitution
+from kschur import DomainError, bases, systems
 from kschur.algebra import BasisMatrix, LinearCombination, dense_rows, pairing
 from kschur.bases import (
     build_kschur_system,
@@ -16,7 +20,7 @@ from kschur.bases import (
     verify_omega,
     verify_projection,
 )
-from kschur.compositions import enumerate_compositions, sort_to_partition
+from kschur.compositions import SIDES, comp_pieri_targets, enumerate_compositions, sort_to_partition
 from kschur.partitions import dominance_lt, partitions_of
 from kschur.systems import GradedSystem, kostka_chains
 from sparse_rows import sparse
@@ -92,6 +96,70 @@ def test_system_inverse_round_trip():
             assert product == tuple(
                 tuple(int(i == j) for j in range(size)) for i in range(size)
             )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, None])
+def test_peeled_inverses_match_forward_substitution(k):
+    for build, kinds, max_n in ((build_schur_system, ("H", "S"), 10), (build_kschur_system, ("h", "s"), 14)):
+        for n in range(max_n + 1):
+            system = build(n, k)
+            expected = forward_substitution(system.matrix(*kinds))
+            peeled = system.matrix(*kinds[::-1])
+            assert (peeled.row_labels, peeled.col_labels) == (expected.row_labels, expected.col_labels)
+            assert (peeled.cols, peeled.vals) == (expected.cols, expected.vals), (kinds, n, k)
+
+
+def test_pieri_entries_are_chain_counts():
+    """Entry (beta, alpha) of H->S (and h->s) counts the strip chains from
+    the empty shape to alpha with content beta read back to front."""
+    for k in (1, 2, 3, None):
+        for n in range(9):
+            for family, build, kinds in (
+                ("composition", build_schur_system, ("H", "S")),
+                ("partition", build_kschur_system, ("h", "s")),
+            ):
+                system = build(n, k)
+                rows = system.matrix(*kinds).rows
+                for beta, row in zip(system.labels, rows):
+                    for alpha, value in zip(system.labels, row):
+                        assert value == kostka(alpha, beta, k, family, "pieri"), (alpha, beta, k)
+
+
+def test_peel_refuses_a_target_out_of_order(monkeypatch):
+    # S[1,1] = H[1] S[1] - S[2] peels against the targets [1,1] and [2] of
+    # H[1] on S[1]; S[2] = H[2] S[] has the one target [2], and it comes first.
+    side = SIDES["composition"]
+    for wrong in (((1, 1), (2,)), ((1, 1),), ()):
+        def targets(beta, i, k, wrong=wrong):
+            return wrong if (beta, i) == ((), 2) else comp_pieri_targets(beta, i, k)
+
+        # wrapped like the real targets, since the strip lists call __wrapped__
+        monkeypatch.setitem(SIDES, "composition", side._replace(targets=lru_cache(targets)))
+        systems._strip.cache_clear()
+        try:
+            with pytest.raises(DomainError, match=r"^\(2,\) is not the last strip target"):
+                systems.GradedSystem("composition", 2, None).matrix("S", "H")
+        finally:
+            systems._strip.cache_clear()
+
+
+def test_builds_need_no_deep_recursion():
+    """Label enumeration, the strip walk and the peel all iterate: at
+    (150, 1) they run with the recursion limit 100 frames above the
+    caller, where recursing once per part could not."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        for build, kinds in ((build_schur_system, ("H", "S")), (build_kschur_system, ("h", "s"))):
+            system = build(150, 1)
+            assert system.labels == ((1,) * 150,)
+            assert system.matrix(*kinds).rows == ((1,),)
+            assert system.matrix(*kinds[::-1]).rows == ((1,),)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_stored_rows_are_sorted_and_nonzero():
@@ -226,7 +294,7 @@ def with_entry_changed(system, source, target, changes):
     rows = [list(row) for row in matrix.rows]
     for (row_label, col_label), delta in changes.items():
         rows[matrix.row_labels.index(row_label)][matrix.col_labels.index(col_label)] += delta
-    broken = GradedSystem(n=system.n, k=system.k, labels=system.labels, pieri=system.pieri)
+    broken = GradedSystem(system.family, system.n, system.k)
     broken._matrices[source, target] = BasisMatrix(
         matrix.n, matrix.k, matrix.source_kind, matrix.target_kind, matrix.row_labels, matrix.col_labels, **sparse(rows)
     )

@@ -493,7 +493,7 @@ def test_expand_spec_error(capsys):
 
 def _oracle_expansions(n, k):
     """Every expansion matrix as (source kind, target kind) -> (system, rows),
-    the inverses taken by Gauss-Jordan rather than forward substitution."""
+    the inverses taken by Gauss-Jordan rather than by peeling first parts."""
     def transpose(rows):
         return [list(col) for col in zip(*rows)]
 

@@ -1,4 +1,5 @@
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from kschur.compositions import (
     is_horizontal_k_comp_strip,
     sort_to_partition,
 )
-from kschur.partitions import column_chains
+from kschur.partitions import column_chains, is_horizontal_k_strip
 
 compositions = st.lists(st.integers(1, 4), max_size=6).map(tuple)
 
@@ -243,6 +244,25 @@ def test_enumerate_compositions_order():
     )
 
 
+def test_enumerate_compositions_matches_cut_oracle():
+    """A composition of n is a set of cuts in 1, ..., n - 1."""
+    for k in (1, 2, 3, None):
+        for n in range(1, 13):
+            found = []
+            for size in range(n):
+                for cuts in combinations(range(1, n), size):
+                    ends = (0,) + cuts + (n,)
+                    alpha = tuple(b - a for a, b in zip(ends, ends[1:]))
+                    if k is None or max(alpha) <= k:
+                        found.append(alpha)
+            found.sort(key=lambda a: (sort_to_partition(a), a), reverse=True)
+            assert enumerate_compositions(n, k) == tuple(found), (n, k)
+
+
+def test_enumerate_compositions_large_degree_iterates():
+    assert enumerate_compositions(3000, 1) == ((1,) * 3000,)
+
+
 @given(st.integers(1, 8))
 def test_unbounded_composition_count(n):
     assert len(enumerate_compositions(n)) == 2 ** (n - 1)
@@ -277,6 +297,20 @@ def test_pieri_targets_match_filter_oracle():
                     assert comp_pieri_targets(beta, i, k) == _filtered_targets(
                         beta, i, k
                     ), (beta, i, k)
+
+
+def test_unbounded_pieri_targets_need_no_filter():
+    # At k = None comp_pieri_targets skips the sorted-shape test; the
+    # filter it skips drops nothing.
+    for n in range(10):
+        for beta in enumerate_compositions(n):
+            for i in range(1, 11 - n):
+                strips = column_chains(beta, i, composition_covers, None)
+                kept = [
+                    a for a in strips
+                    if is_horizontal_k_strip(sort_to_partition(a), sort_to_partition(beta), None)
+                ]
+                assert comp_pieri_targets(beta, i, None) == tuple(sorted(kept)) == tuple(sorted(strips))
 
 
 def test_column_chains_are_the_comp_strips_once_each():

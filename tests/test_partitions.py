@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from kschur.partitions import (
     is_core,
     is_horizontal_k_strip,
     is_horizontal_strip,
+    is_vertical_strip,
     k_conjugate,
     k_pieri_targets,
     partition_covers,
@@ -192,6 +195,17 @@ def test_k_pieri_targets_match_filter_oracle():
                     ), (lam, i, k)
 
 
+def test_unbounded_k_pieri_targets_need_no_filter():
+    # At k = None k_pieri_targets skips the k-conjugate test; the filter
+    # it skips drops nothing.
+    for n in range(10):
+        for lam in partitions_of(n):
+            for i in range(1, 11 - n):
+                strips = column_chains(lam, i, partition_covers, None)
+                kept = [mu for mu in strips if is_vertical_strip(k_conjugate(mu, None), k_conjugate(lam, None))]
+                assert k_pieri_targets(lam, i, None) == tuple(sorted(kept)) == tuple(sorted(strips))
+
+
 def test_column_chains_are_the_strips_once_each():
     for n in range(9):
         for lam in partitions_of(n):
@@ -325,6 +339,25 @@ def test_core_generation_matches_brute_force():
                 assert all(core_to_bounded(kappa, t - 1) == profile for kappa in cores)
             generated = sorted((kappa for cores in index.values() for kappa in cores), reverse=True)
             assert generated == [lam for lam in partitions_of(size) if is_core(lam, t)], (t, size)
+
+
+def test_partitions_of_matches_multiset_oracle():
+    for k in (1, 2, 3, 5, None):
+        for n in range(13):
+            top = n if k is None else min(n, k)
+            multisets = {
+                parts
+                for length in range(n + 1)
+                for parts in combinations_with_replacement(range(top, 0, -1), length)
+                if sum(parts) == n
+            }
+            assert partitions_of(n, k) == tuple(sorted(multisets, reverse=True)), (n, k)
+
+
+def test_partitions_of_large_degree_iterates():
+    assert partitions_of(3000, 1) == ((1,) * 3000,)
+    assert partitions_of(3000, 0) == ()
+    assert len(partitions_of(3000, 2)) == 1501
 
 
 def test_partitions_of_order_and_bound():
