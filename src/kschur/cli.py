@@ -8,10 +8,13 @@ comes from KSCHUR_CACHE_DIR and defaults to the user cache directory.
 A cold request streams its output from the sparse matrix rows, one row's
 text at a time, into a temp file and to stdout; an atomic rename then
 makes it the cache file, so concurrent invocations stay consistent.  A
-cached file is served only when its bytes
-are exactly that text; a warm request then prints or renders it without
+cached file is served only when its bytes are exactly that text, checked
+one block at a time; a warm request then copies its bytes, or renders its
+rows, from the handle it checked, without holding the whole file, without
 parsing it and without importing the algebra, systems or bases modules.
-Only the verify command imports bases and its reference tables.
+Only the verify command imports bases and its reference tables.  A
+matrix or expand request whose degree has more than MAX_LABELS labels is
+refused before any label is enumerated.
 
 Exit codes: 0 success or suite pass, 1 verification failure, 2 usage or
 parse error, 3 domain violation, 141 stdout closed by its reader.
@@ -25,6 +28,7 @@ import io
 import json
 import os
 import re
+import shutil
 import sys
 import tempfile
 
@@ -42,6 +46,10 @@ MATRIX_KINDS = {
     "h-to-ns": ("H", "S"),
     "m-to-qs": ("M", "QS"),
 }
+
+# The most labels a matrix or expand request may have: the d x d matrix of
+# d = 16384, h-to-ns at n = 15, k = inf, is about 560 MB of json.
+MAX_LABELS = 16384
 
 # Each verify suite with its default --max-n and default --k list.  None
 # marks a flag that the suite does not read; such a flag is refused.
@@ -129,6 +137,20 @@ def _system(kind, n, k):
     return systems.build_kschur_system(n, k)
 
 
+def _require_label_limit(kind, k, n):
+    """Refuse degree n of the side of the basis kind when it has more than
+    MAX_LABELS labels, counted without enumerating them.  The counts never
+    fall as the degree grows, so the count stops at the first one above the
+    limit."""
+    for degree, count in enumerate(SIDE_OF[kind].counts(k)):
+        if count > MAX_LABELS:
+            raise DomainError(
+                f"degree {n} at k={format_k(k)} has more than {MAX_LABELS} labels, the most a request may have"
+            )
+        if degree == n:
+            return
+
+
 def _header(kind, k, n) -> dict:
     """Every field of the matrix document but its entries; builds no system."""
     labels = [list(label) for label in SIDE_OF[MATRIX_KINDS[kind][0]].labels(n, k)]
@@ -210,35 +232,84 @@ def _json_prefix(header):
     return json.dumps({**header, "entries": []}, separators=(",", ":"))[:-2]
 
 
+# Bytes a warm request reads from its cache file at a time.
+_BLOCK = 1 << 16
+
 # A comma that no canonical json int follows up to the next comma or the end.
-_NON_INT = re.compile(r",(?!(?:0|-?[1-9][0-9]*)(?:,|\Z))")
+_NON_INT = re.compile(rb",(?!(?:0|-?[1-9][0-9]*)(?:,|\Z))")
+
+# A run of zero entries, with the commas around it.
+_ZEROS = b",0" * 8 + b","
+
+
+def _canonical_entries(entries):
+    """True when entries, which starts with a comma, is a comma before each
+    of its canonical json ints.  Runs of zero entries are dropped before
+    the scan: each is a whole field between commas, so the fields left are
+    as they were, and the scan over them is faster."""
+    return not _NON_INT.search(entries.replace(_ZEROS, b","))
+
+
+def _blocks(handle):
+    """The rest of a binary file, one block at a time."""
+    return iter(lambda: handle.read(_BLOCK), b"")
+
+
+def _is_canonical(handle, prefix, count):
+    """True when the bytes of handle are prefix, then count canonical ints
+    separated by single commas, then the closing ]}; read block by block.
+
+    Each block is checked up to its last comma, and the partial entry
+    after that comma is carried into the next block, so no entry is split.
+    """
+    for start in range(0, len(prefix), _BLOCK):
+        piece = prefix[start : start + _BLOCK]
+        if handle.read(len(piece)) != piece:
+            return False
+    commas, pending = 0, bytearray(b",")  # a comma before every entry
+    for block in _blocks(handle):
+        pending += block
+        last = pending.rindex(b",")
+        if not _canonical_entries(pending[:last]):  # the entries end at that comma
+            return False
+        commas += pending.count(b",", 0, last)
+        del pending[:last]
+    end = len(pending) - 2
+    return (
+        pending.endswith(b"]}")
+        and commas + pending.count(b",", 0, end) == count
+        and _canonical_entries(pending[:end])
+    )
 
 
 def _read_cache(path, header):
-    """The cached file's text when its bytes are exactly the json that a
-    json request for this header prints, None otherwise.
+    """The cached file, open in binary mode at its first entry, when its
+    bytes are exactly the json that a json request for this header prints;
+    None otherwise.
 
     The file must be the header's canonical prefix, then d^2 canonical ints
     separated by single commas, then the closing ]}.  It is checked as
-    text, never parsed: a file that parses to the same document but is
-    spelled otherwise (spaces, -0, other key order, escapes) is refused.
+    bytes, one block at a time, and never parsed: a file that parses to the
+    same document but is spelled otherwise (spaces, -0, other key order,
+    escapes) is refused.  The caller closes the handle.  Reading from it
+    gives the bytes that were checked, even when the file is replaced
+    meanwhile: a rename swaps the inode, not the bytes of an open file.
     """
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except (OSError, ValueError):  # missing, unreadable or not utf-8
+        handle = open(path, "rb")
+    except OSError:  # missing or unreadable
         return None
-    prefix = _json_prefix(header)
-    entries = "," + text[len(prefix) : -2]  # a comma before every entry
-    d = len(header["row_labels"])
-    if (
-        text.startswith(prefix)
-        and text.endswith("]}")
-        and entries.count(",") == d * d
-        and not _NON_INT.search(entries)
-    ):
-        return text
-    return None
+    prefix, served = _json_prefix(header).encode(), None
+    try:
+        if _is_canonical(handle, prefix, len(header["row_labels"]) ** 2):
+            handle.seek(len(prefix))
+            served = handle
+    except OSError:  # a failed read refuses the file too
+        pass
+    finally:
+        if served is None:
+            handle.close()
+    return served
 
 
 def cached_matrix_document(kind, k, n) -> dict:
@@ -247,24 +318,43 @@ def cached_matrix_document(kind, k, n) -> dict:
     overwritten."""
     header = _header(kind, k, n)
     path = _cache_path(kind, k, n)
-    text = _read_cache(path, header)
-    if text is not None:
-        return json.loads(text)
+    cached = _read_cache(path, header)
+    if cached is not None:
+        with cached:
+            cached.seek(0)
+            return json.load(cached)
     doc = matrix_document(kind, k, n, header)
     with _CacheWriter(path) as cache:
         cache.write(json.dumps(doc, separators=(",", ":")))
     return doc
 
 
-def _text_rows(text, d):
-    """Each row of a cached file's d x d entries as the comma-joined text of
-    its entries, sliced from the body one row at a time."""
-    row = re.compile(r"(?:[^,]*,){%d}[^,\]]*" % (d - 1))  # the last entry ends at ]
-    start = text.rindex("[") + 1  # the body holds only digits, signs and commas
-    for _ in range(d):
-        end = row.match(text, start).end()
-        yield text[start:end]
-        start = end + 1
+def _file_rows(handle, d):
+    """Each row of a checked cache file's d x d entries as the comma-joined
+    text of its entries, read block by block from handle, which stands at
+    the first entry."""
+    row = re.compile(rb"(?:[^,]*,){%d}" % d)  # a row and the comma after it
+    pending = b""
+    for block in _blocks(handle):
+        pending += block
+        start = 0
+        while match := row.match(pending, start):
+            yield pending[start : match.end() - 1].decode()
+            start = match.end()
+        pending = pending[start:]
+    yield pending[:-2].decode()  # the last row ends at ]}
+
+
+def _write_cached(handle, header, fmt):
+    """Write a checked cache file, open at its first entry, to stdout: json
+    as a copy of its bytes, csv and latex rendered from its rows."""
+    if fmt == "json":
+        handle.seek(0)
+        sys.stdout.flush()  # the bytes go past the text layer
+        shutil.copyfileobj(handle, sys.stdout.buffer, _BLOCK)
+        sys.stdout.buffer.write(b"\n")
+    else:
+        _write_table(sys.stdout, header, _file_rows(handle, len(header["row_labels"])), fmt)
 
 
 def _row_texts(matrix):
@@ -337,13 +427,13 @@ def cmd_matrix(args) -> int:
     k = parse_k(args.k)
     if args.n < 0:
         raise ValueError("n must be nonnegative")
+    _require_label_limit(MATRIX_KINDS[args.kind][0], k, args.n)
     header = _header(args.kind, k, args.n)
     path = _cache_path(args.kind, k, args.n)
-    text = _read_cache(path, header)
-    if text is not None and args.format == "json":
-        print(text)
-    elif text is not None:
-        _write_table(sys.stdout, header, _text_rows(text, len(header["row_labels"])), args.format)
+    cached = _read_cache(path, header)
+    if cached is not None:
+        with cached:
+            _write_cached(cached, header, args.format)
     else:
         # Cold: each row's text is made once, written to the cache file as
         # part of the json text and to stdout in the requested format.
@@ -367,6 +457,7 @@ def cmd_kostka(args) -> int:
 
 def cmd_expand(args) -> int:
     kind, index, k = parse_element_spec(args.element)
+    _require_label_limit(kind, k, sum(index))
     combo = _system(kind, sum(index), k).expand(kind, index, args.target)
     for term_index, coeff in combo.terms():
         print(f"{coeff}*{args.target}{format_label(kind, term_index)}")

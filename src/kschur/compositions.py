@@ -22,14 +22,16 @@ their sorted shapes is read from the partition side's
 
 The module ends with the side table: ``SIDES`` describes the composition
 side and the k-bounded partition side once each (labels, Pieri targets,
-containment, label check, label brackets, the four basis kinds and the
-label of a product of complete words), and
+containment, label check, label brackets, the four basis kinds, the
+label of a product of complete words and the label count of each
+degree), and
 ``SIDE_OF`` gives the side of each basis kind.  Every layer that must
 tell the two sides apart reads them.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 from itertools import groupby
 from typing import Callable, NamedTuple
@@ -41,6 +43,7 @@ from .partitions import (
     contains,
     is_horizontal_k_strip,
     k_pieri_targets,
+    partition_counts,
     partitions_of,
     require_k_bounded,
     require_strip_size,
@@ -63,15 +66,16 @@ def sort_to_partition(alpha) -> tuple[int, ...]:
     return tuple(sorted(alpha, reverse=True))
 
 
-def composition_covers(beta, k):
-    """Covers of beta, each with the column of its new cell: prepending a 1
-    adds a cell in column 1, and bumping the leftmost part of some size m
-    to m + 1 adds one in column m + 1.  Parts above k are not formed."""
-    if k is None or k >= 1:
+def composition_covers(beta, k, last=0):
+    """Covers of beta whose new cell lies right of column last, each with
+    that cell's column: prepending a 1 adds a cell in column 1, and bumping
+    the leftmost part of some size m to m + 1 adds one in column m + 1.
+    Parts above k are not formed."""
+    if last == 0 and (k is None or k >= 1):
         yield 1, (1,) + beta
-    seen = set()
+    seen = set()  # every part, so that only the leftmost of each size is bumped
     for pos, part in enumerate(beta):
-        if part not in seen and (k is None or part < k):
+        if part >= last and part not in seen and (k is None or part < k):
             yield part + 1, beta[:pos] + (part + 1,) + beta[pos + 1 :]
         seen.add(part)
 
@@ -168,6 +172,17 @@ def compositions_of(n, k=None):
         stack.extend((prefix + (first,), rest - first) for first in range(top, 0, -1))
 
 
+def composition_counts(k=None):
+    """Yield the number of k-bounded compositions of 0, 1, 2, ... in turn:
+    after 1 for the empty composition, each is the sum of the last k counts
+    (of all of them at k = None), one for each size of the first part."""
+    window, count = deque(maxlen=k), 1
+    while True:
+        yield count
+        window.append(count)
+        count = sum(window)
+
+
 @lru_cache(maxsize=None)
 def enumerate_compositions(n, k=None) -> tuple:
     """All k-bounded compositions of n in the canonical display order:
@@ -203,16 +218,17 @@ class Side(NamedTuple):
     brackets: str  # the opening and closing bracket of a written label
     kinds: tuple  # (complete, Schur-like, dual, monomial)
     label_of: Callable  # parts, in product order -> the label of that complete word
+    counts: Callable  # k -> the number of labels of each degree 0, 1, 2, ... in turn
 
 
 SIDES = {
     "composition": Side(
         enumerate_compositions, comp_pieri_targets, bottom_aligned_contains, check_composition,
-        "[]", ("H", "S", "QS", "M"), tuple,
+        "[]", ("H", "S", "QS", "M"), tuple, composition_counts,
     ),
     "partition": Side(
         partitions_of, k_pieri_targets, contains, check_partition, "()", ("h", "s", "dual-s", "m"),
-        sort_to_partition,
+        sort_to_partition, partition_counts,
     ),
 }
 

@@ -13,7 +13,9 @@ safe for concurrent use; the memo tables are functools caches.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
+from itertools import accumulate, count
 
 from .errors import DomainError
 
@@ -75,18 +77,17 @@ def is_core(lam, t) -> bool:
     return all(b - t < 0 or b - t in firsts for b in firsts)
 
 
-def bounded_to_core(lam, k) -> tuple[int, ...]:
-    """The (k+1)-core attached to a k-bounded partition.
+def _skew_offsets(lam, k) -> list:
+    """The offset of each row of the k-skew diagram of a k-bounded
+    partition, top row first: row i fills columns offset_i + 1 to
+    offset_i + lam_i.
 
-    Rows are placed bottom-up as a skew diagram, each row pushed right by
-    the least offset keeping every hook length in the partial diagram at
-    most k; left-justifying the rows then gives the core.  Within a row the
+    Rows are placed bottom-up, each pushed right by the least offset keeping
+    every hook length in the partial diagram at most k.  Within a row the
     leftmost cell realizes the largest hook, and that hook only shrinks as
     the row moves right, so each offset is found by a short forward scan.
     """
     lam = check_partition(lam)
-    if k is None:
-        return lam
     require_k_bounded(lam, k)
     offsets = []  # bottom row first
     ends = []  # right ends (offset + length) of rows already placed
@@ -96,7 +97,16 @@ def bounded_to_core(lam, k) -> tuple[int, ...]:
             o += 1
         offsets.append(o)
         ends.append(o + length)
-    return tuple(o + length for o, length in zip(reversed(offsets), lam))
+    return offsets[::-1]
+
+
+def bounded_to_core(lam, k) -> tuple[int, ...]:
+    """The (k+1)-core attached to a k-bounded partition: the rows of its
+    k-skew diagram, left-justified."""
+    lam = check_partition(lam)
+    if k is None:
+        return lam
+    return tuple(o + length for o, length in zip(_skew_offsets(lam, k), lam))
 
 
 def core_to_bounded(kappa, k) -> tuple[int, ...]:
@@ -120,10 +130,18 @@ def core_to_bounded(kappa, k) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def k_conjugate(lam, k) -> tuple[int, ...]:
-    """The involution on k-bounded partitions: transpose the (k+1)-core."""
+    """The involution on k-bounded partitions.  It transposes the
+    (k+1)-core, and the hook <= k cells of the transposed core are the
+    columns of the k-skew diagram, so it is read from the column lengths of
+    that diagram."""
     if k is None:
         return transpose(lam)
-    return core_to_bounded(transpose(bounded_to_core(lam, k)), k)
+    offsets = _skew_offsets(lam, k)
+    steps = [0] * (offsets[0] + lam[0] + 1 if lam else 1)  # the top row ends rightmost
+    for o, length in zip(offsets, lam):
+        steps[o] += 1
+        steps[o + length] -= 1
+    return tuple(accumulate(steps))[:-1]  # each column's height; the last is 0
 
 
 def is_horizontal_strip(lam, mu) -> bool:
@@ -156,18 +174,22 @@ def is_horizontal_k_strip(lam, mu, k) -> bool:
     return is_vertical_strip(k_conjugate(lam, k), k_conjugate(mu, k))
 
 
-def partition_covers(lam, k):
-    """Covers of lam in Young's lattice, each with the column of its new
-    cell: row r may grow when row r - 1 is longer, and its new cell lies in
-    column lam_r + 1.  Parts above k are not formed."""
+def partition_covers(lam, k, last=0):
+    """Covers of lam in Young's lattice whose new cell lies right of column
+    last, each with that cell's column: row r may grow when row r - 1 is
+    longer, and its new cell lies in column lam_r + 1.  Parts above k are
+    not formed."""
     for r, part in enumerate(lam + (0,)):
+        if part < last:  # this row and every row below it end left of last
+            return
         if (r == 0 or lam[r - 1] > part) and (k is None or part < k):
             yield part + 1, lam[:r] + (part + 1,) + lam[r + 1 :]
 
 
 def column_chains(shape, i, covers, k) -> list:
     """Shapes reached from shape by i covers whose new cells lie in strictly
-    increasing columns; covers(shape, k) yields (column, cover) pairs.
+    increasing columns; covers(shape, k, last) yields the (column, cover)
+    pairs whose column lies right of last.
 
     On Young's lattice and on the composition cover order these are exactly
     the horizontal strips of size i.  Distinct columns fix the order in
@@ -175,12 +197,7 @@ def column_chains(shape, i, covers, k) -> list:
     """
     chains = [(shape, 0)]
     for _ in range(i):
-        chains = [
-            (grown, column)
-            for s, last in chains
-            for column, grown in covers(s, k)
-            if column > last
-        ]
+        chains = [(grown, column) for s, last in chains for column, grown in covers(s, k, last)]
     return [s for s, _ in chains]
 
 
@@ -243,6 +260,24 @@ def partitions_of(n, k=None) -> tuple:
         lam += [part - 1] * q + [r] * (r > 0)
         out.append(tuple(lam))
     return tuple(out)
+
+
+def partition_counts(k=None):
+    """Yield the number of k-bounded partitions of 0, 1, 2, ... in turn.
+
+    Row m lists, for each j <= min(k, m), the partitions of m with no part
+    above j: those with no part above j - 1, and those with a part j, whose
+    count is read from row m - j.  Only the last k rows are kept.
+    """
+    rows = deque([[1]], maxlen=k)
+    yield 1
+    for m in count(1):
+        row = [0]
+        for j in range(1, m + 1 if k is None else min(k, m) + 1):
+            below = rows[-j]  # row m - j, whose parts never exceed m - j
+            row.append(row[-1] + below[min(j, len(below) - 1)])
+        rows.append(row)
+        yield row[-1]
 
 
 @lru_cache(maxsize=None)

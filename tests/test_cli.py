@@ -1,17 +1,21 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gauss_jordan import invert_integer_matrix
-from kschur import bases, cli, systems
+from kschur import DomainError, bases, cli, systems
 from kschur.algebra import LinearCombination
 from kschur.bases import VerificationCase, VerificationReport
 from kschur.cli import (
@@ -192,6 +196,145 @@ def test_matrix_rewrites_noncanonical_cache(edit, fmt, tmp_path, monkeypatch, ca
     code, again = run(capsys, *argv, fmt)
     assert code == 0 and again == render_matrix(json.loads(text), fmt) + "\n"
     assert path.read_text(encoding="utf-8") == text
+
+
+# The block sizes the block-check tests patch in: at 1 byte every comma is
+# the last byte of a block, and the others cut entries, keys and the
+# closing ]} at every offset.
+SMALL_BLOCKS = (1, 2, 3, 5, 7)
+
+
+def _fill(capsys, argv):
+    """The cold json output of argv and the cache file it leaves."""
+    _, cold = run(capsys, *argv, "json")
+    return cold, next(Path(os.environ["KSCHUR_CACHE_DIR"]).glob("*.json"))
+
+
+@pytest.mark.parametrize("edit", NONCANONICAL_CACHE.values(), ids=NONCANONICAL_CACHE)
+def test_block_check_rejects_noncanonical_spelling_across_blocks(edit, tmp_path, monkeypatch, capsys):
+    """Each non-canonical spelling, read in blocks of a few bytes so that it
+    straddles a block boundary, is still refused and rewritten."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    argv = ("matrix", "--kind", "ns-to-h", "--k", "2", "--n", "3", "--format")
+    cold, path = _fill(capsys, argv)
+    text = cold.removesuffix("\n")
+    edited = edit(text)
+    for block, fmt in zip(SMALL_BLOCKS, itertools.cycle(("json", "csv", "latex"))):
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        path.write_text(edited, encoding="utf-8")
+        code, again = run(capsys, *argv, fmt)
+        assert code == 0 and again == render_matrix(json.loads(text), fmt) + "\n", (block, fmt)
+        assert path.read_text(encoding="utf-8") == text, (block, fmt)
+
+
+def test_block_check_rejects_a_minus_zero_split_after_its_sign(tmp_path, monkeypatch, capsys):
+    """A -0 is refused when a block ends at its sign, and when a block
+    ends at the comma before it."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    argv = ("matrix", "--kind", "ns-to-h", "--k", "2", "--n", "3", "--format")
+    cold, path = _fill(capsys, argv)
+    text = cold.removesuffix("\n")
+    edited = _entry_as_minus_zero(text)
+    body = len(cli._json_prefix(cli._header("ns-to-h", 2, 3)))
+    sign = edited.index("-0", body) - body  # the sign's offset in the entries
+    assert edited[body + sign - 1] == ","
+    for block, last_byte in ((sign, b","), (sign + 1, b"-")):
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        path.write_text(edited, encoding="utf-8")
+        with open(path, "rb") as handle:
+            handle.seek(body)  # the entries are read in blocks from here
+            assert next(cli._blocks(handle))[-1:] == last_byte
+        code, again = run(capsys, *argv, "json")
+        assert code == 0 and again == cold
+        assert path.read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize("block", range(1, 13))
+def test_block_check_serves_the_canonical_file_at_every_block_size(block, tmp_path, monkeypatch, capsys):
+    """However the blocks cut the canonical file, commas at block ends
+    included, a warm hit serves it without building anything."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    argv = ("matrix", "--kind", "qs-to-m", "--k", "3", "--n", "5", "--format")
+    cold, path = _fill(capsys, argv)
+    monkeypatch.setattr(cli, "_BLOCK", block)
+
+    def no_build(*args):
+        raise AssertionError("a warm hit built a graded system")
+
+    monkeypatch.setattr(systems, "build_schur_system", no_build)
+    for fmt in ("json", "csv", "latex"):
+        code, warm = run(capsys, *argv, fmt)
+        assert code == 0 and warm == render_matrix(json.loads(cold), fmt) + "\n", fmt
+    assert path.read_text(encoding="utf-8") + "\n" == cold
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
+def test_block_check_bad_last_entry_prints_only_the_cold_output(fmt, tmp_path, monkeypatch, capsys):
+    """A file that is canonical up to its last entry, read in many blocks,
+    prints nothing of itself: the output is exactly the cold output."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    argv = ("matrix", "--kind", "h-to-ns", "--k", "3", "--n", "5", "--format")
+    cold, path = _fill(capsys, argv)
+    text = cold.removesuffix("\n")
+    assert text.endswith(",1]}")
+    path.write_text(text[: -len("1]}")] + "01]}", encoding="utf-8")
+    monkeypatch.setattr(cli, "_BLOCK", 16)
+    code, again = run(capsys, *argv, fmt)
+    assert code == 0 and again == render_matrix(json.loads(text), fmt) + "\n"
+    assert path.read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
+def test_cache_replaced_after_the_check_does_not_change_the_output(fmt, tmp_path, monkeypatch, capsys):
+    """A rename onto the cache file between the check and the copy swaps
+    the inode, not the bytes of the handle that was checked."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    argv = ("matrix", "--kind", "ns-to-h", "--k", "3", "--n", "5", "--format")
+    cold, path = _fill(capsys, argv)
+    read_cache = cli._read_cache
+
+    def read_then_replace(*args):
+        handle = read_cache(*args)
+        other = tmp_path / "other.tmp"
+        other.write_text("{not json", encoding="utf-8")
+        os.replace(other, path)
+        return handle
+
+    monkeypatch.setattr(cli, "_read_cache", read_then_replace)
+    monkeypatch.setattr(cli, "_BLOCK", 64)
+    code, warm = run(capsys, *argv, fmt)
+    assert code == 0 and warm == render_matrix(json.loads(cold), fmt) + "\n"
+    assert path.read_text(encoding="utf-8") == "{not json"
+
+
+# The canonical-int rule as a whole-text scan of the entries: a comma that
+# no canonical json int follows up to the next comma or the end.
+NON_INT_TEXT = re.compile(r",(?!(?:0|-?[1-9][0-9]*)(?:,|\Z))")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(["0", "1", "2", "-", ",", "0,", ",0", "]", " ", "x"]), max_size=40))
+def test_canonical_entries_match_the_whole_text_rule(pieces):
+    """Dropping runs of zero entries before the scan keeps the rule as it is."""
+    entries = "," + "".join(pieces)
+    for text in (entries, entries.replace(",", ",0,0,0,0,0,0,0,0,", 2)):
+        assert cli._canonical_entries(text.encode()) == (not NON_INT_TEXT.search(text)), text
+
+
+def test_closed_stdout_on_a_warm_hit_exits_141_quietly(tmp_path):
+    """A warm json hit copies the file's bytes to stdout's buffer; a reader
+    that closes the pipe early still gets the quiet exit 141."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"), KSCHUR_CACHE_DIR=str(tmp_path))
+    argv = [sys.executable, "-m", "kschur.cli", "matrix", "--kind", "h-to-ns", "--k", "inf", "--n", "9"]
+    subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, timeout=60, check=True)
+    (cached,) = tmp_path.iterdir()
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert child.stdout.read(1) == b"{"
+        child.stdout.close()
+        stderr = child.stderr.read()
+        code = child.wait(timeout=60)
+    assert (code, stderr) == (141, b"")
+    assert list(tmp_path.iterdir()) == [cached]
 
 
 # The modules a fresh interpreter holds after a request: run it through
@@ -455,6 +598,46 @@ def test_expand_partition_side(capsys):
     code, out = run(capsys, "expand", "dual-s:(2,1,1)@k=3", "m")
     assert code == 0
     assert "2*m(1,1,1,1)" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("matrix", "--kind", "h-to-ns", "--k", "inf", "--n", "1000000"),
+        ("matrix", "--kind", "kschur-to-h", "--k", "2", "--n", "1000000"),
+        ("matrix", "--kind", "m-to-qs", "--k", "inf", "--n", "16"),
+        ("matrix", "--kind", "dualkschur-to-m", "--k", "inf", "--n", "36"),
+        ("expand", "S:[30]@k=inf", "H"),
+        ("expand", "s:(1000000)@k=inf", "h"),
+    ],
+    ids=["compositions-1e6", "partitions-1e6", "compositions-16", "partitions-36", "expand-30", "expand-1e6"],
+)
+def test_oversized_request_is_refused_before_enumerating(argv, monkeypatch, capsys):
+    """Above MAX_LABELS labels a matrix or expand request exits 3 with one
+    error line, having counted the labels without enumerating any."""
+
+    def no_labels(*args):
+        raise AssertionError("an oversized request enumerated its labels")
+
+    for name, side in list(cli.SIDES.items()):
+        counting_only = side._replace(labels=no_labels)
+        monkeypatch.setitem(cli.SIDES, name, counting_only)
+        for kind in side.kinds:
+            monkeypatch.setitem(cli.SIDE_OF, kind, counting_only)
+    assert main(list(argv)) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert f"more than {cli.MAX_LABELS} labels" in err
+
+
+@pytest.mark.parametrize("kind, k, n", [("H", None, 15), ("S", 3, 16), ("s", None, 35), ("h", 2, 32767)])
+def test_label_limit_admits_the_largest_requests(kind, k, n):
+    """The largest degree the limit admits on each side: (15, inf) has
+    exactly MAX_LABELS compositions, (16, 3) has 10609 and (17, 3) 19513;
+    p(35) = 14883 and p(36) = 17977; at k = 2, n has n // 2 + 1."""
+    cli._require_label_limit(kind, k, n)
+    with pytest.raises(DomainError):
+        cli._require_label_limit(kind, k, n + 1)
 
 
 def test_expand_domain_violation(capsys):

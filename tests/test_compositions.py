@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from kschur import DomainError
 from kschur.compositions import (
+    SIDES,
     _skew_cell_list,
     bottom_aligned_contains,
     check_composition,
@@ -334,3 +335,11 @@ def test_larger_pieri_targets_match_filter_oracle(data):
     n = data.draw(st.integers(9 - i, 12 - i))
     beta = data.draw(st.sampled_from(enumerate_compositions(n, k)))
     assert comp_pieri_targets(beta, i, k) == _filtered_targets(beta, i, k)
+
+
+@pytest.mark.parametrize("side", list(SIDES))
+def test_label_counts_match_the_enumeration(side):
+    """Each side's label counts, by recurrence, against the enumerated labels."""
+    for k in (*range(1, 7), None):
+        counts = SIDES[side].counts(k)
+        assert [next(counts) for _ in range(15)] == [len(SIDES[side].labels(n, k)) for n in range(15)], k

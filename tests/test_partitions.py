@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from core_transpose import core_transpose_conjugate
 from kschur import DomainError, partitions
 from kschur.partitions import (
     bounded_to_core,
@@ -133,6 +134,14 @@ def test_k_conjugate_examples():
     assert k_conjugate((1, 1, 1), 3) == (3,)
     assert k_conjugate((2, 1), 3) == (2, 1)
     assert k_conjugate((), 4) == ()
+
+
+def test_k_conjugate_matches_the_core_transpose_oracle():
+    """Every k-bounded partition with k <= 6 and n <= 14."""
+    cases = [(lam, k) for k in range(1, 7) for n in range(15) for lam in partitions_of(n, k)]
+    assert len(cases) > 1000
+    for lam, k in cases:
+        assert k_conjugate(lam, k) == core_transpose_conjugate(lam, k), (lam, k)
 
 
 def test_horizontal_strip_examples():
