@@ -257,15 +257,14 @@ def _blocks(handle):
 
 def _is_canonical(handle, prefix, count):
     """True when the bytes of handle are prefix, then count canonical ints
-    separated by single commas, then the closing ]}; read block by block.
+    separated by single commas, then the closing ]}; the prefix is read in
+    one piece and the entries block by block.
 
     Each block is checked up to its last comma, and the partial entry
     after that comma is carried into the next block, so no entry is split.
     """
-    for start in range(0, len(prefix), _BLOCK):
-        piece = prefix[start : start + _BLOCK]
-        if handle.read(len(piece)) != piece:
-            return False
+    if handle.read(len(prefix)) != prefix:  # a short file reads short
+        return False
     commas, pending = 0, bytearray(b",")  # a comma before every entry
     for block in _blocks(handle):
         pending += block

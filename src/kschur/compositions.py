@@ -143,7 +143,6 @@ def is_horizontal_k_comp_strip(alpha, beta, k) -> bool:
     return sorted_strip and is_horizontal_comp_strip(alpha, beta)
 
 
-@lru_cache(maxsize=None)
 def comp_pieri_targets(beta, i, k=None) -> tuple:
     """k-bounded compositions reached from beta by a horizontal
     k-composition strip of size i: the column chains of covers whose sorted
@@ -226,8 +225,9 @@ SIDES = {
         enumerate_compositions, comp_pieri_targets, bottom_aligned_contains, check_composition,
         "[]", ("H", "S", "QS", "M"), tuple, composition_counts,
     ),
+    # uncached, as the builds memoize each strip by label position
     "partition": Side(
-        partitions_of, k_pieri_targets, contains, check_partition, "()", ("h", "s", "dual-s", "m"),
+        partitions_of, k_pieri_targets.__wrapped__, contains, check_partition, "()", ("h", "s", "dual-s", "m"),
         sort_to_partition, partition_counts,
     ),
 }

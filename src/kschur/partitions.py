@@ -82,19 +82,19 @@ def _skew_offsets(lam, k) -> list:
     partition, top row first: row i fills columns offset_i + 1 to
     offset_i + lam_i.
 
-    Rows are placed bottom-up, each pushed right by the least offset keeping
-    every hook length in the partial diagram at most k.  Within a row the
-    leftmost cell realizes the largest hook, and that hook only shrinks as
-    the row moves right, so each offset is found by a short forward scan.
+    Rows are placed bottom-up, each at the least offset, from the row
+    below's on, past which at most k - lam_i placed rows reach, so every
+    hook stays at most k.  The placed rows' right ends ascend, as offsets
+    and lengths weakly grow upward, so it is the (k - lam_i + 1)-th largest.
     """
     lam = check_partition(lam)
     require_k_bounded(lam, k)
     offsets = []  # bottom row first
-    ends = []  # right ends (offset + length) of rows already placed
+    ends = []  # right ends (offset + length) of rows already placed, ascending
     o = 0
     for length in reversed(lam):
-        while length + sum(1 for e in ends if e > o) > k:
-            o += 1
+        if k - length < len(ends):
+            o = max(o, ends[length - k - 1])
         offsets.append(o)
         ends.append(o + length)
     return offsets[::-1]
@@ -110,22 +110,24 @@ def bounded_to_core(lam, k) -> tuple[int, ...]:
 
 
 def core_to_bounded(kappa, k) -> tuple[int, ...]:
-    """Inverse of :func:`bounded_to_core`: per-row count of hook <= k cells."""
+    """Inverse of :func:`bounded_to_core`: per-row count of hook <= k
+    cells, counted from the first-column hooks that :func:`is_core` reads."""
     kappa = check_partition(kappa)
     if k is None:
         return kappa
-    if k < 1:
-        raise DomainError("core parameter must be at least 2")
-    hooks = hook_lengths(kappa)
-    if k + 1 in hooks.values():
+    if not is_core(kappa, k + 1):  # which raises when k < 1
         raise DomainError(f"{kappa!r} is not a {k + 1}-core")
-    counts = [
-        sum(1 for c in range(1, kappa[r - 1] + 1) if hooks[(r, c)] <= k)
-        for r in range(1, len(kappa) + 1)
-    ]
-    while counts and counts[-1] == 0:
-        counts.pop()
-    return check_partition(counts)
+    return _row_counts(kappa, k)
+
+
+def _row_counts(kappa, k) -> tuple[int, ...]:
+    """Per-row count of hook <= k cells.  Row i holds the hooks 1..b_i but
+    b_i - b_j for j > i (see :func:`is_core`): min(k, b_i) less the j > i
+    with b_i - b_j <= k, all among the next k, as the b strictly descend."""
+    firsts = [p + len(kappa) - i for i, p in enumerate(kappa, 1)]
+    return check_partition(
+        min(k, b) - sum(b - c <= k for c in firsts[i + 1 : i + 1 + k]) for i, b in enumerate(firsts)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -133,7 +135,7 @@ def k_conjugate(lam, k) -> tuple[int, ...]:
     """The involution on k-bounded partitions.  It transposes the
     (k+1)-core, and the hook <= k cells of the transposed core are the
     columns of the k-skew diagram, so it is read from the column lengths of
-    that diagram."""
+    that diagram, whose row offsets are closed forms: no core is built."""
     if k is None:
         return transpose(lam)
     offsets = _skew_offsets(lam, k)
@@ -300,7 +302,7 @@ def _core_profile_index(k, size):
     index: dict[tuple, list] = {}
     for kappa in sorted(candidates, reverse=True):
         if is_core(kappa, k + 1):
-            index.setdefault(core_to_bounded(kappa, k), []).append(kappa)
+            index.setdefault(_row_counts(kappa, k), []).append(kappa)
     return {profile: tuple(cores) for profile, cores in index.items()}
 
 

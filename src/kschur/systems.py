@@ -102,9 +102,7 @@ def _strip(family, k, degree, size) -> tuple:
     label g of the given degree."""
     side = SIDES[family]
     position = _position(family, degree + size, k)
-    # the uncached targets: their lru cache would hold each target again
-    targets = side.targets.__wrapped__
-    return tuple(tuple(map(position.__getitem__, targets(shape, size, k))) for shape in side.labels(degree, k))
+    return tuple(tuple(map(position.__getitem__, side.targets(shape, size, k))) for shape in side.labels(degree, k))
 
 
 def _pieri_rows(family, n, k):

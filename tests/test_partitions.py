@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from core_scan import hook_row_counts, scan_bounded_to_core, scan_k_conjugate
 from core_transpose import core_transpose_conjugate
 from kschur import DomainError, partitions
 from kschur.partitions import (
@@ -91,16 +92,17 @@ def test_core_to_bounded_examples():
         core_to_bounded((1,), 0)
 
 
-def test_core_to_bounded_computes_hooks_once(monkeypatch):
-    calls = []
+def test_core_to_bounded_builds_no_hook_table(monkeypatch):
+    """The row counts come from the first-column hooks alone."""
 
-    def counting(lam):
-        calls.append(lam)
-        return hook_lengths(lam)
+    def refuse(lam):
+        raise AssertionError(f"core_to_bounded read every hook of {lam}")
 
-    monkeypatch.setattr(partitions, "hook_lengths", counting)
+    monkeypatch.setattr(partitions, "hook_lengths", refuse)
     assert core_to_bounded((3, 1), 2) == (2, 1)
-    assert calls == [(3, 1)]
+    assert core_to_bounded(bounded_to_core((3, 3, 2, 1, 1), 3), 3) == (3, 3, 2, 1, 1)
+    with pytest.raises(DomainError, match="is not a 3-core"):
+        core_to_bounded((2, 1), 2)
 
 
 def test_is_k_bounded_reads_every_part():
@@ -142,6 +144,19 @@ def test_k_conjugate_matches_the_core_transpose_oracle():
     assert len(cases) > 1000
     for lam, k in cases:
         assert k_conjugate(lam, k) == core_transpose_conjugate(lam, k), (lam, k)
+
+
+def test_closed_forms_match_the_scan_and_hook_table_oracles():
+    """The k-skew offsets, the core and its row counts against the offset
+    scan and the per-cell hook table, on every k-bounded partition with
+    k <= 6 and n <= 14."""
+    cases = [(lam, k) for k in range(1, 7) for n in range(15) for lam in partitions_of(n, k)]
+    assert len(cases) > 1000
+    for lam, k in cases:
+        core = bounded_to_core(lam, k)
+        assert core == scan_bounded_to_core(lam, k), (lam, k)
+        assert k_conjugate(lam, k) == scan_k_conjugate(lam, k), (lam, k)
+        assert core_to_bounded(core, k) == hook_row_counts(core, k) == lam, (lam, k)
 
 
 def test_horizontal_strip_examples():
@@ -340,12 +355,14 @@ def test_core_search_core_tests_grown_candidates_once_per_k(monkeypatch):
 
 def test_core_generation_matches_brute_force():
     """Slow oracle for the generated index: filter every partition of each
-    size in the k = 3, n = 7 window through is_core."""
+    size in the k = 3, n = 7 window through is_core, and count each core's
+    hook <= k cells per row from its hook table."""
     for t in range(2, 8):
         for size in range(29):
             index = partitions._core_profile_index(t - 1, size)
             for profile, cores in index.items():
-                assert all(core_to_bounded(kappa, t - 1) == profile for kappa in cores)
+                for kappa in cores:
+                    assert core_to_bounded(kappa, t - 1) == hook_row_counts(kappa, t - 1) == profile, kappa
             generated = sorted((kappa for cores in index.values() for kappa in cores), reverse=True)
             assert generated == [lam for lam in partitions_of(size) if is_core(lam, t)], (t, size)
 
