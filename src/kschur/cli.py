@@ -3,18 +3,22 @@ expansions and the verification suites.
 
 Output is deterministic byte-for-byte for fixed arguments.  Computed
 matrix documents are cached on disk as the json text a json request
-prints, keyed by kind, k, n and the schema version; the cache directory
-comes from KSCHUR_CACHE_DIR and defaults to the user cache directory.
-A cold request streams its output from the sparse matrix rows, one row's
-text at a time, into a temp file and to stdout; an atomic rename then
-makes it the cache file, so concurrent invocations stay consistent.  A
-cached file is served only when its bytes are exactly that text, checked
-one block at a time; a warm request then copies its bytes, or renders its
-rows, from the handle it checked, without holding the whole file, without
-parsing it and without importing the algebra, systems or bases modules.
+prints, with a newline after the prefix and after each comma between
+rows, so that each matrix row is one line; the files are keyed by kind,
+k, n and the schema version, and the cache directory comes from
+KSCHUR_CACHE_DIR and defaults to the user cache directory.  A cold
+request streams its output from the sparse matrix rows, one row's text at
+a time, into a temp file and to stdout; an atomic rename then makes it
+the cache file, so concurrent invocations stay consistent.  A cached file
+is served only when its bytes are exactly that text, checked one line at
+a time; a warm request then copies its bytes without the newlines, or
+renders its lines as rows, from the handle it checked, without holding
+the whole file, without parsing it and without importing the algebra,
+systems or bases modules.
 Only the verify command imports bases and its reference tables.  A
 matrix or expand request whose degree has more than MAX_LABELS labels is
-refused before any label is enumerated.
+refused before any label is enumerated, and so is a verify suite that
+builds systems up to such a degree.
 
 Exit codes: 0 success or suite pass, 1 verification failure, 2 usage or
 parse error, 3 domain violation, 141 stdout closed by its reader.
@@ -28,7 +32,6 @@ import io
 import json
 import os
 import re
-import shutil
 import sys
 import tempfile
 
@@ -170,10 +173,10 @@ def _matrix(kind, k, n):
     return _system(source, n, k).matrix(source, target)
 
 
-def matrix_document(kind, k, n, header=None) -> dict:
-    """The computed matrix document; header, when given, is _header(kind, k, n)."""
+def matrix_document(kind, k, n) -> dict:
+    """The computed matrix document."""
     rows = _matrix(kind, k, n).rows
-    return {**(header or _header(kind, k, n)), "entries": [v for row in rows for v in row]}
+    return {**_header(kind, k, n), "entries": [v for row in rows for v in row]}
 
 
 def cache_dir():
@@ -201,7 +204,7 @@ class _CacheWriter:
         with contextlib.suppress(OSError):
             os.makedirs(os.path.dirname(path), exist_ok=True)
             fd, self.tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-            self.handle = os.fdopen(fd, "w", encoding="utf-8")
+            self.handle = os.fdopen(fd, "w", encoding="utf-8", newline="\n")
 
     def __enter__(self):
         return self
@@ -232,7 +235,7 @@ def _json_prefix(header):
     return json.dumps({**header, "entries": []}, separators=(",", ":"))[:-2]
 
 
-# Bytes a warm request reads from its cache file at a time.
+# Bytes a warm json request copies from its cache file at a time.
 _BLOCK = 1 << 16
 
 # A comma that no canonical json int follows up to the next comma or the end.
@@ -242,57 +245,38 @@ _NON_INT = re.compile(rb",(?!(?:0|-?[1-9][0-9]*)(?:,|\Z))")
 _ZEROS = b",0" * 8 + b","
 
 
-def _canonical_entries(entries):
-    """True when entries, which starts with a comma, is a comma before each
-    of its canonical json ints.  Runs of zero entries are dropped before
-    the scan: each is a whole field between commas, so the fields left are
-    as they were, and the scan over them is faster."""
-    return not _NON_INT.search(entries.replace(_ZEROS, b","))
+def _is_canonical(handle, prefix, d):
+    """True when the bytes of handle are prefix and a newline, then d lines
+    of d canonical ints separated by single commas, every line but the last
+    ending in a comma and a newline and the last in the closing ]}.
 
-
-def _blocks(handle):
-    """The rest of a binary file, one block at a time."""
-    return iter(lambda: handle.read(_BLOCK), b"")
-
-
-def _is_canonical(handle, prefix, count):
-    """True when the bytes of handle are prefix, then count canonical ints
-    separated by single commas, then the closing ]}; the prefix is read in
-    one piece and the entries block by block.
-
-    Each block is checked up to its last comma, and the partial entry
-    after that comma is carried into the next block, so no entry is split.
+    The prefix is read in one piece and the rows one line at a time.  A
+    line that ends in ]} has no newline, so readline stopped at the end of
+    the file.  Runs of zero entries are dropped before the int scan: each
+    is a whole field between commas, so the fields left are as they were,
+    and the scan over them is faster.
     """
-    if handle.read(len(prefix)) != prefix:  # a short file reads short
+    if handle.read(len(prefix) + 1) != prefix + b"\n":  # a short file reads short
         return False
-    commas, pending = 0, bytearray(b",")  # a comma before every entry
-    for block in _blocks(handle):
-        pending += block
-        last = pending.rindex(b",")
-        if not _canonical_entries(pending[:last]):  # the entries end at that comma
+    for end in [b",\n"] * (d - 1) + [b"]}"]:
+        line = handle.readline()
+        entries = b"," + line[:-2]  # a comma before every entry
+        if not line.endswith(end) or entries.count(b",") != d or _NON_INT.search(entries.replace(_ZEROS, b",")):
             return False
-        commas += pending.count(b",", 0, last)
-        del pending[:last]
-    end = len(pending) - 2
-    return (
-        pending.endswith(b"]}")
-        and commas + pending.count(b",", 0, end) == count
-        and _canonical_entries(pending[:end])
-    )
+    return True
 
 
 def _read_cache(path, header):
-    """The cached file, open in binary mode at its first entry, when its
-    bytes are exactly the json that a json request for this header prints;
+    """The cached file, open in binary mode at its first row, when its
+    bytes are exactly the cache text of this header (see _is_canonical);
     None otherwise.
 
-    The file must be the header's canonical prefix, then d^2 canonical ints
-    separated by single commas, then the closing ]}.  It is checked as
-    bytes, one block at a time, and never parsed: a file that parses to the
-    same document but is spelled otherwise (spaces, -0, other key order,
-    escapes) is refused.  The caller closes the handle.  Reading from it
-    gives the bytes that were checked, even when the file is replaced
-    meanwhile: a rename swaps the inode, not the bytes of an open file.
+    The file is checked as bytes and never parsed: a file that parses to
+    the same document but is spelled otherwise (spaces, -0, other key
+    order, escapes, other line breaks) is refused.  The caller closes the
+    handle.  Reading from it gives the bytes that were checked, even when
+    the file is replaced meanwhile: a rename swaps the inode, not the bytes
+    of an open file.
     """
     try:
         handle = open(path, "rb")
@@ -300,8 +284,8 @@ def _read_cache(path, header):
         return None
     prefix, served = _json_prefix(header).encode(), None
     try:
-        if _is_canonical(handle, prefix, len(header["row_labels"]) ** 2):
-            handle.seek(len(prefix))
+        if _is_canonical(handle, prefix, len(header["row_labels"])):
+            handle.seek(len(prefix) + 1)
             served = handle
     except OSError:  # a failed read refuses the file too
         pass
@@ -313,8 +297,8 @@ def _read_cache(path, header):
 
 def cached_matrix_document(kind, k, n) -> dict:
     """The matrix document, read from the cache only when the cached file
-    is exactly its canonical json; anything else is recomputed and
-    overwritten."""
+    is exactly its canonical text; anything else is recomputed as a cold
+    json request is, which rewrites the cache file."""
     header = _header(kind, k, n)
     path = _cache_path(kind, k, n)
     cached = _read_cache(path, header)
@@ -322,38 +306,33 @@ def cached_matrix_document(kind, k, n) -> dict:
         with cached:
             cached.seek(0)
             return json.load(cached)
-    doc = matrix_document(kind, k, n, header)
+    out = io.StringIO()
+    _write_cold(out, header, kind, k, n, "json", path)
+    return json.loads(out.getvalue())
+
+
+def _write_cold(out, header, kind, k, n, fmt, path):
+    """Compute the matrix and write it to out in fmt; each row's text is
+    made once, and also written to the cache file at path as part of the
+    json text, one row per line."""
+    prefix, rows = _json_prefix(header), _row_texts(_matrix(kind, k, n))
     with _CacheWriter(path) as cache:
-        cache.write(json.dumps(doc, separators=(",", ":")))
-    return doc
-
-
-def _file_rows(handle, d):
-    """Each row of a checked cache file's d x d entries as the comma-joined
-    text of its entries, read block by block from handle, which stands at
-    the first entry."""
-    row = re.compile(rb"(?:[^,]*,){%d}" % d)  # a row and the comma after it
-    pending = b""
-    for block in _blocks(handle):
-        pending += block
-        start = 0
-        while match := row.match(pending, start):
-            yield pending[start : match.end() - 1].decode()
-            start = match.end()
-        pending = pending[start:]
-    yield pending[:-2].decode()  # the last row ends at ]}
+        _write_table(out, header, _json_rows(prefix, rows, cache.write, "\n"), fmt, prefix)
+        cache.write("]}")
 
 
 def _write_cached(handle, header, fmt):
-    """Write a checked cache file, open at its first entry, to stdout: json
-    as a copy of its bytes, csv and latex rendered from its rows."""
+    """Write a checked cache file, open at its first row, to stdout: json
+    as a copy of its bytes without the newlines, which stand only between
+    rows, and csv and latex rendered from its lines."""
     if fmt == "json":
         handle.seek(0)
         sys.stdout.flush()  # the bytes go past the text layer
-        shutil.copyfileobj(handle, sys.stdout.buffer, _BLOCK)
+        for block in iter(lambda: handle.read(_BLOCK), b""):
+            sys.stdout.buffer.write(block.replace(b"\n", b""))
         sys.stdout.buffer.write(b"\n")
     else:
-        _write_table(sys.stdout, header, _file_rows(handle, len(header["row_labels"])), fmt)
+        _write_table(sys.stdout, header, (line[:-2].decode() for line in handle), fmt)
 
 
 def _row_texts(matrix):
@@ -371,14 +350,15 @@ def _row_texts(matrix):
         yield "".join(parts)[:-1]
 
 
-def _json_rows(prefix, rows, write):
+def _json_rows(prefix, rows, write, newline):
     """Yield rows, each once write has written it as the next entries of
-    a json document, the first after the document's prefix."""
-    sep = prefix
+    a json document, the first after the document's prefix; newline
+    follows the prefix and the comma after each row but the last."""
+    sep = prefix + newline
     for row in rows:
         write(sep)
         write(row)
-        sep = ","
+        sep = "," + newline
         yield row
 
 
@@ -387,7 +367,7 @@ def _write_table(out, header, rows, fmt, prefix=None):
     yields each row as the comma-joined text of its entries, and the json
     text starts with prefix, the _json_prefix of header."""
     if fmt == "json":
-        for _ in _json_rows(prefix, rows, out.write):
+        for _ in _json_rows(prefix, rows, out.write, ""):
             pass
         out.write("]}\n")
         return
@@ -434,12 +414,7 @@ def cmd_matrix(args) -> int:
         with cached:
             _write_cached(cached, header, args.format)
     else:
-        # Cold: each row's text is made once, written to the cache file as
-        # part of the json text and to stdout in the requested format.
-        prefix, rows = _json_prefix(header), _row_texts(_matrix(args.kind, k, args.n))
-        with _CacheWriter(path) as cache:
-            _write_table(sys.stdout, header, _json_rows(prefix, rows, cache.write), args.format, prefix)
-            cache.write("]}")
+        _write_cold(sys.stdout, header, args.kind, k, args.n, args.format, path)
     return 0
 
 
@@ -479,6 +454,12 @@ def _suite_report(args):
         raise ValueError("the omega suite takes one finite --k")
     if suite == "negativity" and None in ks:
         raise ValueError("the negativity suite takes only finite --k values")
+    if suite not in ("appendix", "omega"):
+        # The composition side has the most labels; negativity and
+        # stabilization also build it at k = inf.
+        unbounded = [None] if suite in ("negativity", "stabilization") else []
+        for k in [*(ks or ()), *unbounded]:
+            _require_label_limit("H", k, max_n)
     if suite == "appendix":
         return bases.verify_appendix()
     if suite == "omega":

@@ -1,7 +1,6 @@
 import csv
 import hashlib
 import io
-import itertools
 import json
 import os
 import re
@@ -122,8 +121,28 @@ def test_matrix_ignores_corrupt_cache(tmp_path, monkeypatch, capsys):
     assert fresh == again
 
 
+def line_file(doc):
+    """The cache file of doc: its json text with a newline after the
+    prefix and after each comma between rows, whatever its entries hold."""
+    d = len(doc["row_labels"])
+    head = json.dumps({key: v for key, v in doc.items() if key != "entries"}, separators=(",", ":"))
+    entries = [json.dumps(v) for v in doc["entries"]]
+    rows = [",".join(entries[r * d : (r + 1) * d]) for r in range(d)]
+    return head[:-1] + ',"entries":[\n' + ",\n".join(rows) + "]}"
+
+
+def test_line_file_is_the_json_output_with_a_newline_between_rows():
+    doc = matrix_document("ns-to-h", 2, 3)
+    assert line_file(doc) == (
+        '{"schema_version":"1","k":2,"n":3,"kind":"ns-to-h","row_labels":[[2,1],[1,2],[1,1,1]],'
+        '"col_labels":[[2,1],[1,2],[1,1,1]],"entries":[\n1,0,0,\n0,1,0,\n0,-1,1]}'
+    )
+    assert line_file(doc).replace("\n", "") == render_matrix(doc, "json")
+
+
 # Fields planted over the cold ns-to-h (3, 2) document, whose labels are
-# [2,1], [1,2], [1,1,1]; every one of them must be recomputed.
+# [2,1], [1,2], [1,1,1], written as a cache file; every one of them must
+# be recomputed.
 MISMATCHED_CACHE = {
     "wrong-n": {"n": 4},
     "wrong-k": {"k": 3},
@@ -143,10 +162,10 @@ def test_matrix_rejects_mismatched_cache(planted, tmp_path, monkeypatch, capsys)
     monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
     _, cold = run(capsys, "matrix", "--kind", "ns-to-h", "--k", "2", "--n", "3", "--format", "json")
     path = next(tmp_path.glob("*.json"))
-    path.write_text(json.dumps({**json.loads(cold), **planted}), encoding="utf-8")
+    path.write_text(line_file({**json.loads(cold), **planted}), encoding="utf-8")
     _, again = run(capsys, "matrix", "--kind", "ns-to-h", "--k", "2", "--n", "3", "--format", "json")
     assert again == cold
-    assert json.loads(path.read_text(encoding="utf-8")) == json.loads(cold)
+    assert path.read_text(encoding="utf-8") == line_file(json.loads(cold))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "latex"])
@@ -156,52 +175,85 @@ def test_matrix_rejects_mismatched_cache_in_text_formats(planted, fmt, tmp_path,
     argv = ("matrix", "--kind", "ns-to-h", "--k", "2", "--n", "3", "--format")
     _, cold = run(capsys, *argv, "json")
     path = next(tmp_path.glob("*.json"))
-    path.write_text(json.dumps({**json.loads(cold), **planted}), encoding="utf-8")
+    path.write_text(line_file({**json.loads(cold), **planted}), encoding="utf-8")
     code, again = run(capsys, *argv, fmt)
     assert code == 0 and again == render_matrix(json.loads(cold), fmt) + "\n"
-    assert path.read_text(encoding="utf-8") == cold.removesuffix("\n")
+    assert path.read_text(encoding="utf-8") == line_file(json.loads(cold))
 
 
-def _entry_as_minus_zero(text):
-    """text with its first 0 entry written as -0."""
-    head, body = text.rsplit("[", 1)
-    entries = body.removesuffix("]}").split(",")
+def _entry_as_minus_zero(text, row=0):
+    """The cache text with the first 0 entry of a row written as -0."""
+    head, *rows = text.split("\n")
+    entries = rows[row].split(",")
     entries[entries.index("0")] = "-0"
-    return head + "[" + ",".join(entries) + "]}"
+    rows[row] = ",".join(entries)
+    return "\n".join([head, *rows])
 
 
-# Raw-text edits of the cold ns-to-h (3, 2) json; each still parses to the
-# same document, but its bytes are not what a json request prints, so each
-# must be recomputed and overwritten.
+def _between_rows(text, old, new):
+    """The cache text with the first old after the prefix replaced by new."""
+    head, body = text.split("\n", 1)
+    return head + "\n" + body.replace(old, new, 1)
+
+
+# Raw-text edits of the ns-to-h (3, 2) cache file; each still parses to the
+# same document, but its bytes are not what the cache holds, so each must
+# be recomputed and overwritten.
 NONCANONICAL_CACHE = {
     "space-after-comma": lambda text: text.replace(",", ", "),
     "minus-zero": _entry_as_minus_zero,
-    "reordered-keys": lambda text: json.dumps(dict(reversed(json.loads(text).items())), separators=(",", ":")),
+    "minus-zero-in-last-row": lambda text: _entry_as_minus_zero(text, -1),
+    "reordered-keys": lambda text: line_file(dict(reversed(json.loads(text).items()))),
     "escaped-kind": lambda text: text.replace('"kind":"ns-to-h"', '"kind":"\\u006es-to-h"'),
     "trailing-newline": lambda text: text + "\n",
+    "no-newlines": lambda text: text.replace("\n", ""),
+    "two-rows-on-one-line": lambda text: _between_rows(text, ",\n", ","),
+    "row-split-over-two-lines": lambda text: _between_rows(text, ",", ",\n"),
+    "row-break-moved": lambda text: _between_rows(text, "0,\n0,", "\n0,0,"),
+    "empty-line": lambda text: _between_rows(text, ",\n", ",\n\n"),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
 }
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
 @pytest.mark.parametrize("edit", NONCANONICAL_CACHE.values(), ids=NONCANONICAL_CACHE)
 def test_matrix_rewrites_noncanonical_cache(edit, fmt, tmp_path, monkeypatch, capsys):
+    """Nothing of the edited file is printed: the output is exactly the
+    cold output, and the file is rewritten."""
     monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
     argv = ("matrix", "--kind", "ns-to-h", "--k", "2", "--n", "3", "--format")
     _, cold = run(capsys, *argv, "json")
-    text = cold.removesuffix("\n")
     path = next(tmp_path.glob("*.json"))
+    text = path.read_text(encoding="utf-8")
+    assert text == line_file(json.loads(cold))
     edited = edit(text)
     assert edited != text and json.loads(edited) == json.loads(text)
-    path.write_text(edited, encoding="utf-8")
+    path.write_bytes(edited.encode())
     code, again = run(capsys, *argv, fmt)
     assert code == 0 and again == render_matrix(json.loads(text), fmt) + "\n"
     assert path.read_text(encoding="utf-8") == text
 
 
-# The block sizes the block-check tests patch in: at 1 byte every comma is
-# the last byte of a block, and the others cut entries, keys and the
-# closing ]} at every offset.
-SMALL_BLOCKS = (1, 2, 3, 5, 7)
+# Edits of the same file that no longer parse at the end of a row: the
+# line still holds d canonical ints, but not the comma or the ]} after them.
+BROKEN_ROW_ENDS = {
+    "first-row-end": lambda text: _between_rows(text, ",\n", "x\n"),
+    "closing-bracket": lambda text: text[: -len("]}")] + "x}",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
+@pytest.mark.parametrize("edit", BROKEN_ROW_ENDS.values(), ids=BROKEN_ROW_ENDS)
+def test_matrix_rewrites_a_broken_row_end(edit, fmt, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    argv = ("matrix", "--kind", "ns-to-h", "--k", "2", "--n", "3", "--format")
+    _, cold = run(capsys, *argv, "json")
+    path = next(tmp_path.glob("*.json"))
+    text = path.read_text(encoding="utf-8")
+    path.write_text(edit(text), encoding="utf-8")
+    code, again = run(capsys, *argv, fmt)
+    assert code == 0 and again == render_matrix(json.loads(text), fmt) + "\n"
+    assert path.read_text(encoding="utf-8") == text
 
 
 def _fill(capsys, argv):
@@ -210,49 +262,55 @@ def _fill(capsys, argv):
     return cold, next(Path(os.environ["KSCHUR_CACHE_DIR"]).glob("*.json"))
 
 
-@pytest.mark.parametrize("edit", NONCANONICAL_CACHE.values(), ids=NONCANONICAL_CACHE)
-def test_block_check_rejects_noncanonical_spelling_across_blocks(edit, tmp_path, monkeypatch, capsys):
-    """Each non-canonical spelling, read in blocks of a few bytes so that it
-    straddles a block boundary, is still refused and rewritten."""
-    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
-    argv = ("matrix", "--kind", "ns-to-h", "--k", "2", "--n", "3", "--format")
-    cold, path = _fill(capsys, argv)
-    text = cold.removesuffix("\n")
-    edited = edit(text)
-    for block, fmt in zip(SMALL_BLOCKS, itertools.cycle(("json", "csv", "latex"))):
-        monkeypatch.setattr(cli, "_BLOCK", block)
-        path.write_text(edited, encoding="utf-8")
-        code, again = run(capsys, *argv, fmt)
-        assert code == 0 and again == render_matrix(json.loads(text), fmt) + "\n", (block, fmt)
-        assert path.read_text(encoding="utf-8") == text, (block, fmt)
+class CountingReader:
+    """A binary file that records the size of each read from it."""
+
+    def __init__(self, path):
+        self.handle, self.reads = open(path, "rb"), []
+
+    def read(self, size=-1):
+        data = self.handle.read(size)
+        self.reads.append(len(data))
+        return data
+
+    def readline(self):
+        line = self.handle.readline()
+        self.reads.append(len(line))
+        return line
+
+    def close(self):
+        self.handle.close()
 
 
-def test_block_check_rejects_a_minus_zero_split_after_its_sign(tmp_path, monkeypatch, capsys):
-    """A -0 is refused when a block ends at its sign, and when a block
-    ends at the comma before it."""
+@pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
+def test_old_format_file_is_refused_after_one_read(fmt, tmp_path, monkeypatch, capsys):
+    """A cache file written as the json output itself, with no newlines,
+    differs at the byte after its prefix: one read of the prefix and that
+    byte refuses it, and it is rewritten."""
     monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
-    argv = ("matrix", "--kind", "ns-to-h", "--k", "2", "--n", "3", "--format")
+    argv = ("matrix", "--kind", "h-to-ns", "--k", "3", "--n", "5", "--format")
     cold, path = _fill(capsys, argv)
-    text = cold.removesuffix("\n")
-    edited = _entry_as_minus_zero(text)
-    body = len(cli._json_prefix(cli._header("ns-to-h", 2, 3)))
-    sign = edited.index("-0", body) - body  # the sign's offset in the entries
-    assert edited[body + sign - 1] == ","
-    for block, last_byte in ((sign, b","), (sign + 1, b"-")):
-        monkeypatch.setattr(cli, "_BLOCK", block)
-        path.write_text(edited, encoding="utf-8")
-        with open(path, "rb") as handle:
-            handle.seek(body)  # the entries are read in blocks from here
-            assert next(cli._blocks(handle))[-1:] == last_byte
-        code, again = run(capsys, *argv, "json")
-        assert code == 0 and again == cold
-        assert path.read_text(encoding="utf-8") == text
+    path.write_text(cold.removesuffix("\n"), encoding="utf-8")
+    readers = []
+
+    def counting_open(name, mode):
+        assert mode == "rb"
+        readers.append(CountingReader(name))
+        return readers[-1]
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    code, again = run(capsys, *argv, fmt)
+    assert code == 0 and again == render_matrix(json.loads(cold), fmt) + "\n"
+    (reader,) = readers
+    assert reader.reads == [len(cli._json_prefix(cli._header("h-to-ns", 3, 5))) + 1]
+    assert reader.handle.closed
+    assert path.read_text(encoding="utf-8") == line_file(json.loads(cold))
 
 
 @pytest.mark.parametrize("block", range(1, 13))
 def test_block_check_serves_the_canonical_file_at_every_block_size(block, tmp_path, monkeypatch, capsys):
-    """However the blocks cut the canonical file, commas at block ends
-    included, a warm hit serves it without building anything."""
+    """However the blocks of a warm json copy cut the file, newlines at
+    block ends included, a warm hit serves it without building anything."""
     monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
     argv = ("matrix", "--kind", "qs-to-m", "--k", "3", "--n", "5", "--format")
     cold, path = _fill(capsys, argv)
@@ -265,20 +323,19 @@ def test_block_check_serves_the_canonical_file_at_every_block_size(block, tmp_pa
     for fmt in ("json", "csv", "latex"):
         code, warm = run(capsys, *argv, fmt)
         assert code == 0 and warm == render_matrix(json.loads(cold), fmt) + "\n", fmt
-    assert path.read_text(encoding="utf-8") + "\n" == cold
+    assert path.read_text(encoding="utf-8") == line_file(json.loads(cold))
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
 def test_block_check_bad_last_entry_prints_only_the_cold_output(fmt, tmp_path, monkeypatch, capsys):
-    """A file that is canonical up to its last entry, read in many blocks,
+    """A file that is canonical up to its last entry, checked line by line,
     prints nothing of itself: the output is exactly the cold output."""
     monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
     argv = ("matrix", "--kind", "h-to-ns", "--k", "3", "--n", "5", "--format")
     cold, path = _fill(capsys, argv)
-    text = cold.removesuffix("\n")
+    text = path.read_text(encoding="utf-8")
     assert text.endswith(",1]}")
     path.write_text(text[: -len("1]}")] + "01]}", encoding="utf-8")
-    monkeypatch.setattr(cli, "_BLOCK", 16)
     code, again = run(capsys, *argv, fmt)
     assert code == 0 and again == render_matrix(json.loads(text), fmt) + "\n"
     assert path.read_text(encoding="utf-8") == text
@@ -315,10 +372,55 @@ NON_INT_TEXT = re.compile(r",(?!(?:0|-?[1-9][0-9]*)(?:,|\Z))")
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.sampled_from(["0", "1", "2", "-", ",", "0,", ",0", "]", " ", "x"]), max_size=40))
 def test_canonical_entries_match_the_whole_text_rule(pieces):
-    """Dropping runs of zero entries before the scan keeps the rule as it is."""
+    """The line check, which drops runs of zero entries before its scan,
+    accepts a file of d rows, each the same text of d fields, exactly when
+    the whole-text rule accepts that text."""
+    prefix = b'{"entries":['
     entries = "," + "".join(pieces)
-    for text in (entries, entries.replace(",", ",0,0,0,0,0,0,0,0,", 2)):
-        assert cli._canonical_entries(text.encode()) == (not NON_INT_TEXT.search(text)), text
+    for entries in (entries, entries.replace(",", ",0,0,0,0,0,0,0,0,", 2)):
+        text, d = entries[1:], entries.count(",")
+        file = prefix + b"\n" + ",\n".join([text] * d).encode() + b"]}"
+        assert cli._is_canonical(io.BytesIO(file), prefix, d) == (not NON_INT_TEXT.search(entries)), entries
+
+
+def test_cached_matrix_document_cold_call_writes_the_cli_cache_file(tmp_path, monkeypatch, capsys):
+    """A cold call returns the computed document and leaves the cache file
+    that a cold json request leaves."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path / "cli"))
+    run(capsys, "matrix", "--kind", "m-to-qs", "--k", "3", "--n", "5", "--format", "json")
+    (cli_file,) = (tmp_path / "cli").iterdir()
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path / "doc"))
+    assert cli.cached_matrix_document("m-to-qs", 3, 5) == matrix_document("m-to-qs", 3, 5)
+    (doc_file,) = (tmp_path / "doc").iterdir()
+    assert doc_file.name == cli_file.name and doc_file.read_bytes() == cli_file.read_bytes()
+    assert capsys.readouterr() == ("", "")
+
+
+def test_cached_matrix_document_warm_call_builds_no_system(tmp_path, monkeypatch):
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    requests = [("ns-to-h", 3, 5), ("dualkschur-to-m", None, 6)]
+    cold = {r: cli.cached_matrix_document(*r) for r in requests}
+
+    def no_build(*args):
+        raise AssertionError("a warm call built a graded system")
+
+    monkeypatch.setattr(systems, "build_schur_system", no_build)
+    monkeypatch.setattr(systems, "build_kschur_system", no_build)
+    for request, doc in cold.items():
+        assert cli.cached_matrix_document(*request) == doc
+
+
+def test_cached_matrix_document_rewrites_a_mismatched_file(tmp_path, monkeypatch):
+    """A file of another document, and the same document in the old
+    format, are each recomputed and rewritten."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    doc = cli.cached_matrix_document("ns-to-h", 2, 3)
+    (path,) = tmp_path.iterdir()
+    text = path.read_text(encoding="utf-8")
+    for planted in (line_file({**doc, "n": 4}), render_matrix(doc, "json")):
+        path.write_text(planted, encoding="utf-8")
+        assert cli.cached_matrix_document("ns-to-h", 2, 3) == doc
+        assert path.read_text(encoding="utf-8") == text
 
 
 def test_closed_stdout_on_a_warm_hit_exits_141_quietly(tmp_path):
@@ -425,7 +527,8 @@ def test_matrix_rejects_non_object_cache(tmp_path, monkeypatch, capsys):
 
 def test_matrix_cache_file_is_the_json_output(tmp_path, monkeypatch, capsys):
     """A cold request makes each row's text once, whatever the format, and
-    writes the cache file as exactly the bytes a json request prints."""
+    writes the cache file as exactly the bytes a json request prints, with
+    a newline after the prefix and after each comma between rows."""
     monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
     made = []
     row_texts = cli._row_texts
@@ -445,10 +548,10 @@ def test_matrix_cache_file_is_the_json_output(tmp_path, monkeypatch, capsys):
         code, out = run(capsys, *argv, fmt)
         assert code == 0 and len(made) == d
         text = next(tmp_path.glob("*.json")).read_text(encoding="utf-8")
-        assert text == render_matrix(json.loads(text), "json")
+        assert text == line_file(json.loads(text))
         assert out == render_matrix(json.loads(text), fmt) + "\n"
         if fmt == "json":
-            assert out == text + "\n"
+            assert out == text.replace("\n", "") + "\n"
 
 
 CORPUS_KS = (1, 2, 3, None)
@@ -459,7 +562,8 @@ CORPUS_NS = range(8)
 @pytest.mark.parametrize("kind", list(MATRIX_KINDS))
 def test_cold_stream_matches_dense_document(kind, fmt, tmp_path, monkeypatch, capsys):
     """The streamed cold output equals the document built from the dense
-    rows and rendered whole, and the cache file is its json text."""
+    rows and rendered whole, and the cache file is its json text, one row
+    per line."""
     for k in CORPUS_KS:
         for n in CORPUS_NS:
             monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path / f"{k}-{n}"))
@@ -467,7 +571,7 @@ def test_cold_stream_matches_dense_document(kind, fmt, tmp_path, monkeypatch, ca
             doc = matrix_document(kind, k, n)
             assert code == 0 and out == render_matrix(doc, fmt) + "\n", (k, n)
             (path,) = (tmp_path / f"{k}-{n}").iterdir()
-            assert path.read_text(encoding="utf-8") == render_matrix(doc, "json"), (k, n)
+            assert path.read_text(encoding="utf-8") == line_file(doc), (k, n)
 
 
 @pytest.mark.parametrize("kind", list(MATRIX_KINDS))
@@ -628,6 +732,28 @@ def test_oversized_request_is_refused_before_enumerating(argv, monkeypatch, caps
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert f"more than {cli.MAX_LABELS} labels" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "duality", "--max-n", "40", "--k", "inf"),
+        ("--suite", "negativity", "--max-n", "16", "--k", "2"),
+        ("--suite", "stabilization", "--max-n", "16"),
+    ],
+    ids=["duality-40-inf", "negativity-16", "stabilization-16"],
+)
+def test_oversized_verify_suite_is_refused_at_once(argv, tmp_path):
+    """A suite that would build systems past MAX_LABELS labels exits 3 with
+    one error line within 2 s; negativity and stabilization count at
+    k = inf, as they build the unbounded composition side."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"), KSCHUR_CACHE_DIR=str(tmp_path))
+    result = subprocess.run(
+        [sys.executable, "-m", "kschur.cli", "verify", *argv], env=env, capture_output=True, text=True, timeout=2
+    )
+    assert result.returncode == 3 and result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert f"more than {cli.MAX_LABELS} labels" in result.stderr
 
 
 @pytest.mark.parametrize("kind, k, n", [("H", None, 15), ("S", 3, 16), ("s", None, 35), ("h", 2, 32767)])
