@@ -15,10 +15,11 @@ a time; a warm request then copies its bytes without the newlines, or
 renders its lines as rows, from the handle it checked, without holding
 the whole file, without parsing it and without importing the algebra,
 systems or bases modules.
-Only the verify command imports bases and its reference tables.  A
-matrix or expand request whose degree has more than MAX_LABELS labels is
-refused before any label is enumerated, and so is a verify suite that
-builds systems up to such a degree.
+Only the verify command imports bases and its reference tables.  A build
+of degree n reads the labels of every degree 0..n, so a matrix or expand
+request is refused before any label is enumerated when those labels have
+more than MAX_CELLS cells in all (a label of degree m has m), and so is a
+verify suite, appendix aside, that builds systems up to such a degree.
 
 Exit codes: 0 success or suite pass, 1 verification failure, 2 usage or
 parse error, 3 domain violation, 141 stdout closed by its reader.
@@ -50,9 +51,12 @@ MATRIX_KINDS = {
     "m-to-qs": ("M", "QS"),
 }
 
-# The most labels a matrix or expand request may have: the d x d matrix of
-# d = 16384, h-to-ns at n = 15, k = inf, is about 560 MB of json.
-MAX_LABELS = 16384
+# The most cells, summed over the labels of every degree 0..n, that a
+# request may build: sum(m * count(m)).  It admits every composition request
+# at k >= 2 that a bound of 16384 labels on degree n alone admitted, the
+# largest (20, 2) at 526775 cells, and (15, inf), whose 16384 x 16384
+# h-to-ns matrix is about 560 MB of json, at 458753.
+MAX_CELLS = 600_000
 
 # Each verify suite with its default --max-n and default --k list.  None
 # marks a flag that the suite does not read; such a flag is refused.
@@ -141,14 +145,17 @@ def _system(kind, n, k):
 
 
 def _require_label_limit(kind, k, n):
-    """Refuse degree n of the side of the basis kind when it has more than
-    MAX_LABELS labels, counted without enumerating them.  The counts never
-    fall as the degree grows, so the count stops at the first one above the
-    limit."""
+    """Refuse degree n of the side of the basis kind when the labels of
+    degrees 0..n have more than MAX_CELLS cells in all, counted without
+    enumerating them.  Every degree has a label, so the sum grows with
+    each degree, and it stops at the first degree that takes it over."""
+    cells = 0
     for degree, count in enumerate(SIDE_OF[kind].counts(k)):
-        if count > MAX_LABELS:
+        cells += degree * count
+        if cells > MAX_CELLS:
             raise DomainError(
-                f"degree {n} at k={format_k(k)} has more than {MAX_LABELS} labels, the most a request may have"
+                f"degree {n} at k={format_k(k)}: the labels of degrees 0 to {n} have more than"
+                f" {MAX_CELLS} cells, the most a request may build"
             )
         if degree == n:
             return
@@ -296,19 +303,27 @@ def _read_cache(path, header):
 
 
 def cached_matrix_document(kind, k, n) -> dict:
-    """The matrix document, read from the cache only when the cached file
-    is exactly its canonical text; anything else is recomputed as a cold
-    json request is, which rewrites the cache file."""
+    """The matrix document, parsed from what a json request for it prints:
+    the cache file's bytes on a hit, the computed text on a miss, which
+    rewrites the cache file."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    _write_matrix(out, kind, k, n, "json")
+    out.flush()
+    return json.loads(out.buffer.getvalue())
+
+
+def _write_matrix(out, kind, k, n, fmt):
+    """Write the matrix to out in fmt: from the cache file when it is
+    exactly the cache text of this request, computed otherwise, which
+    rewrites the cache file."""
     header = _header(kind, k, n)
     path = _cache_path(kind, k, n)
     cached = _read_cache(path, header)
     if cached is not None:
         with cached:
-            cached.seek(0)
-            return json.load(cached)
-    out = io.StringIO()
-    _write_cold(out, header, kind, k, n, "json", path)
-    return json.loads(out.getvalue())
+            _write_cached(out, cached, header, fmt)
+    else:
+        _write_cold(out, header, kind, k, n, fmt, path)
 
 
 def _write_cold(out, header, kind, k, n, fmt, path):
@@ -321,18 +336,18 @@ def _write_cold(out, header, kind, k, n, fmt, path):
         cache.write("]}")
 
 
-def _write_cached(handle, header, fmt):
-    """Write a checked cache file, open at its first row, to stdout: json
-    as a copy of its bytes without the newlines, which stand only between
+def _write_cached(out, handle, header, fmt):
+    """Write a checked cache file, open at its first row, to out: json as
+    a copy of its bytes without the newlines, which stand only between
     rows, and csv and latex rendered from its lines."""
     if fmt == "json":
         handle.seek(0)
-        sys.stdout.flush()  # the bytes go past the text layer
+        out.flush()  # the bytes go past the text layer
         for block in iter(lambda: handle.read(_BLOCK), b""):
-            sys.stdout.buffer.write(block.replace(b"\n", b""))
-        sys.stdout.buffer.write(b"\n")
+            out.buffer.write(block.replace(b"\n", b""))
+        out.buffer.write(b"\n")
     else:
-        _write_table(sys.stdout, header, (line[:-2].decode() for line in handle), fmt)
+        _write_table(out, header, (line[:-2].decode() for line in handle), fmt)
 
 
 def _row_texts(matrix):
@@ -407,14 +422,7 @@ def cmd_matrix(args) -> int:
     if args.n < 0:
         raise ValueError("n must be nonnegative")
     _require_label_limit(MATRIX_KINDS[args.kind][0], k, args.n)
-    header = _header(args.kind, k, args.n)
-    path = _cache_path(args.kind, k, args.n)
-    cached = _read_cache(path, header)
-    if cached is not None:
-        with cached:
-            _write_cached(cached, header, args.format)
-    else:
-        _write_cold(sys.stdout, header, args.kind, k, args.n, args.format, path)
+    _write_matrix(sys.stdout, args.kind, k, args.n, args.format)
     return 0
 
 
@@ -454,7 +462,11 @@ def _suite_report(args):
         raise ValueError("the omega suite takes one finite --k")
     if suite == "negativity" and None in ks:
         raise ValueError("the negativity suite takes only finite --k values")
-    if suite not in ("appendix", "omega"):
+    if suite == "omega":
+        # It enumerates only partitions, bounded by each k up to --k; those
+        # bounded by --k are the most.
+        _require_label_limit("h", ks[0], max_n)
+    elif suite != "appendix":
         # The composition side has the most labels; negativity and
         # stabilization also build it at k = inf.
         unbounded = [None] if suite in ("negativity", "stabilization") else []

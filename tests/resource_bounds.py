@@ -1,0 +1,146 @@
+"""Check the resource bounds of the kschur CLI: ``python3 tests/resource_bounds.py``.
+
+Each row of BOUNDS runs a Python child, with the checkout's src on its PYTHONPATH,
+in a fresh KSCHUR_CACHE_DIR that its fill requests fill first, and stdout sent to
+/dev/null.  It must exit with the row's code within the row's seconds and MB of
+peak RSS, and is killed at TIMEOUT seconds.  One line is printed per row; the exit
+status is 1 when any row fails.  Children are reaped with os.wait4, so each peak
+RSS is the child's own: Linux carries the starter's high-water mark into a child's
+ru_maxrss, so this script imports nothing from kschur.
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+import threading
+import time
+from typing import NamedTuple
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+TIMEOUT = 60
+
+
+class Row(NamedTuple):
+    name: str
+    argv: tuple  # the child's arguments after the interpreter
+    fill: tuple = ()  # argvs run first in the same cache directory; each must exit 0
+    code: int = 0  # the expected exit code
+    seconds: float | None = None  # the most wall seconds
+    mb: float | None = None  # the most peak RSS in MB
+
+
+def cli(*argv):
+    return ("-m", "kschur.cli", *argv)
+
+
+def warm(kind, k, n, mb):
+    """One row per format of a warm matrix request, filled by the cold json request."""
+    json = cli("matrix", "--kind", kind, "--k", k, "--n", n)
+    formats = ("json", "csv", "latex")
+    return [Row(f"warm {kind} ({n}, {k}) {f}", (*json, "--format", f), (json,), mb=mb) for f in formats]
+
+
+OMEGA_ORACLE = """import sys
+from kschur.partitions import bounded_to_core, core_search_oracle, partitions_of
+cases = [(lam, k) for k in range(1, 6) for n in range(11) for lam in partitions_of(n, k)]
+bad = [(lam, k) for lam, k in cases if core_search_oracle(lam, k) != (bounded_to_core(lam, k),)]
+print(len(cases), "partitions,", len(bad), "disagree with the oracle", bad[:5], file=sys.stderr)
+sys.exit(bool(bad))
+"""
+
+BOUNDS = [
+    # duality up to n = 12, k = inf, checked as one sparse matrix product read row by
+    # row; the d^2 pairing loop it replaced took about 100 s, so a return to it runs
+    # into the timeout, and a private (column, value) copy of H->S in the product
+    # (about 97 MB peak RSS) or dense rows (166 MB), against 50 MB, go over the bound
+    Row("duality", cli("verify", "--suite", "duality", "--max-n", "12", "--k", "inf"), mb=58),
+    # the omega oracle for every k <= 5 and n <= 10 (321 partitions, search windows up
+    # to 55): growing each (k+1)-core from the smaller cores under its first row takes
+    # about 0.4 s and peaks near 16 MB; core-testing every partition in the window
+    # enumerates every partition of each size up to 55 (p(55) = 451276 alone), about
+    # 24 s at 922 MB, over the bound
+    Row("omega oracle", ("-c", OMEGA_ORACLE), mb=40),
+    # omega for k <= 2 up to n = 150 (5776 partitions at k = 2): closed forms for the
+    # k-skew offsets and the core's row counts take about 2 s; moving each row right
+    # one column at a time, recounting the rows below, and a per-cell hook table took
+    # about 10 s, over the bound
+    Row("omega", cli("verify", "--suite", "omega", "--max-n", "150", "--k", "2"), seconds=6),
+    # a cold matrix request streams its output row by row from sparse rows: ns-to-h
+    # (14, 3), dimension 3136, peaks near 30 MB; building the whole document and its
+    # json string first peaks near 177 MB, and dense rows as well near 290 MB
+    Row("cold stream", cli("matrix", "--kind", "ns-to-h", "--n", "14", "--k", "3"), mb=100),
+    # a cold ns-to-h (13, inf), dimension 4096: S->H by peeling each label's first part
+    # takes about 0.6 s and peaks near 44 MB; the forward substitution over the whole
+    # H->S that it replaced took 8.8 s at 107 MB
+    Row("cold peel", cli("matrix", "--kind", "ns-to-h", "--n", "13", "--k", "inf"), seconds=4, mb=70),
+    # a warm matrix request prints or renders the cached text without parsing it or
+    # importing the build layer: h-to-ns (11, inf) warm peaks near 20 MB in json, csv
+    # and latex, against 30 to 37 MB when the file was parsed and re-encoded and far
+    # more when the whole entries body is matched by one repeated regex group
+    *warm("h-to-ns", "inf", "11", mb=32),
+    # a warm hit checks the cache file line by line (one matrix row each) and copies or
+    # renders it from the same open handle, never holding the file: ns-to-h (14, 4),
+    # dimension 5536 and a 62 MB file, peaks near 21 MB warm in json, csv and latex
+    # (36 MB cold), where holding the file text, a slice of its body and the encoded
+    # output peaked near 196 MB
+    *warm("ns-to-h", "4", "14", mb=40),
+]
+
+# a warm csv hit renders each line of the cache file as one row, so it beats the cold
+# request it replaces: ns-to-h (14, 4) takes about 0.9 s warm against 1.2 to 1.4 s
+# cold; a file without row boundaries, whose rows had to be found by every d-th
+# comma, took about 2.1 s warm against 1.5 s cold
+WARM_CSV = cli("matrix", "--kind", "ns-to-h", "--k", "4", "--n", "14", "--format", "csv")
+
+
+def run(argv, cache):
+    """The exit code, wall seconds and peak RSS in MB of one child."""
+    env = dict(os.environ, PYTHONPATH=SRC, KSCHUR_CACHE_DIR=cache)
+    start = time.perf_counter()
+    child = subprocess.Popen([sys.executable, *argv], stdout=subprocess.DEVNULL, env=env)
+    killer = threading.Timer(TIMEOUT, child.kill)
+    killer.start()
+    try:
+        _, status, usage = os.wait4(child.pid, 0)
+    finally:
+        killer.cancel()
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait or kill
+    return child.returncode, time.perf_counter() - start, usage.ru_maxrss / 1024
+
+
+def check(row):
+    """Run row in a fresh cache directory: (whether it passed, its line)."""
+    with tempfile.TemporaryDirectory() as cache:
+        fills = [run(argv, cache)[0] for argv in row.fill]
+        code, seconds, mb = run(row.argv, cache)
+    measured = ((seconds, row.seconds, "s"), (mb, row.mb, "MB"))
+    bounds = [(value, bound, unit) for value, bound, unit in measured if bound is not None]
+    passed = not any(fills) and code == row.code and bounds != [] and all(value <= bound for value, bound, _ in bounds)
+    limits = ", ".join(f"{bound} {unit}" for _, bound, unit in bounds) or "no bound"
+    line = f"fill exits {fills}, " if any(fills) else ""
+    line += f"exit {code}, {seconds:.2f} s, {mb:.1f} MB (want exit {row.code}, at most {limits})"
+    return passed, f"{'ok  ' if passed else 'FAIL'} {row.name}: {line}"
+
+
+def warm_beats_cold():
+    """Whether a warm csv hit, best of 3, beats its cold request, and the line."""
+    with tempfile.TemporaryDirectory() as cache:
+        cold, *warm_runs = [run(WARM_CSV, cache) for _ in range(4)]
+    warm_s = min(seconds for _, seconds, _ in warm_runs)
+    passed = not any(code for code, _, _ in [cold, *warm_runs]) and warm_s < cold[1]
+    line = f"cold {cold[1]:.2f} s, warm best of 3 {warm_s:.2f} s (must be below cold)"
+    return passed, f"{'ok  ' if passed else 'FAIL'} warm csv beats cold: {line}"
+
+
+def results():
+    yield from map(check, BOUNDS)
+    yield warm_beats_cold()
+
+
+if __name__ == "__main__":
+    failed = False
+    for passed, line in results():
+        print(line, flush=True)
+        failed |= not passed
+    sys.exit(failed)

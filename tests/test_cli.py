@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -713,12 +714,22 @@ def test_expand_partition_side(capsys):
         ("matrix", "--kind", "dualkschur-to-m", "--k", "inf", "--n", "36"),
         ("expand", "S:[30]@k=inf", "H"),
         ("expand", "s:(1000000)@k=inf", "h"),
+        ("matrix", "--kind", "dualkschur-to-m", "--k", "inf", "--n", "32"),
+        ("matrix", "--kind", "kschur-to-h", "--k", "3", "--n", "200"),
+        ("matrix", "--kind", "kschur-to-h", "--k", "2", "--n", "400"),
+        ("matrix", "--kind", "ns-to-h", "--k", "1", "--n", "2000"),
     ],
-    ids=["compositions-1e6", "partitions-1e6", "compositions-16", "partitions-36", "expand-30", "expand-1e6"],
+    ids=[
+        "compositions-1e6", "partitions-1e6", "compositions-16", "partitions-36", "expand-30", "expand-1e6",
+        "partitions-32-inf", "partitions-200-3", "partitions-400-2", "compositions-2000-1",
+    ],
 )
 def test_oversized_request_is_refused_before_enumerating(argv, monkeypatch, capsys):
-    """Above MAX_LABELS labels a matrix or expand request exits 3 with one
-    error line, having counted the labels without enumerating any."""
+    """When the labels of degrees 0..n have more than MAX_CELLS cells, a
+    matrix or expand request exits 3 with one error line within 2 s,
+    having counted the labels without enumerating any.  The last four
+    have few labels at degree n but ran past 60 s, or 15 s, when only
+    degree n was bounded."""
 
     def no_labels(*args):
         raise AssertionError("an oversized request enumerated its labels")
@@ -728,10 +739,12 @@ def test_oversized_request_is_refused_before_enumerating(argv, monkeypatch, caps
         monkeypatch.setitem(cli.SIDES, name, counting_only)
         for kind in side.kinds:
             monkeypatch.setitem(cli.SIDE_OF, kind, counting_only)
+    start = time.perf_counter()
     assert main(list(argv)) == 3
+    assert time.perf_counter() - start < 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-    assert f"more than {cli.MAX_LABELS} labels" in err
+    assert f"more than {cli.MAX_CELLS} cells" in err
 
 
 @pytest.mark.parametrize(
@@ -740,27 +753,38 @@ def test_oversized_request_is_refused_before_enumerating(argv, monkeypatch, caps
         ("--suite", "duality", "--max-n", "40", "--k", "inf"),
         ("--suite", "negativity", "--max-n", "16", "--k", "2"),
         ("--suite", "stabilization", "--max-n", "16"),
+        ("--suite", "omega", "--max-n", "100000", "--k", "2"),
     ],
-    ids=["duality-40-inf", "negativity-16", "stabilization-16"],
+    ids=["duality-40-inf", "negativity-16", "stabilization-16", "omega-100000-2"],
 )
 def test_oversized_verify_suite_is_refused_at_once(argv, tmp_path):
-    """A suite that would build systems past MAX_LABELS labels exits 3 with
+    """A suite that would build systems past MAX_CELLS cells exits 3 with
     one error line within 2 s; negativity and stabilization count at
-    k = inf, as they build the unbounded composition side."""
+    k = inf, as they build the unbounded composition side, and omega
+    counts the partitions bounded by its --k."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"), KSCHUR_CACHE_DIR=str(tmp_path))
     result = subprocess.run(
         [sys.executable, "-m", "kschur.cli", "verify", *argv], env=env, capture_output=True, text=True, timeout=2
     )
     assert result.returncode == 3 and result.stdout == ""
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
-    assert f"more than {cli.MAX_LABELS} labels" in result.stderr
+    assert f"more than {cli.MAX_CELLS} cells" in result.stderr
 
 
-@pytest.mark.parametrize("kind, k, n", [("H", None, 15), ("S", 3, 16), ("s", None, 35), ("h", 2, 32767)])
+@pytest.mark.parametrize(
+    "kind, k, n",
+    [
+        ("H", 1, 1094), ("H", 2, 20), ("S", 3, 16), ("H", 4, 15), ("H", 5, 15), ("H", 6, 15), ("H", None, 15),
+        ("h", 1, 1094), ("h", 2, 152), ("h", 3, 70), ("h", 4, 49), ("h", 5, 40), ("h", 6, 36), ("s", None, 29),
+    ],
+)
 def test_label_limit_admits_the_largest_requests(kind, k, n):
-    """The largest degree the limit admits on each side: (15, inf) has
-    exactly MAX_LABELS compositions, (16, 3) has 10609 and (17, 3) 19513;
-    p(35) = 14883 and p(36) = 17977; at k = 2, n has n // 2 + 1."""
+    """The largest degree the limit admits on each side and k.  At k = 1
+    every degree has one label, and 1094 * 1095 / 2 = 598965 cells; the
+    composition edges at k >= 2 are those of the 16384-label bound on
+    degree n alone that the limit replaced, the largest (20, 2) at 526775
+    cells and (15, inf) at 458753; partitions at k = inf stop at n = 29,
+    581400 cells."""
     cli._require_label_limit(kind, k, n)
     with pytest.raises(DomainError):
         cli._require_label_limit(kind, k, n + 1)
