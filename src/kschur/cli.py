@@ -1,25 +1,28 @@
 """Command line interface: matrix generation, Kostka queries, basis
 expansions and the verification suites.
 
-Output is deterministic byte-for-byte for fixed arguments.  Computed
-matrix documents are cached on disk as the json text a json request
-prints, with a newline after the prefix and after each comma between
-rows, so that each matrix row is one line; the files are keyed by kind,
-k, n and the schema version, and the cache directory comes from
-KSCHUR_CACHE_DIR and defaults to the user cache directory.  A cold
-request streams its output from the sparse matrix rows, one row's text at
-a time, into a temp file and to stdout; an atomic rename then makes it
-the cache file, so concurrent invocations stay consistent.  A cached file
-is served only when its bytes are exactly that text, checked one line at
-a time; a warm request then copies its bytes without the newlines, or
-renders its lines as rows, from the handle it checked, without holding
-the whole file, without parsing it and without importing the algebra,
-systems or bases modules.
+Output is deterministic byte-for-byte for fixed arguments.  Matrix
+output is ASCII bytes, written to stdout's buffer whatever the locale's
+encoding, cold and warm alike; the other commands print through the text
+layer.  Computed matrix documents are cached on disk as the json text a
+json request prints, with a newline after the prefix and after each
+comma between rows, so that each matrix row is one line; the files are
+keyed by kind, k, n and the schema version, and the cache directory
+comes from KSCHUR_CACHE_DIR and defaults to the user cache directory.  A
+cold request streams its output from the sparse matrix rows, one row's
+text at a time, into a temp file and to stdout; an atomic rename then
+makes it the cache file, so concurrent invocations stay consistent.  A
+cached file is served only when its bytes are exactly that text, checked
+one line at a time; a warm request then copies its bytes without the
+newlines, or renders its lines as rows, from the handle it checked,
+without holding the whole file, without parsing it and without importing
+the algebra, systems or bases modules.
 Only the verify command imports bases and its reference tables.  A build
-of degree n reads the labels of every degree 0..n, so a matrix or expand
-request is refused before any label is enumerated when those labels have
-more than MAX_CELLS cells in all (a label of degree m has m), and so is a
-verify suite, appendix aside, that builds systems up to such a degree.
+of degree n reads the labels of every degree 0..n, so a matrix, expand
+or kostka request is refused before any label is enumerated when those
+labels have more than MAX_CELLS cells in all (a label of degree m has m),
+and so is a verify suite, appendix aside, that builds systems up to such
+a degree.
 
 Exit codes: 0 success or suite pass, 1 verification failure, 2 usage or
 parse error, 3 domain violation, 141 stdout closed by its reader.
@@ -201,8 +204,8 @@ def _cache_path(kind, k, n):
 
 
 class _CacheWriter:
-    """A best-effort write of one cache file, as a context manager: text
-    goes to a temp file beside path, renamed onto path when the block ends
+    """A best-effort write of one cache file, as a context manager: bytes
+    go to a temp file beside path, renamed onto path when the block ends
     without an exception.  A failed write or rename, or an exception in the
     block, drops the temp file and skips later writes; no OSError escapes."""
 
@@ -211,15 +214,15 @@ class _CacheWriter:
         with contextlib.suppress(OSError):
             os.makedirs(os.path.dirname(path), exist_ok=True)
             fd, self.tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-            self.handle = os.fdopen(fd, "w", encoding="utf-8", newline="\n")
+            self.handle = os.fdopen(fd, "wb")
 
     def __enter__(self):
         return self
 
-    def write(self, text):
+    def write(self, data):
         try:
             if self.handle is not None:
-                self.handle.write(text)
+                self.handle.write(data)
         except OSError as exc:
             self.__exit__(OSError, exc, None)
 
@@ -238,8 +241,8 @@ class _CacheWriter:
 
 
 def _json_prefix(header):
-    """The json text of the document up to its first entry."""
-    return json.dumps({**header, "entries": []}, separators=(",", ":"))[:-2]
+    """The json text of the document up to its first entry, as ASCII bytes."""
+    return json.dumps({**header, "entries": []}, separators=(",", ":"))[:-2].encode()
 
 
 # Bytes a warm json request copies from its cache file at a time.
@@ -273,10 +276,10 @@ def _is_canonical(handle, prefix, d):
     return True
 
 
-def _read_cache(path, header):
+def _read_cache(path, prefix, d):
     """The cached file, open in binary mode at its first row, when its
-    bytes are exactly the cache text of this header (see _is_canonical);
-    None otherwise.
+    bytes are exactly the cache text of a document of d rows whose json
+    text starts with prefix (see _is_canonical); None otherwise.
 
     The file is checked as bytes and never parsed: a file that parses to
     the same document but is spelled otherwise (spaces, -0, other key
@@ -289,9 +292,9 @@ def _read_cache(path, header):
         handle = open(path, "rb")
     except OSError:  # missing or unreadable
         return None
-    prefix, served = _json_prefix(header).encode(), None
+    served = None
     try:
-        if _is_canonical(handle, prefix, len(header["row_labels"])):
+        if _is_canonical(handle, prefix, d):
             handle.seek(len(prefix) + 1)
             served = handle
     except OSError:  # a failed read refuses the file too
@@ -306,54 +309,41 @@ def cached_matrix_document(kind, k, n) -> dict:
     """The matrix document, parsed from what a json request for it prints:
     the cache file's bytes on a hit, the computed text on a miss, which
     rewrites the cache file."""
-    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    out = io.BytesIO()
     _write_matrix(out, kind, k, n, "json")
-    out.flush()
-    return json.loads(out.buffer.getvalue())
+    return json.loads(out.getvalue())
 
 
 def _write_matrix(out, kind, k, n, fmt):
-    """Write the matrix to out in fmt: from the cache file when it is
-    exactly the cache text of this request, computed otherwise, which
-    rewrites the cache file."""
+    """Write the matrix to the binary stream out in fmt.  A cache file that
+    is exactly the cache text of this request is served from the handle
+    that checked it: json as a copy of its bytes without the newlines,
+    which stand only between rows, csv and latex rendered from its lines.
+    Otherwise the matrix is computed, and each row's text, made once, is
+    also written to a new cache file as part of the json text."""
     header = _header(kind, k, n)
-    path = _cache_path(kind, k, n)
-    cached = _read_cache(path, header)
-    if cached is not None:
-        with cached:
-            _write_cached(out, cached, header, fmt)
-    else:
-        _write_cold(out, header, kind, k, n, fmt, path)
-
-
-def _write_cold(out, header, kind, k, n, fmt, path):
-    """Compute the matrix and write it to out in fmt; each row's text is
-    made once, and also written to the cache file at path as part of the
-    json text, one row per line."""
-    prefix, rows = _json_prefix(header), _row_texts(_matrix(kind, k, n))
-    with _CacheWriter(path) as cache:
-        _write_table(out, header, _json_rows(prefix, rows, cache.write, "\n"), fmt, prefix)
-        cache.write("]}")
-
-
-def _write_cached(out, handle, header, fmt):
-    """Write a checked cache file, open at its first row, to out: json as
-    a copy of its bytes without the newlines, which stand only between
-    rows, and csv and latex rendered from its lines."""
-    if fmt == "json":
-        handle.seek(0)
-        out.flush()  # the bytes go past the text layer
-        for block in iter(lambda: handle.read(_BLOCK), b""):
-            out.buffer.write(block.replace(b"\n", b""))
-        out.buffer.write(b"\n")
-    else:
-        _write_table(out, header, (line[:-2].decode() for line in handle), fmt)
+    prefix, path = _json_prefix(header), _cache_path(kind, k, n)
+    cached = _read_cache(path, prefix, len(header["row_labels"]))
+    if cached is None:
+        rows = _row_texts(_matrix(kind, k, n))
+        with _CacheWriter(path) as cache:
+            _write_table(out, header, _json_rows(prefix, rows, cache.write, b"\n"), fmt, prefix)
+            cache.write(b"]}")
+        return
+    with cached:
+        if fmt == "json":
+            cached.seek(0)
+            for block in iter(lambda: cached.read(_BLOCK), b""):
+                out.write(block.replace(b"\n", b""))
+            out.write(b"\n")
+        else:
+            _write_table(out, header, (line[:-2] for line in cached), fmt)
 
 
 def _row_texts(matrix):
-    """Each sparse row of a computed matrix as the comma-joined text of all
-    its entries: the nonzeros spliced between runs of zeros, which are
-    slices of one string of "0," repeats."""
+    """Each sparse row of a computed matrix as the comma-joined ASCII text
+    of all its entries: the nonzeros spliced between runs of zeros, which
+    are slices of one string of "0," repeats."""
     d = len(matrix.col_labels)
     zeros = "0," * d
     for cols, vals in zip(matrix.cols, matrix.vals):
@@ -362,7 +352,7 @@ def _row_texts(matrix):
             parts += zeros[: 2 * (c - start)], str(v), ","
             start = c + 1
         parts.append(zeros[: 2 * (d - start)])
-        yield "".join(parts)[:-1]
+        yield "".join(parts)[:-1].encode()
 
 
 def _json_rows(prefix, rows, write, newline):
@@ -373,45 +363,47 @@ def _json_rows(prefix, rows, write, newline):
     for row in rows:
         write(sep)
         write(row)
-        sep = "," + newline
+        sep = b"," + newline
         yield row
 
 
 def _write_table(out, header, rows, fmt, prefix=None):
-    """Write the matrix to out as json, csv or latex, line by line; rows
-    yields each row as the comma-joined text of its entries, and the json
-    text starts with prefix, the _json_prefix of header."""
+    """Write the matrix to the binary stream out as json, csv or latex,
+    line by line; rows yields each row as the comma-joined ASCII text of
+    its entries, and the json text starts with prefix, the _json_prefix
+    of header."""
     if fmt == "json":
-        for _ in _json_rows(prefix, rows, out.write, ""):
+        for _ in _json_rows(prefix, rows, out.write, b""):
             pass
-        out.write("]}\n")
+        out.write(b"]}\n")
         return
     source = MATRIX_KINDS[header["kind"]][0]
     if fmt == "csv":
         # Entries are ints and never need quoting; a label does when it holds a comma.
         def field(label):
-            text = format_label(source, label)
-            return f'"{text}"' if "," in text else text
+            text = format_label(source, label).encode()
+            return b'"%s"' % text if b"," in text else text
 
-        out.write("," + ",".join(map(field, header["col_labels"])) + "\n")
+        out.write(b"," + b",".join(map(field, header["col_labels"])) + b"\n")
         for label, row in zip(header["row_labels"], rows):
-            out.write(f"{field(label)},{row}\n")
+            out.write(b"%s,%s\n" % (field(label), row))
         return
-    out.write("\\bordermatrix{\n")
-    out.write("~ & " + " & ".join(format_label(source, l, sep=", ") for l in header["col_labels"]) + " \\cr\n")
+    out.write(b"\\bordermatrix{\n")
+    cols = " & ".join(format_label(source, l, sep=", ") for l in header["col_labels"])
+    out.write(f"~ & {cols} \\cr\n".encode())
     for label, row in zip(header["row_labels"], rows):
-        out.write(f"{format_label(source, label, sep=', ')} & {row.replace(',', ' & ')} \\cr\n")
-    out.write("}\n")
+        out.write(b"%s & %s \\cr\n" % (format_label(source, label, sep=", ").encode(), row.replace(b",", b" & ")))
+    out.write(b"}\n")
 
 
 def render_matrix(doc, fmt) -> str:
     if fmt == "json":
         return json.dumps(doc, separators=(",", ":"))
     entries, d = doc["entries"], len(doc["col_labels"])
-    rows = (",".join(map(str, entries[i : i + d])) for i in range(0, len(entries), d))
-    out = io.StringIO()
+    rows = (",".join(map(str, entries[i : i + d])).encode() for i in range(0, len(entries), d))
+    out = io.BytesIO()
     _write_table(out, doc, rows, fmt)
-    return out.getvalue()[:-1]
+    return out.getvalue()[:-1].decode()
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +414,7 @@ def cmd_matrix(args) -> int:
     if args.n < 0:
         raise ValueError("n must be nonnegative")
     _require_label_limit(MATRIX_KINDS[args.kind][0], k, args.n)
-    _write_matrix(sys.stdout, args.kind, k, args.n, args.format)
+    _write_matrix(sys.stdout.buffer, args.kind, k, args.n, args.format)
     return 0
 
 
@@ -430,9 +422,11 @@ def cmd_kostka(args) -> int:
     shape, content = parse_parts(args.shape), parse_parts(args.content)
     _checked_label(SIDES[args.family].check, shape)
     _checked_label(check_composition, content)
+    k = parse_k(args.k)
+    _require_label_limit(SIDES[args.family].kinds[0], k, sum(shape))
     from . import systems
 
-    value = systems.kostka(shape, content, parse_k(args.k), args.family, args.order)
+    value = systems.kostka(shape, content, k, args.family, args.order)
     print(value)
     return 0
 
@@ -454,7 +448,9 @@ def _suite_report(args):
     for flag, value, default in (("--max-n", args.max_n, default_n), ("--k", args.k, default_ks)):
         if value is not None and default is None:
             raise ValueError(f"the {suite} suite takes no {flag}")
-    ks = [parse_k(t) for t in args.k.split(",")] if args.k else default_ks
+    ks = default_ks if args.k is None else [parse_k(t) for t in args.k.split(",")]
+    if ks and len(set(ks)) < len(ks):
+        raise ValueError(f"--k {args.k} repeats a value")
     max_n = default_n if args.max_n is None else args.max_n
     if max_n is not None and max_n < 0:
         raise ValueError(f"--max-n must be nonnegative, got {max_n}")

@@ -440,6 +440,22 @@ def test_closed_stdout_on_a_warm_hit_exits_141_quietly(tmp_path):
     assert list(tmp_path.iterdir()) == [cached]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
+def test_matrix_output_is_ascii_whatever_the_stdout_encoding(fmt, tmp_path):
+    """Under a UTF-16 stdout, a cold request and the warm request after it
+    print the same bytes: the ASCII of the rendered document."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(__file__).parent.parent / "src"),
+        KSCHUR_CACHE_DIR=str(tmp_path),
+        PYTHONIOENCODING="utf-16",
+    )
+    argv = [sys.executable, "-m", "kschur.cli", "matrix", "--kind", "ns-to-h", "--n", "3", "--k", "2", "--format", fmt]
+    cold, warm = (subprocess.run(argv, env=env, capture_output=True, timeout=60, check=True).stdout for _ in range(2))
+    assert cold == warm == (render_matrix(matrix_document("ns-to-h", 2, 3), fmt) + "\n").encode("ascii")
+    assert len(list(tmp_path.iterdir())) == 1
+
+  # the file the warm request read
 # The modules a fresh interpreter holds after a request: run it through
 # runpy, then print every module name to stderr.
 _LOADED_CHILD = (
@@ -563,16 +579,18 @@ CORPUS_NS = range(8)
 @pytest.mark.parametrize("kind", list(MATRIX_KINDS))
 def test_cold_stream_matches_dense_document(kind, fmt, tmp_path, monkeypatch, capsys):
     """The streamed cold output equals the document built from the dense
-    rows and rendered whole, and the cache file is its json text, one row
-    per line."""
+    rows and rendered whole, the cache file is its json text, one row per
+    line, and the warm request that reads that file prints the same."""
     for k in CORPUS_KS:
         for n in CORPUS_NS:
             monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path / f"{k}-{n}"))
-            code, out = run(capsys, "matrix", "--kind", kind, "--k", str(format_k(k)), "--n", str(n), "--format", fmt)
+            argv = ("matrix", "--kind", kind, "--k", str(format_k(k)), "--n", str(n), "--format", fmt)
+            code, out = run(capsys, *argv)
             doc = matrix_document(kind, k, n)
             assert code == 0 and out == render_matrix(doc, fmt) + "\n", (k, n)
             (path,) = (tmp_path / f"{k}-{n}").iterdir()
             assert path.read_text(encoding="utf-8") == line_file(doc), (k, n)
+            assert run(capsys, *argv) == (0, out), (k, n)
 
 
 @pytest.mark.parametrize("kind", list(MATRIX_KINDS))
@@ -620,7 +638,7 @@ def test_matrix_failed_streamed_write_keeps_stdout(fmt, tmp_path, monkeypatch, c
     """A cache file that refuses its first write is dropped, while the
     request still prints all of its output."""
     monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(cli.os, "fdopen", lambda fd, *args, **kwargs: open(fd, encoding="utf-8"))
+    monkeypatch.setattr(cli.os, "fdopen", lambda fd, *args, **kwargs: open(fd, "rb"))
     code, out = run(capsys, "matrix", "--kind", "m-to-qs", "--k", "3", "--n", "5", "--format", fmt)
     assert code == 0
     assert out == render_matrix(matrix_document("m-to-qs", 3, 5), fmt) + "\n"
@@ -718,18 +736,20 @@ def test_expand_partition_side(capsys):
         ("matrix", "--kind", "kschur-to-h", "--k", "3", "--n", "200"),
         ("matrix", "--kind", "kschur-to-h", "--k", "2", "--n", "400"),
         ("matrix", "--kind", "ns-to-h", "--k", "1", "--n", "2000"),
+        ("kostka", "partition", ",".join(map(str, range(14, 0, -1))), ",".join(["1"] * 105)),
     ],
     ids=[
         "compositions-1e6", "partitions-1e6", "compositions-16", "partitions-36", "expand-30", "expand-1e6",
-        "partitions-32-inf", "partitions-200-3", "partitions-400-2", "compositions-2000-1",
+        "partitions-32-inf", "partitions-200-3", "partitions-400-2", "compositions-2000-1", "kostka-staircase-14",
     ],
 )
 def test_oversized_request_is_refused_before_enumerating(argv, monkeypatch, capsys):
     """When the labels of degrees 0..n have more than MAX_CELLS cells, a
-    matrix or expand request exits 3 with one error line within 2 s,
-    having counted the labels without enumerating any.  The last four
-    have few labels at degree n but ran past 60 s, or 15 s, when only
-    degree n was bounded."""
+    matrix, expand or kostka request exits 3 with one error line within
+    2 s, having counted the labels without enumerating any.  The four
+    before the last have few labels at degree n but ran past 60 s, or
+    15 s, when only degree n was bounded; the kostka staircase of 14 rows
+    (105 cells, all-ones content) ran past 30 s when kostka had no limit."""
 
     def no_labels(*args):
         raise AssertionError("an oversized request enumerated its labels")
@@ -987,6 +1007,8 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
         ("--suite", "appendix", "--max-n", "3"),
         ("--suite", "appendix", "--k", "2"),
         ("--suite", "stabilization", "--k", "3"),
+        ("--suite", "duality", "--k", ""),
+        ("--suite", "duality", "--k", "2,2"),
     ],
 )
 def test_verify_refuses_vacuous_requests(argv, capsys):
