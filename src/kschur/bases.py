@@ -163,7 +163,7 @@ def verify_duality(n, k) -> VerificationReport:
     )
     labels = system.labels
     failures = [f"<QS{list(labels[a])}, S{list(labels[b])}> = {value}" for a, b, value in bad]
-    return VerificationReport("duality", {"n": n, "k": k}, (_case(f"duality n={n} k={k}", failures),))
+    return VerificationReport("duality", {"n": n, "k": k}, (_case(f"duality n={n} k={part.format_k(k)}", failures),))
 
 
 def verify_projection(n, k) -> VerificationReport:
@@ -177,7 +177,7 @@ def verify_projection(n, k) -> VerificationReport:
         expected = pside.expand("s", comp.sort_to_partition(alpha), "h")
         ok = image == expected
         detail = None if ok else f"{image!r} != {expected!r}"
-        cases.append(VerificationCase(f"chi(S{list(alpha)}) n={n} k={k}", ok, detail))
+        cases.append(VerificationCase(f"chi(S{list(alpha)}) n={n} k={part.format_k(k)}", ok, detail))
     return VerificationReport("projection", {"n": n, "k": k}, tuple(cases))
 
 
@@ -194,7 +194,7 @@ def verify_decomposition(n, k) -> VerificationReport:
         expected = monomial_to_M(pside.expand("dual-s", lam, "m"))
         ok = total == expected
         detail = None if ok else f"{total!r} != {expected!r}"
-        cases.append(VerificationCase(f"dual-s{list(lam)} n={n} k={k}", ok, detail))
+        cases.append(VerificationCase(f"dual-s{list(lam)} n={n} k={part.format_k(k)}", ok, detail))
     return VerificationReport("decomposition", {"n": n, "k": k}, tuple(cases))
 
 

@@ -13,16 +13,16 @@ cold request streams its output from the sparse matrix rows, one row's
 text at a time, into a temp file and to stdout; an atomic rename then
 makes it the cache file, so concurrent invocations stay consistent.  A
 cached file is served only when its bytes are exactly that text, checked
-one line at a time; a warm request then copies its bytes without the
-newlines, or renders its lines as rows, from the handle it checked,
-without holding the whole file, without parsing it and without importing
-the algebra, systems or bases modules.
+one line at a time; a warm request then renders its lines as rows, in
+every format by the writer that renders a cold request's rows, from the
+handle it checked, without holding the whole file, without parsing it
+and without importing the algebra, systems or bases modules.
 Only the verify command imports bases and its reference tables.  A build
 of degree n reads the labels of every degree 0..n, so a matrix, expand
 or kostka request is refused before any label is enumerated when those
 labels have more than MAX_CELLS cells in all (a label of degree m has m),
-and so is a verify suite, appendix aside, that builds systems up to such
-a degree.
+and so is a verify suite that builds systems up to such a degree, on the
+side and at each k that its row of VERIFY_SUITES names.
 
 Exit codes: 0 success or suite pass, 1 verification failure, 2 usage or
 parse error, 3 domain violation, 141 stdout closed by its reader.
@@ -41,6 +41,7 @@ import tempfile
 
 from .compositions import SIDE_OF, SIDES, check_composition
 from .errors import DomainError
+from .partitions import format_k
 
 SCHEMA_VERSION = "1"
 
@@ -61,16 +62,20 @@ MATRIX_KINDS = {
 # h-to-ns matrix is about 560 MB of json, at 458753.
 MAX_CELLS = 600_000
 
-# Each verify suite with its default --max-n and default --k list.  None
-# marks a flag that the suite does not read; such a flag is refused.
+# Each verify suite with its default --max-n and default --k list (None
+# marks a flag that the suite does not read; such a flag is refused), then
+# what the label limit counts for it: the basis kind of the side with the
+# most labels that its builds read up to --max-n (omega enumerates only
+# partitions, those bounded by its --k the most; None: not limited), and
+# the k it builds besides its --k values (k = inf for two suites).
 VERIFY_SUITES = {
-    "appendix": (None, None),
-    "duality": (7, (2, 3, 4)),
-    "projection": (6, (2, 3)),
-    "decomposition": (6, (2, 3)),
-    "stabilization": (6, None),
-    "omega": (10, (5,)),
-    "negativity": (8, (2, 3)),
+    "appendix": (None, None, None, ()),
+    "duality": (7, (2, 3, 4), "H", ()),
+    "projection": (6, (2, 3), "H", ()),
+    "decomposition": (6, (2, 3), "H", ()),
+    "stabilization": (6, None, "H", (None,)),
+    "omega": (10, (5,), "h", ()),
+    "negativity": (8, (2, 3), "H", (None,)),
 }
 
 
@@ -84,10 +89,6 @@ def parse_k(text):
     if k < 1:
         raise ValueError(f"k must be at least 1 or 'inf', got {text!r}")
     return k
-
-
-def format_k(k):
-    return "inf" if k is None else k
 
 
 def parse_parts(text):
@@ -245,9 +246,6 @@ def _json_prefix(header):
     return json.dumps({**header, "entries": []}, separators=(",", ":"))[:-2].encode()
 
 
-# Bytes a warm json request copies from its cache file at a time.
-_BLOCK = 1 << 16
-
 # A comma that no canonical json int follows up to the next comma or the end.
 _NON_INT = re.compile(rb",(?!(?:0|-?[1-9][0-9]*)(?:,|\Z))")
 
@@ -315,12 +313,13 @@ def cached_matrix_document(kind, k, n) -> dict:
 
 
 def _write_matrix(out, kind, k, n, fmt):
-    """Write the matrix to the binary stream out in fmt.  A cache file that
-    is exactly the cache text of this request is served from the handle
-    that checked it: json as a copy of its bytes without the newlines,
-    which stand only between rows, csv and latex rendered from its lines.
-    Otherwise the matrix is computed, and each row's text, made once, is
-    also written to a new cache file as part of the json text."""
+    """Write the matrix to the binary stream out in fmt, rendering its rows
+    in every format from their comma-joined entries.  A cache file that is
+    exactly the cache text of this request gives them from the handle that
+    checked it: each line without its last two bytes (a comma and a
+    newline, or the closing ]}).  Otherwise the matrix is computed, and
+    each row's text, made once, is also written to a new cache file as part
+    of the json text."""
     header = _header(kind, k, n)
     prefix, path = _json_prefix(header), _cache_path(kind, k, n)
     cached = _read_cache(path, prefix, len(header["row_labels"]))
@@ -331,13 +330,7 @@ def _write_matrix(out, kind, k, n, fmt):
             cache.write(b"]}")
         return
     with cached:
-        if fmt == "json":
-            cached.seek(0)
-            for block in iter(lambda: cached.read(_BLOCK), b""):
-                out.write(block.replace(b"\n", b""))
-            out.write(b"\n")
-        else:
-            _write_table(out, header, (line[:-2] for line in cached), fmt)
+        _write_table(out, header, (line[:-2] for line in cached), fmt, prefix)
 
 
 def _row_texts(matrix):
@@ -444,7 +437,7 @@ def _suite_report(args):
     from . import bases
 
     suite = args.suite
-    default_n, default_ks = VERIFY_SUITES[suite]
+    default_n, default_ks, label_kind, extra_ks = VERIFY_SUITES[suite]
     for flag, value, default in (("--max-n", args.max_n, default_n), ("--k", args.k, default_ks)):
         if value is not None and default is None:
             raise ValueError(f"the {suite} suite takes no {flag}")
@@ -458,16 +451,9 @@ def _suite_report(args):
         raise ValueError("the omega suite takes one finite --k")
     if suite == "negativity" and None in ks:
         raise ValueError("the negativity suite takes only finite --k values")
-    if suite == "omega":
-        # It enumerates only partitions, bounded by each k up to --k; those
-        # bounded by --k are the most.
-        _require_label_limit("h", ks[0], max_n)
-    elif suite != "appendix":
-        # The composition side has the most labels; negativity and
-        # stabilization also build it at k = inf.
-        unbounded = [None] if suite in ("negativity", "stabilization") else []
-        for k in [*(ks or ()), *unbounded]:
-            _require_label_limit("H", k, max_n)
+    if label_kind is not None:
+        for k in [*(ks or ()), *extra_ks]:
+            _require_label_limit(label_kind, k, max_n)
     if suite == "appendix":
         return bases.verify_appendix()
     if suite == "omega":

@@ -40,6 +40,11 @@ def require_k_bounded(parts, k) -> None:
         raise DomainError(f"{parts!r} is not {k}-bounded")
 
 
+def format_k(k):
+    """k as the CLI writes it: "inf" for unbounded k."""
+    return "inf" if k is None else k
+
+
 def transpose(lam) -> tuple[int, ...]:
     """Conjugate partition (columns become rows)."""
     if not lam:

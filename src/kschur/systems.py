@@ -18,7 +18,9 @@ side table ``compositions.SIDES``.
 Chain counts of horizontal (k-)strips generalize Kostka numbers; both
 content reading orders are exposed because the left Pieri iteration
 consumes the content back to front, while tableau fillings read it front
-to back.  The two agree whenever the content is palindromic.
+to back.  The two agree whenever the content is palindromic.  The rows of
+H->S are such counts too, and both add each strip by one step: a frontier
+{shape: chains} moves to the shapes one strip above its shapes.
 
 This is all a matrix, expand or kostka request runs; the verifiers live
 in ``bases``.
@@ -62,12 +64,18 @@ def _chain_counts(seq, k, targets) -> dict:
     order, through targets(shape, size, k): {end shape: number of chains}."""
     frontier = {(): 1}
     for size in seq:
-        step: dict = {}
-        for gamma, count in frontier.items():
-            for delta in targets(gamma, size, k):
-                step[delta] = step.get(delta, 0) + count
-        frontier = step
+        frontier = _step(frontier, {gamma: targets(gamma, size, k) for gamma in frontier})
     return frontier
+
+
+def _step(frontier, strip) -> dict:
+    """The chains {shape: count} of frontier, each extended by one strip:
+    strip[shape] lists the shapes one strip above shape."""
+    step = {}
+    for gamma, count in frontier.items():
+        for delta in strip[gamma]:
+            step[delta] = step.get(delta, 0) + count
+    return step
 
 
 def _targets_inside(shape, family):
@@ -119,11 +127,7 @@ def _pieri_rows(family, n, k):
         del stack[shared + 1 :]
         degree, frontier = stack[-1]
         for size in parts[shared:]:
-            strip, step = _strip(family, k, degree, size), {}
-            for g, count in frontier.items():
-                for d in strip[g]:
-                    step[d] = step.get(d, 0) + count
-            degree, frontier = degree + size, step
+            degree, frontier = degree + size, _step(frontier, _strip(family, k, degree, size))
             stack.append((degree, frontier))
         previous = parts
         cols[r] = tuple(sorted(frontier))

@@ -87,12 +87,20 @@ BOUNDS = [
     *warm("ns-to-h", "4", "14", mb=40),
 ]
 
-# a warm csv hit renders each line of the cache file as one row, so it beats the cold
-# request it replaces: ns-to-h (14, 4) takes about 0.9 s warm against 1.2 to 1.4 s
-# cold; a file without row boundaries, whose rows had to be found by every d-th
-# comma, took about 2.1 s warm against 1.5 s cold; both sides take the best of 3 runs,
-# since one cold run against the best of 3 warm ones has come within 6 % of failing
-WARM_CSV = cli("matrix", "--kind", "ns-to-h", "--k", "4", "--n", "14", "--format", "csv")
+# Each warm hit that must beat the cold request it replaces, best of 3 runs on both
+# sides, since one cold run against the best of 3 warm ones has come within 6 % of
+# failing.
+WARM_BEATS_COLD = {
+    # a warm csv hit renders each line of the cache file as one row: ns-to-h (14, 4)
+    # takes about 0.9 s warm against 1.2 to 1.4 s cold; a file without row boundaries,
+    # whose rows had to be found by every d-th comma, took about 2.1 s warm against
+    # 1.5 s cold
+    "warm csv": cli("matrix", "--kind", "ns-to-h", "--k", "4", "--n", "14", "--format", "csv"),
+    # a warm json hit renders each line as one row through the row writer of csv,
+    # latex and every cold request, which guards the one json hit path: h-to-ns
+    # (12, inf) takes about 0.3 s warm against 1.0 s cold
+    "warm json": cli("matrix", "--kind", "h-to-ns", "--k", "inf", "--n", "12"),
+}
 
 
 def run(argv, cache):
@@ -124,25 +132,25 @@ def check(row):
     return passed, f"{'ok  ' if passed else 'FAIL'} {row.name}: {line}"
 
 
-def warm_beats_cold():
-    """Whether a warm csv hit beats its cold request, each the best of 3 runs, every
-    cold run in a fresh cache directory and every warm run in the first one's, and
-    the line."""
+def warm_beats_cold(name, argv):
+    """Whether the warm hit of argv beats its cold request, each the best of 3 runs,
+    every cold run in a fresh cache directory and every warm run in the first one's,
+    and the line."""
     with tempfile.TemporaryDirectory() as cache:
-        cold_runs = [run(WARM_CSV, cache)]
+        cold_runs = [run(argv, cache)]
         for _ in range(2):
             with tempfile.TemporaryDirectory() as fresh:
-                cold_runs.append(run(WARM_CSV, fresh))
-        warm_runs = [run(WARM_CSV, cache) for _ in range(3)]
+                cold_runs.append(run(argv, fresh))
+        warm_runs = [run(argv, cache) for _ in range(3)]
     cold_s, warm_s = (min(seconds for _, seconds, _ in runs) for runs in (cold_runs, warm_runs))
     passed = not any(code for code, _, _ in cold_runs + warm_runs) and warm_s < cold_s
     line = f"cold best of 3 {cold_s:.2f} s, warm best of 3 {warm_s:.2f} s (must be below cold)"
-    return passed, f"{'ok  ' if passed else 'FAIL'} warm csv beats cold: {line}"
+    return passed, f"{'ok  ' if passed else 'FAIL'} {name} beats cold: {line}"
 
 
 def results():
     yield from map(check, BOUNDS)
-    yield warm_beats_cold()
+    yield from (warm_beats_cold(name, argv) for name, argv in WARM_BEATS_COLD.items())
 
 
 if __name__ == "__main__":

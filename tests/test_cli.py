@@ -310,12 +310,14 @@ def test_old_format_file_is_refused_after_one_read(fmt, tmp_path, monkeypatch, c
 
 @pytest.mark.parametrize("block", range(1, 13))
 def test_block_check_serves_the_canonical_file_at_every_block_size(block, tmp_path, monkeypatch, capsys):
-    """However the blocks of a warm json copy cut the file, newlines at
-    block ends included, a warm hit serves it without building anything."""
+    """However the blocks read from the file cut it, newlines at block ends
+    included, a warm hit prints the cold bytes in every format without
+    building anything."""
     monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
     argv = ("matrix", "--kind", "qs-to-m", "--k", "3", "--n", "5", "--format")
     cold, path = _fill(capsys, argv)
-    monkeypatch.setattr(cli, "_BLOCK", block)
+    blocks = lambda name, mode: io.BufferedReader(io.FileIO(name, mode), buffer_size=block)
+    monkeypatch.setattr(cli, "open", blocks, raising=False)
 
     def no_build(*args):
         raise AssertionError("a warm hit built a graded system")
@@ -344,7 +346,7 @@ def test_block_check_bad_last_entry_prints_only_the_cold_output(fmt, tmp_path, m
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
 def test_cache_replaced_after_the_check_does_not_change_the_output(fmt, tmp_path, monkeypatch, capsys):
-    """A rename onto the cache file between the check and the copy swaps
+    """A rename onto the cache file between the check and the output swaps
     the inode, not the bytes of the handle that was checked."""
     monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
     argv = ("matrix", "--kind", "ns-to-h", "--k", "3", "--n", "5", "--format")
@@ -359,7 +361,6 @@ def test_cache_replaced_after_the_check_does_not_change_the_output(fmt, tmp_path
         return handle
 
     monkeypatch.setattr(cli, "_read_cache", read_then_replace)
-    monkeypatch.setattr(cli, "_BLOCK", 64)
     code, warm = run(capsys, *argv, fmt)
     assert code == 0 and warm == render_matrix(json.loads(cold), fmt) + "\n"
     assert path.read_text(encoding="utf-8") == "{not json"
@@ -774,14 +775,20 @@ def test_oversized_request_is_refused_before_enumerating(argv, monkeypatch, caps
         ("--suite", "negativity", "--max-n", "16", "--k", "2"),
         ("--suite", "stabilization", "--max-n", "16"),
         ("--suite", "omega", "--max-n", "100000", "--k", "2"),
+        ("--suite", "projection", "--max-n", "16", "--k", "inf"),
+        ("--suite", "decomposition", "--max-n", "16", "--k", "inf"),
     ],
-    ids=["duality-40-inf", "negativity-16", "stabilization-16", "omega-100000-2"],
+    ids=[
+        "duality-40-inf", "negativity-16", "stabilization-16", "omega-100000-2", "projection-16-inf",
+        "decomposition-16-inf",
+    ],
 )
 def test_oversized_verify_suite_is_refused_at_once(argv, tmp_path):
     """A suite that would build systems past MAX_CELLS cells exits 3 with
     one error line within 2 s; negativity and stabilization count at
     k = inf, as they build the unbounded composition side, and omega
-    counts the partitions bounded by its --k."""
+    counts the partitions bounded by its --k.  projection and
+    decomposition are refused one degree past their reach."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"), KSCHUR_CACHE_DIR=str(tmp_path))
     result = subprocess.run(
         [sys.executable, "-m", "kschur.cli", "verify", *argv], env=env, capture_output=True, text=True, timeout=2
@@ -789,6 +796,35 @@ def test_oversized_verify_suite_is_refused_at_once(argv, tmp_path):
     assert result.returncode == 3 and result.stdout == ""
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
     assert f"more than {cli.MAX_CELLS} cells" in result.stderr
+
+
+# The largest --max-n that each limited suite admits at the given --k: the
+# composition edge at k = inf is 15 (negativity and stabilization build
+# k = inf whatever their --k), and omega reads the partitions bounded by
+# its --k, whose edge at k = 2 is 152.
+VERIFY_EDGES = {
+    "duality": ("--k", "inf", "--max-n", 15),
+    "projection": ("--k", "inf", "--max-n", 15),
+    "decomposition": ("--k", "inf", "--max-n", 15),
+    "stabilization": ("--max-n", 15),
+    "omega": ("--k", "2", "--max-n", 152),
+    "negativity": ("--k", "2", "--max-n", 15),
+}
+
+
+@pytest.mark.parametrize("suite", VERIFY_EDGES)
+def test_verify_suite_edge_is_admitted(suite, monkeypatch, capsys):
+    """A suite runs at the largest --max-n its label limit admits, and is
+    refused one degree past it; the suite itself is patched out, so that
+    nothing is built."""
+    passing = VerificationReport(suite, {}, (VerificationCase("edge", True),))
+    check = "stabilization_check" if suite == "stabilization" else f"verify_{suite}"
+    monkeypatch.setattr(bases, check, lambda *args: passing)
+    *flags, edge = VERIFY_EDGES[suite]
+    code, out = run(capsys, "verify", "--suite", suite, *flags, str(edge))
+    assert code == 0 and json.loads(out)["passed"]
+    assert main(["verify", "--suite", suite, *flags, str(edge + 1)]) == 3
+    assert f"more than {cli.MAX_CELLS} cells" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -973,6 +1009,15 @@ def test_verify_small_grids(capsys):
     assert code == 0 and json.loads(out)["passed"]
     code, out = run(capsys, "verify", "--suite", "omega", "--max-n", "6", "--k", "3")
     assert code == 0 and json.loads(out)["passed"]
+
+
+@pytest.mark.parametrize("suite", ["duality", "projection", "decomposition"])
+def test_verify_case_names_write_unbounded_k_as_inf(suite, capsys):
+    """A case name writes k = inf as the parameters do, not as None."""
+    code, out = run(capsys, "verify", "--suite", suite, "--max-n", "2", "--k", "inf")
+    report = json.loads(out)
+    assert code == 0 and report["parameters"]["k"] == ["inf"]
+    assert report["cases"] and all(case["name"].endswith(" k=inf") for case in report["cases"])
 
 
 def test_verify_negativity(capsys):
