@@ -10,18 +10,22 @@ S (Schur-like, dual to QS), QS (quasi-symmetric Schur-like).
 Partition-indexed kinds: h, m, s (k-Schur), dual-s (dual k-Schur).
 ``compositions.SIDE_OF`` gives the side of each kind.
 
-A ``BasisMatrix`` holds one change of basis as sparse integer rows.  It
-expands combinations, transposes and multiplies row by row; it inverts
+A ``BasisMatrix`` holds one change of basis as sparse integer rows, each
+packed into the narrowest signed ``array`` that holds it (see ``packed``),
+so a matrix costs a few bytes per nonzero and its values stay exact ints.
+It expands combinations, transposes and multiplies row by row; it inverts
 nothing, since ``systems`` builds each inverse it needs from the Pieri
 rule directly.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections.abc import Iterator
 from functools import cached_property, lru_cache
 from itertools import compress
+from struct import error as struct_error, pack
 
 from .compositions import SIDE_OF, sort_to_partition
 from .errors import DomainError
@@ -209,6 +213,26 @@ def dense_rows(pairs, width) -> tuple:
     return tuple(out)
 
 
+# About the most nonzeros that one pass of BasisMatrix.transposed holds in
+# list buckets: each costs two list slots, plus an int object when its value
+# is above 256.
+_BAND_ENTRIES = 1 << 18
+
+
+def packed(values):
+    """The list or tuple values as the narrowest signed array (typecode b,
+    h, i or q) that holds them all, or as a tuple when none does, so the
+    values stay exact.  Each typecode is tried from the narrowest: struct
+    refuses a value out of its range, never wrapping it, and the bytes it
+    packs become the array in one copy."""
+    for code in "bhiq":
+        try:
+            return array(code, pack(f"{len(values)}{code}", *values))
+        except struct_error:
+            pass
+    return tuple(values)
+
+
 def _combine_rows(acc, terms, cols, vals) -> tuple:
     """Add to the dense row acc, for each (j, a) in terms, a times sparse
     row j of (cols, vals); return the sum sparse, as a (cols, vals) pair."""
@@ -223,13 +247,16 @@ class BasisMatrix:
 
     Row label r expands as: source_kind[r] = sum over columns c of
     entry(r, c) * target_kind[c].  Row r is stored sparse, as the parallel
-    tuples cols[r] (strictly increasing column positions) and vals[r] (the
-    nonzero entries there).
+    packed rows cols[r] (strictly increasing column positions) and vals[r]
+    (the nonzero entries there): signed arrays, or a tuple where a value
+    needs more than 64 bits.  A row given as a list or tuple is packed, so
+    two matrices with the same entries compare equal row by row.
     """
 
     def __init__(self, n, k, source_kind, target_kind, row_labels, col_labels, cols, vals):
         _check_kind(source_kind)
         _check_kind(target_kind)
+        cols, vals = (tuple(row if type(row) is array else packed(row) for row in rows) for rows in (cols, vals))
         width = len(col_labels)
         if len(cols) != len(row_labels) or len(vals) != len(row_labels) or any(
             len(c) != len(v) or (c and not 0 <= c[0] <= c[-1] < width) for c, v in zip(cols, vals)
@@ -284,17 +311,29 @@ class BasisMatrix:
         return LinearCombination(self.target_kind, self.k, out)
 
     def transposed(self, source_kind, target_kind) -> "BasisMatrix":
-        """Transpose with relabelled kinds (the duality-partner matrix):
-        each entry is appended to its column's bucket, in row order."""
-        cols = [[] for _ in self.col_labels]
-        vals = [[] for _ in self.col_labels]
-        for r, (row_cols, row_vals) in enumerate(zip(self.cols, self.vals)):
-            for c, v in zip(row_cols, row_vals):
-                cols[c].append(r)
-                vals[c].append(v)
+        """Transpose with relabelled kinds (the duality-partner matrix).
+
+        One band of columns is built per pass: each row's entries in the
+        band, found by bisecting its columns, are appended to their
+        column's list bucket in row order, and the band's buckets are
+        packed when the pass ends, so only one band is ever held as lists.
+        A band spans about _BAND_ENTRIES nonzeros if they spread evenly."""
+        width = len(self.col_labels)
+        band = max(1, width * _BAND_ENTRIES // max(1, sum(map(len, self.cols))))
+        cols, vals = [None] * width, [None] * width
+        for low in range(0, width, band):
+            high = min(low + band, width)
+            for c in range(low, high):
+                cols[c], vals[c] = [], []
+            for r, (row_cols, row_vals) in enumerate(zip(self.cols, self.vals)):
+                i, j = bisect_left(row_cols, low), bisect_left(row_cols, high)
+                for c, v in zip(row_cols[i:j], row_vals[i:j]):
+                    cols[c].append(r)
+                    vals[c].append(v)
+            cols[low:high] = map(packed, cols[low:high])
+            vals[low:high] = map(packed, vals[low:high])
         return BasisMatrix(
-            self.n, self.k, source_kind, target_kind, self.col_labels, self.row_labels,
-            tuple(map(tuple, cols)), tuple(map(tuple, vals)),
+            self.n, self.k, source_kind, target_kind, self.col_labels, self.row_labels, cols, vals
         )
 
     def matmul(self, other: "BasisMatrix") -> Iterator[tuple]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import BasisMatrix, LinearCombination
+from .algebra import BasisMatrix, LinearCombination, packed
 from .compositions import SIDES, check_composition, sort_to_partition
 from .errors import DomainError
 from .partitions import require_k_bounded
@@ -118,7 +118,8 @@ def _pieri_rows(family, n, k):
     last part first: the Pieri rule once per part.  Labels that end alike
     share those steps, so the labels are walked in the order of their
     reversed parts, holding one frontier {shape position: chains} per
-    part of the current label's suffix.  Returns sparse (cols, vals)."""
+    part of the current label's suffix.  Returns sparse (cols, vals), each
+    row packed as it is finished."""
     labels = SIDES[family].labels(n, k)
     cols, vals = [None] * len(labels), [None] * len(labels)
     previous, stack = (), [(0, {0: 1})]  # (degree, frontier) after each suffix
@@ -130,8 +131,8 @@ def _pieri_rows(family, n, k):
             degree, frontier = degree + size, _step(frontier, _strip(family, k, degree, size))
             stack.append((degree, frontier))
         previous = parts
-        cols[r] = tuple(sorted(frontier))
-        vals[r] = tuple(map(frontier.__getitem__, cols[r]))
+        row = sorted(frontier)
+        cols[r], vals[r] = packed(row), packed(list(map(frontier.__getitem__, row)))
     return tuple(cols), tuple(vals)
 
 
@@ -141,9 +142,9 @@ def _peeled_rows(family, n, k, lower):
     first on rest), where rest is alpha without its first part and row rest
     is read from lower[|rest|], the S->H of that degree.  Each other target
     must come earlier, so that its row is already known; DomainError if
-    not.  Returns sparse (cols, vals)."""
+    not.  Returns sparse (cols, vals), each row packed as it is finished."""
     if n == 0:
-        return ((0,),), ((1,),)
+        return (packed([0]),), (packed([1]),)
     side = SIDES[family]
     labels = side.labels(n, k)
     position, lifts = _position(family, n, k), {}
@@ -161,8 +162,9 @@ def _peeled_rows(family, n, k, lower):
             if j != i:
                 for c, v in zip(cols[j], vals[j]):
                     row[c] = row.get(c, 0) - v
-        cols.append(tuple(sorted(c for c, v in row.items() if v)))
-        vals.append(tuple(map(row.__getitem__, cols[-1])))
+        kept = sorted(c for c, v in row.items() if v)
+        cols.append(packed(kept))
+        vals.append(packed(list(map(row.__getitem__, kept))))
     return tuple(cols), tuple(vals)
 
 

@@ -1,8 +1,11 @@
 """Sparse rows for the tests.
 
-``BasisMatrix`` stores each row as parallel ``cols`` and ``vals`` tuples,
-while the oracles (naive products, Gauss-Jordan, hand-written tables) are
-dense lists of rows; ``kschur.algebra.dense_rows`` converts back.
+``BasisMatrix`` stores each row as parallel ``cols`` and ``vals`` rows,
+packed into arrays (see ``kschur.algebra.packed``), while the oracles
+(naive products, Gauss-Jordan, hand-written tables) are dense lists of
+rows.  ``sparse`` gives tuples, which ``BasisMatrix`` packs, so a matrix
+built from them compares equal to a computed one row by row;
+``kschur.algebra.dense_rows`` converts back.
 """
 
 

@@ -1,9 +1,11 @@
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from forward_substitution import forward_substitution
 from gauss_jordan import invert_integer_matrix
-from kschur import DomainError
+from kschur import DomainError, algebra, cli
 from kschur.algebra import (
     BasisMatrix,
     H_product,
@@ -12,6 +14,7 @@ from kschur.algebra import (
     chi_project,
     dense_rows,
     h_product,
+    packed,
     pairing,
 )
 from kschur.bases import build_kschur_system, build_schur_system
@@ -276,6 +279,62 @@ def test_transposed_and_entries_match_dense_rows(m, p, data):
     assert (transposed.source_kind, transposed.target_kind) == ("QS", "M")
     assert transposed.row_labels == matrix.col_labels and transposed.col_labels == matrix.row_labels
     assert transposed.rows == tuple(tuple(rows[i][j] for i in range(m)) for j in range(p))
+
+
+@pytest.mark.parametrize("band_entries", [1, 5, 64, 1 << 20])
+def test_transpose_in_bands_matches_dense_rows(band_entries, monkeypatch):
+    """However few nonzeros a pass of the transpose holds, down to one
+    column per pass, it gives the dense transpose, every row packed."""
+    monkeypatch.setattr(algebra, "_BAND_ENTRIES", band_entries)
+    forward = build_schur_system(6, None).matrix("H", "S")
+    transposed = forward.transposed("QS", "M")
+    assert transposed.rows == tuple(zip(*forward.rows))
+    assert all(type(row) is array for row in transposed.cols + transposed.vals)
+
+
+@pytest.mark.parametrize(
+    "row, code",
+    [
+        ([0, 2**7 - 1, -(2**7)], "b"),
+        ([2**7], "h"),
+        ([-(2**7) - 1], "h"),
+        ([2**15 - 1, -(2**15)], "h"),
+        ([2**15], "i"),
+        ([-(2**15) - 1], "i"),
+        ([2**31 - 1, -(2**31)], "i"),
+        ([2**31], "q"),
+        ([-(2**31) - 1], "q"),
+        ([5, 2**63 - 1, -(2**63)], "q"),
+    ],
+)
+def test_packed_takes_the_narrowest_typecode_that_holds_the_row(row, code):
+    for values in (row, tuple(row)):
+        row_packed = packed(values)
+        assert type(row_packed) is array and row_packed.typecode == code
+        assert row_packed.tolist() == row
+
+
+@pytest.mark.parametrize("row", [[2**63], [-(2**63) - 1], [1, 2**70, -3]])
+def test_packed_keeps_a_row_beyond_64_bits_as_a_tuple(row):
+    assert type(packed(row)) is tuple and packed(row) == tuple(row)
+
+
+def test_packed_empty_row():
+    assert type(packed([])) is array and len(packed(())) == 0
+
+
+def test_entry_beyond_64_bits_stays_exact():
+    """A row with an entry of 2**70 stays a tuple, survives the transpose
+    and is printed with its exact digits, by the join of a dense row and by
+    the splice of a sparse one."""
+    big, width = 2**70, 2 * cli._SPARSE
+    rows = [[1, 0, big] + [0] * (width - 3), [0] * (width - 1) + [-big]]
+    matrix = labelled(rows, 2, width)
+    assert type(matrix.vals[0]) is tuple and type(matrix.vals[1]) is tuple and type(matrix.cols[0]) is array
+    assert matrix.entry((0,), (2,)) == big
+    assert matrix.transposed("QS", "M").rows == tuple(zip(*rows))
+    zeros = b"0," * (width - 3)
+    assert list(cli._row_texts(matrix)) == [b"1,0,1180591620717411303424," + zeros[:-1], zeros + b"0,0,-1180591620717411303424"]
 
 
 def test_matmul_refuses_mismatched_labels():

@@ -1,4 +1,5 @@
 import sys
+from array import array
 
 import pytest
 
@@ -162,7 +163,8 @@ def test_builds_need_no_deep_recursion():
 
 def test_stored_rows_are_sorted_and_nonzero():
     """Every row of every stored matrix lists strictly increasing columns
-    and only nonzero entries."""
+    and only nonzero entries, each packed: an array, or a tuple only when a
+    value needs more than 64 bits."""
     for k in (1, 2, 3, None):
         for n in range(8):
             for system, kinds in (
@@ -177,6 +179,10 @@ def test_stored_rows_are_sorted_and_nonzero():
                         assert len(cols) == len(vals) and 0 not in vals
                         assert all(a < b for a, b in zip(cols, cols[1:]))
                         assert not cols or 0 <= cols[0] and cols[-1] < len(matrix.col_labels)
+                        for row in (cols, vals):
+                            assert type(row) is array or (
+                                type(row) is tuple and any(not -(1 << 63) <= v < 1 << 63 for v in row)
+                            )
 
 
 def test_unit_diagonal_and_dominance_support():

@@ -294,8 +294,8 @@ def test_old_format_file_is_refused_after_one_read(fmt, tmp_path, monkeypatch, c
     path.write_text(cold.removesuffix("\n"), encoding="utf-8")
     readers = []
 
-    def counting_open(name, mode):
-        assert mode == "rb"
+    def counting_open(name, mode, buffering):
+        assert mode == "rb" and buffering >= io.DEFAULT_BUFFER_SIZE
         readers.append(CountingReader(name))
         return readers[-1]
 
@@ -316,7 +316,7 @@ def test_block_check_serves_the_canonical_file_at_every_block_size(block, tmp_pa
     monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
     argv = ("matrix", "--kind", "qs-to-m", "--k", "3", "--n", "5", "--format")
     cold, path = _fill(capsys, argv)
-    blocks = lambda name, mode: io.BufferedReader(io.FileIO(name, mode), buffer_size=block)
+    blocks = lambda name, mode, buffering: io.BufferedReader(io.FileIO(name, mode), buffer_size=block)
     monkeypatch.setattr(cli, "open", blocks, raising=False)
 
     def no_build(*args):
@@ -592,6 +592,18 @@ def test_cold_stream_matches_dense_document(kind, fmt, tmp_path, monkeypatch, ca
             (path,) = (tmp_path / f"{k}-{n}").iterdir()
             assert path.read_text(encoding="utf-8") == line_file(doc), (k, n)
             assert run(capsys, *argv) == (0, out), (k, n)
+
+
+@pytest.mark.parametrize("sparse", [0, cli._SPARSE, 1 << 30], ids=["splice", "by-density", "join"])
+def test_row_texts_match_dense_rows(sparse, monkeypatch):
+    """Each row's text is its dense entries joined by commas, whether every
+    row is spliced, every row joined, or each chosen by its density."""
+    monkeypatch.setattr(cli, "_SPARSE", sparse)
+    for kind in MATRIX_KINDS:
+        for k in CORPUS_KS:
+            for n in CORPUS_NS:
+                matrix = cli._matrix(kind, k, n)
+                assert list(cli._row_texts(matrix)) == [",".join(map(str, row)).encode() for row in matrix.rows]
 
 
 @pytest.mark.parametrize("kind", list(MATRIX_KINDS))
