@@ -25,7 +25,6 @@ from bisect import bisect_left
 from collections.abc import Iterator
 from functools import cached_property, lru_cache
 from itertools import compress
-from struct import error as struct_error, pack
 
 from .compositions import SIDE_OF, sort_to_partition
 from .errors import DomainError
@@ -219,17 +218,24 @@ def dense_rows(pairs, width) -> tuple:
 _BAND_ENTRIES = 1 << 18
 
 
+# Each signed array typecode with the bound that its values lie strictly
+# within: -bound <= v < bound.
+_TYPECODES = ((1 << 7, "b"), (1 << 15, "h"), (1 << 31, "i"), (1 << 63, "q"))
+
+
 def packed(values):
     """The list or tuple values as the narrowest signed array (typecode b,
     h, i or q) that holds them all, or as a tuple when none does, so the
-    values stay exact.  Each typecode is tried from the narrowest: struct
-    refuses a value out of its range, never wrapping it, and the bytes it
-    packs become the array in one copy."""
-    for code in "bhiq":
-        try:
-            return array(code, pack(f"{len(values)}{code}", *values))
-        except struct_error:
-            pass
+    values stay exact.  The typecodes are tried from the narrowest that
+    holds the last value (the largest, in a row of columns): an array
+    raises OverflowError on a value out of its range, never wrapping it."""
+    last = values[-1] if values else 0
+    for bound, code in _TYPECODES:
+        if -bound <= last < bound:
+            try:
+                return array(code, values)
+            except OverflowError:
+                pass
     return tuple(values)
 
 
@@ -248,15 +254,13 @@ class BasisMatrix:
     Row label r expands as: source_kind[r] = sum over columns c of
     entry(r, c) * target_kind[c].  Row r is stored sparse, as the parallel
     packed rows cols[r] (strictly increasing column positions) and vals[r]
-    (the nonzero entries there): signed arrays, or a tuple where a value
-    needs more than 64 bits.  A row given as a list or tuple is packed, so
-    two matrices with the same entries compare equal row by row.
+    (the nonzero entries there), as ``packed`` makes them: signed arrays,
+    or a tuple where a value needs more than 64 bits.
     """
 
     def __init__(self, n, k, source_kind, target_kind, row_labels, col_labels, cols, vals):
         _check_kind(source_kind)
         _check_kind(target_kind)
-        cols, vals = (tuple(row if type(row) is array else packed(row) for row in rows) for rows in (cols, vals))
         width = len(col_labels)
         if len(cols) != len(row_labels) or len(vals) != len(row_labels) or any(
             len(c) != len(v) or (c and not 0 <= c[0] <= c[-1] < width) for c, v in zip(cols, vals)
@@ -333,7 +337,7 @@ class BasisMatrix:
             cols[low:high] = map(packed, cols[low:high])
             vals[low:high] = map(packed, vals[low:high])
         return BasisMatrix(
-            self.n, self.k, source_kind, target_kind, self.col_labels, self.row_labels, cols, vals
+            self.n, self.k, source_kind, target_kind, self.col_labels, self.row_labels, tuple(cols), tuple(vals)
         )
 
     def matmul(self, other: "BasisMatrix") -> Iterator[tuple]:

@@ -338,34 +338,19 @@ def _write_matrix(out, kind, k, n, fmt):
         _write_table(out, header, (line[:-2] for line in cached), fmt, prefix)
 
 
-# A row with fewer than d / _SPARSE nonzeros is spliced; a denser one is
-# joined.  The join costs two passes over d strings whatever the row holds:
-# about 25 % faster than splicing at 7 to 18 % density (k = inf), 3 to 4
-# times slower at 1 % (ns-to-h (14, 3) and (16, 3)).
-_SPARSE = 16
-
-
 def _row_texts(matrix):
     """Each sparse row of a computed matrix as the comma-joined ASCII text
-    of all its entries.  A row with few nonzeros has their text spliced
-    between runs of zeros, slices of one string of "0," repeats; any other
-    row is made by one join over a copy of a list of d "0" strings, with the
-    text of each nonzero written at its column."""
+    of all its entries: the nonzeros spliced between runs of zeros, which
+    are slices of one string of "0," repeats."""
     d = len(matrix.col_labels)
-    zeros, zero_runs = ["0"] * d, "0," * d
+    zeros = "0," * d
     for cols, vals in zip(matrix.cols, matrix.vals):
-        if _SPARSE * len(cols) < d:
-            parts, start = [], 0
-            for c, v in zip(cols, vals):
-                parts += zero_runs[: 2 * (c - start)], str(v), ","
-                start = c + 1
-            parts.append(zero_runs[: 2 * (d - start)])
-            yield "".join(parts)[:-1].encode()
-        else:
-            row = zeros.copy()
-            for c, v in zip(cols, map(str, vals)):
-                row[c] = v
-            yield ",".join(row).encode()
+        parts, start = [], 0
+        for c, v in zip(cols, vals):
+            parts += zeros[: 2 * (c - start)], str(v), ","
+            start = c + 1
+        parts.append(zeros[: 2 * (d - start)])
+        yield "".join(parts)[:-1].encode()
 
 
 def _json_rows(prefix, rows, write, newline):

@@ -29,6 +29,7 @@ in ``bases``.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 
 from .algebra import BasisMatrix, LinearCombination, packed
 from .compositions import SIDES, check_composition, sort_to_partition
@@ -142,29 +143,36 @@ def _peeled_rows(family, n, k, lower):
     first on rest), where rest is alpha without its first part and row rest
     is read from lower[|rest|], the S->H of that degree.  Each other target
     must come earlier, so that its row is already known; DomainError if
-    not.  Returns sparse (cols, vals), each row packed as it is finished."""
+    not.  A row stays a tuple until the last label whose peel reads it is
+    done, and is packed then.  Returns sparse (cols, vals)."""
     if n == 0:
         return (packed([0]),), (packed([1]),)
     side = SIDES[family]
     labels = side.labels(n, k)
-    position, lifts = _position(family, n, k), {}
+    position, lifts, peels = _position(family, n, k), {}, []
+    for alpha in labels:  # (first, position of rest, targets) of each label
+        g = _position(family, n - alpha[0], k)[alpha[1:]]
+        peels.append((alpha[0], g, _strip(family, k, n - alpha[0], alpha[0])[g]))
+    last = {j: i for i, (_, _, targets) in enumerate(peels) for j in targets}
     cols, vals = [], []
-    for i, alpha in enumerate(labels):
-        first, m = alpha[0], n - alpha[0]
+    for i, (first, g, targets) in enumerate(peels):
+        m = n - first
         if first not in lifts:  # column w of degree m -> the column of H_first H_w
             lifts[first] = [position[side.label_of((first,) + w)] for w in side.labels(m, k)]
-        g = _position(family, m, k)[alpha[1:]]
-        targets = _strip(family, k, m, first)[g]
         if max(targets, default=-1) != i:
-            raise DomainError(f"{alpha!r} is not the last strip target of its peel at n={n}, k={k}")
+            raise DomainError(f"{labels[i]!r} is not the last strip target of its peel at n={n}, k={k}")
         row = dict(zip(map(lifts[first].__getitem__, lower[m].cols[g]), lower[m].vals[g]))
+        get = row.get
         for j in targets:
             if j != i:
                 for c, v in zip(cols[j], vals[j]):
-                    row[c] = row.get(c, 0) - v
-        kept = sorted(c for c, v in row.items() if v)
-        cols.append(packed(kept))
-        vals.append(packed(list(map(row.__getitem__, kept))))
+                    row[c] = get(c, 0) - v
+                if last[j] == i:
+                    cols[j], vals[j] = packed(cols[j]), packed(vals[j])
+        cols.append(tuple(sorted(compress(row, row.values()))))
+        vals.append(tuple(map(row.__getitem__, cols[i])))
+        if last[i] == i:
+            cols[i], vals[i] = packed(cols[i]), packed(vals[i])
     return tuple(cols), tuple(vals)
 
 

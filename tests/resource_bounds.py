@@ -71,13 +71,14 @@ BOUNDS = [
     # json string first peaks near 177 MB, and dense rows as well near 290 MB
     Row("cold stream", cli("matrix", "--kind", "ns-to-h", "--n", "14", "--k", "3"), mb=100),
     # a cold ns-to-h (13, inf), dimension 4096: S->H by peeling each label's first part
-    # takes about 0.6 s and, each row packed into an int array as it is finished, peaks
-    # near 24 MB; its rows held as tuples peaked near 44 MB, and the forward
-    # substitution over the whole H->S that the peel replaced took 8.8 s at 107 MB
+    # takes about 0.6 s and peaks near 27 MB, each row packed into an int array once the
+    # last peel that reads it is done; every row held as tuples peaked near 44 MB, and
+    # the forward substitution over the whole H->S that the peel replaced took 8.8 s at
+    # 107 MB
     Row("cold peel", cli("matrix", "--kind", "ns-to-h", "--n", "13", "--k", "inf"), seconds=4, mb=40),
     # a cold qs-to-m (14, inf), dimension 8192: H->S (8.9 M nonzeros) packed into int
     # arrays, transposed one band of columns at a time with only that band in list
-    # buckets, peaks near 97 MB; packed rows transposed in one pass peaked near 231 MB,
+    # buckets, peaks near 93 MB; packed rows transposed in one pass peaked near 231 MB,
     # and rows held as tuples near 449 MB
     Row("cold transpose", cli("matrix", "--kind", "qs-to-m", "--n", "14", "--k", "inf"), mb=200),
     # a warm matrix request prints or renders the cached text without parsing it or

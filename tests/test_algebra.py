@@ -305,6 +305,9 @@ def test_transpose_in_bands_matches_dense_rows(band_entries, monkeypatch):
         ([2**31], "q"),
         ([-(2**31) - 1], "q"),
         ([5, 2**63 - 1, -(2**63)], "q"),
+        ([2**7, 0], "h"),
+        ([-(2**15) - 1, 1, -1], "i"),
+        ([2**31, -5], "q"),
     ],
 )
 def test_packed_takes_the_narrowest_typecode_that_holds_the_row(row, code):
@@ -325,9 +328,8 @@ def test_packed_empty_row():
 
 def test_entry_beyond_64_bits_stays_exact():
     """A row with an entry of 2**70 stays a tuple, survives the transpose
-    and is printed with its exact digits, by the join of a dense row and by
-    the splice of a sparse one."""
-    big, width = 2**70, 2 * cli._SPARSE
+    and is printed with its exact digits."""
+    big, width = 2**70, 8
     rows = [[1, 0, big] + [0] * (width - 3), [0] * (width - 1) + [-big]]
     matrix = labelled(rows, 2, width)
     assert type(matrix.vals[0]) is tuple and type(matrix.vals[1]) is tuple and type(matrix.cols[0]) is array

@@ -594,11 +594,9 @@ def test_cold_stream_matches_dense_document(kind, fmt, tmp_path, monkeypatch, ca
             assert run(capsys, *argv) == (0, out), (k, n)
 
 
-@pytest.mark.parametrize("sparse", [0, cli._SPARSE, 1 << 30], ids=["splice", "by-density", "join"])
-def test_row_texts_match_dense_rows(sparse, monkeypatch):
-    """Each row's text is its dense entries joined by commas, whether every
-    row is spliced, every row joined, or each chosen by its density."""
-    monkeypatch.setattr(cli, "_SPARSE", sparse)
+def test_row_texts_match_dense_rows():
+    """Each row's text, spliced from its packed entries, is its dense
+    entries joined by commas."""
     for kind in MATRIX_KINDS:
         for k in CORPUS_KS:
             for n in CORPUS_NS:
