@@ -2,8 +2,9 @@
 
 Elements are finite integer combinations of labelled basis vectors.  A
 combination is homogeneous in its basis kind and its bound k; mixing
-kinds or bounds raises.  Coefficients are Python ints, so everything is
-arbitrary precision and nothing here ever touches floating point.
+kinds or bounds raises.  Coefficients are Python ints, and a float,
+Fraction or str raises TypeError, so everything is arbitrary precision
+and nothing here ever touches floating point.
 
 Composition-indexed kinds: H (complete homogeneous words), M (monomial),
 S (Schur-like, dual to QS), QS (quasi-symmetric Schur-like).
@@ -13,13 +14,15 @@ Partition-indexed kinds: h, m, s (k-Schur), dual-s (dual k-Schur).
 A ``BasisMatrix`` holds one change of basis as sparse integer rows, each
 packed into the narrowest signed ``array`` that holds it (see ``packed``),
 so a matrix costs a few bytes per nonzero and its values stay exact ints.
-It expands combinations, transposes and multiplies row by row; it inverts
+These rows are its one representation: it reads an entry by bisecting a
+row, and expands, transposes and multiplies row by row; it inverts
 nothing, since ``systems`` builds each inverse it needs from the Pieri
 rule directly.
 """
 
 from __future__ import annotations
 
+import operator
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterator
@@ -47,7 +50,7 @@ class LinearCombination:
         self.k = k
         clean = {}
         for index, coeff in (coeffs or {}).items():
-            coeff = int(coeff)
+            coeff = operator.index(coeff)
             if coeff:
                 index = tuple(index)
                 if not is_k_bounded(index, k):
@@ -200,18 +203,6 @@ def chi_project(g: LinearCombination) -> LinearCombination:
     return g.map_indices(sort_to_partition, kind="h")
 
 
-def dense_rows(pairs, width) -> tuple:
-    """Sparse (cols, vals) rows, such as matmul yields, as dense tuples of
-    width entries."""
-    out = []
-    for cols, vals in pairs:
-        row = [0] * width
-        for c, v in zip(cols, vals):
-            row[c] = v
-        out.append(tuple(row))
-    return tuple(out)
-
-
 # About the most nonzeros that one pass of BasisMatrix.transposed holds in
 # list buckets: each costs two list slots, plus an int object when its value
 # is above 256.
@@ -268,12 +259,6 @@ class BasisMatrix:
             raise ValueError("matrix shape does not match labels")
         self.n, self.k, self.source_kind, self.target_kind = n, k, source_kind, target_kind
         self.row_labels, self.col_labels, self.cols, self.vals = row_labels, col_labels, cols, vals
-
-    @property
-    def rows(self) -> tuple:
-        """The dense rows, built afresh on each read, for display and tests;
-        the matrix computations read cols and vals."""
-        return dense_rows(zip(self.cols, self.vals), len(self.col_labels))
 
     @cached_property
     def _row_position(self) -> dict:

@@ -132,17 +132,17 @@ def _case(name, failures) -> VerificationCase:
 
 
 def verify_appendix() -> VerificationReport:
-    """Rebuild the published small tables and compare entry for entry."""
+    """Rebuild the published small tables and compare each row as its
+    (column, entry) pairs, the zeros left out."""
     cases = []
     for kind, tables in REFERENCE_MATRICES.items():
         for (k, n), (labels, rows) in tables.items():
             system = build_schur_system(n, k)
             built = system.matrix("S", "H") if kind == "ns-to-h" else system.matrix("QS", "M")
-            ok = (
-                list(built.row_labels) == [tuple(l) for l in labels]
-                and [list(r) for r in built.rows] == [list(r) for r in rows]
-            )
-            detail = None if ok else f"expected {rows}, built {built.rows}"
+            expected = [[(c, v) for c, v in enumerate(row) if v] for row in rows]
+            pairs = [list(zip(cols, vals)) for cols, vals in zip(built.cols, built.vals)]
+            ok = list(built.row_labels) == [tuple(l) for l in labels] and pairs == expected
+            detail = None if ok else f"expected {expected}, built {pairs}"
             cases.append(VerificationCase(f"{kind} k={k} n={n}", ok, detail))
     return VerificationReport("appendix", {}, tuple(cases))
 
@@ -264,7 +264,7 @@ def negativity_search(max_total_degree, k) -> dict:
     products of Schur-like elements, and expansions of the k-bounded
     Schur-like basis in the unbounded one.  Returns all witnesses found."""
     if max_total_degree < 2:
-        raise ValueError("max_total_degree must be at least 2")
+        raise ValueError(f"the total degree must be at least 2, that of a product of two factors, got {max_total_degree}")
 
     def negatives(combo, labels):
         """(label, coefficient) for each negative coefficient, in label order."""

@@ -185,9 +185,11 @@ def _matrix(kind, k, n):
 
 
 def matrix_document(kind, k, n) -> dict:
-    """The computed matrix document."""
-    rows = _matrix(kind, k, n).rows
-    return {**_header(kind, k, n), "entries": [v for row in rows for v in row]}
+    """The computed matrix document, parsed from the json text that a cold
+    json request streams from its rows; no cache file is read or written."""
+    header, out = _header(kind, k, n), io.BytesIO()
+    _write_table(out, header, _row_texts(_matrix(kind, k, n)), "json", _json_prefix(header))
+    return json.loads(out.getvalue())
 
 
 def cache_dir():

@@ -1,4 +1,6 @@
 from array import array
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,13 +14,12 @@ from kschur.algebra import (
     LinearCombination,
     M_quasi_shuffle,
     chi_project,
-    dense_rows,
     h_product,
     packed,
     pairing,
 )
 from kschur.bases import build_kschur_system, build_schur_system
-from sparse_rows import sparse
+from sparse_rows import dense, sparse
 
 words = st.lists(st.integers(1, 3), max_size=3).map(tuple)
 
@@ -33,6 +34,22 @@ def M(index, k=None, coeff=1):
 
 def h(index, k=None, coeff=1):
     return LinearCombination.single("h", index, k, coeff)
+
+
+@pytest.mark.parametrize("coeff", [2.7, 0.4, 2.0, Fraction(5, 2), Fraction(4, 2), Decimal(3), "3"])
+def test_combination_refuses_a_coefficient_that_is_not_an_int(coeff):
+    """A float, Fraction, Decimal or str is refused, not rounded to an int
+    (or, below 1, silently dropped as a zero term)."""
+    with pytest.raises(TypeError):
+        LinearCombination("H", None, {(1,): coeff})
+    with pytest.raises(TypeError):
+        H((1,), coeff=coeff)
+
+
+def test_combination_takes_int_and_bool_coefficients():
+    combo = LinearCombination("H", None, {(1,): True, (2,): False, (1, 1): -(2**70)})
+    assert combo.terms() == (((1,), 1), ((1, 1), -(2**70)))
+    assert all(type(c) is int for _, c in combo.terms())
 
 
 def test_combination_drops_zeros_and_mixes_raise():
@@ -166,7 +183,7 @@ def forward_inverse(rows):
         col_labels=tuple((j,) for j in range(width)),
         **sparse(rows),
     )
-    return [list(r) for r in forward_substitution(matrix).rows]
+    return dense(forward_substitution(matrix))
 
 
 def test_invert_examples():
@@ -228,8 +245,7 @@ def test_pieri_matrix_inverses_match_oracle(k):
             inverse = forward_substitution(forward)
             assert inverse.row_labels == forward.col_labels
             assert inverse.col_labels == forward.row_labels
-            expected = invert_integer_matrix([list(r) for r in forward.rows])
-            assert [list(r) for r in inverse.rows] == expected
+            assert dense(inverse) == invert_integer_matrix(dense(forward))
 
 
 def labelled(rows, row_count, col_count, source="S", target="H"):
@@ -261,11 +277,11 @@ def sparse_matrix(draw, row_count, col_count):
 def test_matmul_matches_naive_product(m, p, q, data):
     left = data.draw(sparse_matrix(m, p))
     right = data.draw(sparse_matrix(p, q))
-    naive = tuple(
-        tuple(sum(left[i][t] * right[t][j] for t in range(p)) for j in range(q))
-        for i in range(m)
+    naive = sparse(
+        [[sum(left[i][t] * right[t][j] for t in range(p)) for j in range(q)] for i in range(m)]
     )
-    assert dense_rows(labelled(left, m, p).matmul(labelled(right, p, q, "H", "S")), q) == naive
+    product = labelled(left, m, p).matmul(labelled(right, p, q, "H", "S"))
+    assert [tuple(map(packed, pair)) for pair in product] == list(zip(naive["cols"], naive["vals"]))
 
 
 @settings(max_examples=60)
@@ -273,12 +289,11 @@ def test_matmul_matches_naive_product(m, p, q, data):
 def test_transposed_and_entries_match_dense_rows(m, p, data):
     rows = data.draw(sparse_matrix(m, p))
     matrix = labelled(rows, m, p)
-    assert matrix.rows == tuple(map(tuple, rows))
-    assert all(matrix.entry((i,), (j,)) == rows[i][j] for i in range(m) for j in range(p))
+    assert dense(matrix) == rows
     transposed = matrix.transposed("QS", "M")
     assert (transposed.source_kind, transposed.target_kind) == ("QS", "M")
     assert transposed.row_labels == matrix.col_labels and transposed.col_labels == matrix.row_labels
-    assert transposed.rows == tuple(tuple(rows[i][j] for i in range(m)) for j in range(p))
+    assert dense(transposed) == [[rows[i][j] for i in range(m)] for j in range(p)]
 
 
 @pytest.mark.parametrize("band_entries", [1, 5, 64, 1 << 20])
@@ -288,7 +303,7 @@ def test_transpose_in_bands_matches_dense_rows(band_entries, monkeypatch):
     monkeypatch.setattr(algebra, "_BAND_ENTRIES", band_entries)
     forward = build_schur_system(6, None).matrix("H", "S")
     transposed = forward.transposed("QS", "M")
-    assert transposed.rows == tuple(zip(*forward.rows))
+    assert dense(transposed) == [list(col) for col in zip(*dense(forward))]
     assert all(type(row) is array for row in transposed.cols + transposed.vals)
 
 
@@ -334,7 +349,7 @@ def test_entry_beyond_64_bits_stays_exact():
     matrix = labelled(rows, 2, width)
     assert type(matrix.vals[0]) is tuple and type(matrix.vals[1]) is tuple and type(matrix.cols[0]) is array
     assert matrix.entry((0,), (2,)) == big
-    assert matrix.transposed("QS", "M").rows == tuple(zip(*rows))
+    assert dense(matrix.transposed("QS", "M")) == [list(col) for col in zip(*rows)]
     zeros = b"0," * (width - 3)
     assert list(cli._row_texts(matrix)) == [b"1,0,1180591620717411303424," + zeros[:-1], zeros + b"0,0,-1180591620717411303424"]
 

@@ -5,7 +5,7 @@ import pytest
 
 from forward_substitution import forward_substitution
 from kschur import DomainError, bases, systems
-from kschur.algebra import BasisMatrix, LinearCombination, dense_rows, pairing
+from kschur.algebra import BasisMatrix, LinearCombination, packed, pairing
 from kschur.bases import (
     build_kschur_system,
     build_schur_system,
@@ -23,7 +23,7 @@ from kschur.bases import (
 from kschur.compositions import SIDES, comp_pieri_targets, enumerate_compositions, sort_to_partition
 from kschur.partitions import dominance_lt, partitions_of
 from kschur.systems import GradedSystem, kostka_chains
-from sparse_rows import sparse
+from sparse_rows import dense, sparse
 
 
 def test_kostka_worked_example():
@@ -92,10 +92,9 @@ def test_system_inverse_round_trip():
         for n in range(6):
             system = build_schur_system(n, k)
             size = len(system.labels)
-            product = dense_rows(system.S_to_H.matmul(system.matrix("H", "S")), size)
-            assert product == tuple(
-                tuple(int(i == j) for j in range(size)) for i in range(size)
-            )
+            identity = sparse([[int(i == j) for j in range(size)] for i in range(size)])
+            product = system.S_to_H.matmul(system.matrix("H", "S"))
+            assert [tuple(map(packed, pair)) for pair in product] == list(zip(identity["cols"], identity["vals"]))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, None])
@@ -119,7 +118,7 @@ def test_pieri_entries_are_chain_counts():
                 ("partition", build_kschur_system, ("h", "s")),
             ):
                 system = build(n, k)
-                rows = system.matrix(*kinds).rows
+                rows = dense(system.matrix(*kinds))
                 for beta, row in zip(system.labels, rows):
                     for alpha, value in zip(system.labels, row):
                         assert value == kostka(alpha, beta, k, family, "pieri"), (alpha, beta, k)
@@ -155,8 +154,8 @@ def test_builds_need_no_deep_recursion():
         for build, kinds in ((build_schur_system, ("H", "S")), (build_kschur_system, ("h", "s"))):
             system = build(150, 1)
             assert system.labels == ((1,) * 150,)
-            assert system.matrix(*kinds).rows == ((1,),)
-            assert system.matrix(*kinds[::-1]).rows == ((1,),)
+            assert dense(system.matrix(*kinds)) == [[1]]
+            assert dense(system.matrix(*kinds[::-1])) == [[1]]
     finally:
         sys.setrecursionlimit(limit)
 
@@ -189,7 +188,7 @@ def test_unit_diagonal_and_dominance_support():
     for k in (2, 3):
         for n in range(7):
             system = build_schur_system(n, k)
-            for beta, row in zip(system.labels, system.matrix("H", "S").rows):
+            for beta, row in zip(system.labels, dense(system.matrix("H", "S"))):
                 for alpha, value in zip(system.labels, row):
                     if alpha == beta:
                         assert value == 1
@@ -284,18 +283,17 @@ def test_duality_product_entries_are_pairings(k):
         first, last = system.labels[0], system.labels[-1]
         broken = with_entry_changed(system, "S", "H", {(last, first): 1, (first, last): 2})
         for graded in (system, broken):
-            product = dense_rows(graded.matrix("S", "H").matmul(graded.matrix("H", "S")), len(graded.labels))
-            for a, alpha in enumerate(graded.labels):
-                qs = graded.expand("QS", alpha, "M")
-                for b, beta in enumerate(graded.labels):
-                    assert product[b][a] == pairing(qs, graded.expand("S", beta, "H"))
+            product = graded.matrix("S", "H").matmul(graded.matrix("H", "S"))
+            qs = [graded.expand("QS", alpha, "M") for alpha in graded.labels]
+            naive = sparse([[pairing(f, graded.expand("S", beta, "H")) for f in qs] for beta in graded.labels])
+            assert [tuple(map(packed, pair)) for pair in product] == list(zip(naive["cols"], naive["vals"]))
 
 
 def with_entry_changed(system, source, target, changes):
     """A copy of the graded system whose source->target matrix has the
     given {(row label, column label): delta} added to its entries."""
     matrix = system.matrix(source, target)
-    rows = [list(row) for row in matrix.rows]
+    rows = dense(matrix)
     for (row_label, col_label), delta in changes.items():
         rows[matrix.row_labels.index(row_label)][matrix.col_labels.index(col_label)] += delta
     broken = GradedSystem(system.family, system.n, system.k)

@@ -28,6 +28,7 @@ from kschur.cli import (
     parse_k,
     render_matrix,
 )
+from sparse_rows import dense
 
 
 def run(capsys, *argv):
@@ -576,6 +577,12 @@ CORPUS_KS = (1, 2, 3, None)
 CORPUS_NS = range(8)
 
 
+def dense_document(kind, k, n):
+    """The matrix document with its entries read from the dense rows."""
+    entries = [v for row in dense(cli._matrix(kind, k, n)) for v in row]
+    return {**cli._header(kind, k, n), "entries": entries}
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
 @pytest.mark.parametrize("kind", list(MATRIX_KINDS))
 def test_cold_stream_matches_dense_document(kind, fmt, tmp_path, monkeypatch, capsys):
@@ -587,7 +594,7 @@ def test_cold_stream_matches_dense_document(kind, fmt, tmp_path, monkeypatch, ca
             monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path / f"{k}-{n}"))
             argv = ("matrix", "--kind", kind, "--k", str(format_k(k)), "--n", str(n), "--format", fmt)
             code, out = run(capsys, *argv)
-            doc = matrix_document(kind, k, n)
+            doc = dense_document(kind, k, n)
             assert code == 0 and out == render_matrix(doc, fmt) + "\n", (k, n)
             (path,) = (tmp_path / f"{k}-{n}").iterdir()
             assert path.read_text(encoding="utf-8") == line_file(doc), (k, n)
@@ -601,7 +608,23 @@ def test_row_texts_match_dense_rows():
         for k in CORPUS_KS:
             for n in CORPUS_NS:
                 matrix = cli._matrix(kind, k, n)
-                assert list(cli._row_texts(matrix)) == [",".join(map(str, row)).encode() for row in matrix.rows]
+                assert list(cli._row_texts(matrix)) == [",".join(map(str, row)).encode() for row in dense(matrix)]
+
+
+@pytest.mark.parametrize("kind", list(MATRIX_KINDS))
+def test_matrix_document_is_the_parsed_cold_json_output(kind, tmp_path, monkeypatch, capsys):
+    """matrix_document parses the text of the one row writer, reading and
+    writing no cache: it equals the parsed output of a cold json request
+    and the document built from the dense rows."""
+    for k in (2, 3, None):
+        for n in range(7):
+            monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path / f"{k}-{n}"))
+            code, out = run(capsys, "matrix", "--kind", kind, "--k", str(format_k(k)), "--n", str(n))
+            doc = matrix_document(kind, k, n)
+            assert code == 0 and doc == json.loads(out) == dense_document(kind, k, n), (k, n)
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path / "unused"))
+    matrix_document(kind, 3, 4)
+    assert not (tmp_path / "unused").exists()
 
 
 @pytest.mark.parametrize("kind", list(MATRIX_KINDS))
@@ -901,7 +924,7 @@ def _oracle_expansions(n, k):
         (systems.build_schur_system(n, k), ("H", "S", "QS", "M")),
         (systems.build_kschur_system(n, k), ("h", "s", "dual-s", "m")),
     ):
-        rows = [list(r) for r in system.matrix(H, S).rows]
+        rows = dense(system.matrix(H, S))
         out[(H, S)] = (system, rows)
         out[(S, H)] = (system, invert_integer_matrix(rows))
         out[(QS, M)] = (system, transpose(rows))
@@ -1069,6 +1092,16 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 def test_verify_refuses_vacuous_requests(argv, capsys):
     code, out = run(capsys, "verify", *argv)
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("max_n", ["0", "1"])
+def test_verify_negativity_refuses_a_total_degree_below_2(max_n, capsys):
+    """No product of two factors of positive degree has a total degree
+    below 2; the usage error names the total degree, which is --max-n."""
+    code = main(["verify", "--suite", "negativity", "--max-n", max_n])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: the total degree must be at least 2, that of a product of two factors, got {max_n}\n"
 
 
 @pytest.mark.parametrize(
