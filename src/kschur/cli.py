@@ -62,20 +62,24 @@ MATRIX_KINDS = {
 # h-to-ns matrix is about 560 MB of json, at 458753.
 MAX_CELLS = 600_000
 
-# Each verify suite with its default --max-n and default --k list (None
-# marks a flag that the suite does not read; such a flag is refused), then
-# what the label limit counts for it: the basis kind of the side with the
-# most labels that its builds read up to --max-n (omega enumerates only
-# partitions, those bounded by its --k the most; None: not limited), and
-# the k it builds besides its --k values (k = inf for two suites).
+# Each verify suite as the bases function that runs it, by name (looked up
+# when called), and whether it runs once per degree 0..--max-n and per --k,
+# its cases merged, or once over the whole range on the flags it reads; its
+# default --max-n and --k list (None marks a flag that the suite does not
+# read; such a flag is refused); its --k rule: "any" values, "finite" values
+# only, or "one" finite value, passed on alone; then what the label limit
+# counts for it: the basis kind of the side with the most labels that its
+# builds read up to --max-n (omega enumerates only partitions, those bounded
+# by its --k the most; None: not limited), and the k it builds besides its
+# --k values (None: k = inf).
 VERIFY_SUITES = {
-    "appendix": (None, None, None, ()),
-    "duality": (7, (2, 3, 4), "H", ()),
-    "projection": (6, (2, 3), "H", ()),
-    "decomposition": (6, (2, 3), "H", ()),
-    "stabilization": (6, None, "H", (None,)),
-    "omega": (10, (5,), "h", ()),
-    "negativity": (8, (2, 3), "H", (None,)),
+    "appendix": ("verify_appendix", False, None, None, "any", None, ()),
+    "duality": ("verify_duality", True, 7, (2, 3, 4), "any", "H", ()),
+    "projection": ("verify_projection", True, 6, (2, 3), "any", "H", ()),
+    "decomposition": ("verify_decomposition", True, 6, (2, 3), "any", "H", ()),
+    "stabilization": ("stabilization_check", True, 6, None, "any", "H", (None,)),
+    "omega": ("verify_omega", False, 10, (5,), "one", "h", ()),
+    "negativity": ("verify_negativity", False, 8, (2, 3), "finite", "H", (None,)),
 }
 
 
@@ -83,12 +87,13 @@ VERIFY_SUITES = {
 # parsing and formatting helpers
 
 def parse_k(text):
+    """A bound k: an int of at least 1, or None for 'inf'."""
     if text == "inf":
         return None
-    k = int(text)
-    if k < 1:
-        raise ValueError(f"k must be at least 1 or 'inf', got {text!r}")
-    return k
+    with contextlib.suppress(ValueError):  # text that int() refuses is refused below
+        if (k := int(text)) >= 1:
+            return k
+    raise ValueError(f"k must be at least 1 or 'inf', got {text!r}")
 
 
 def parse_parts(text):
@@ -96,7 +101,10 @@ def parse_parts(text):
     text = text.strip()
     if text in ("", "[]", "()"):
         return ()
-    return tuple(int(p) for p in text.split(","))
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"cannot read {text!r} as comma-separated integers") from None
 
 
 def format_label(kind, label, sep=","):
@@ -444,7 +452,7 @@ def _suite_report(args):
     from . import bases
 
     suite = args.suite
-    default_n, default_ks, label_kind, extra_ks = VERIFY_SUITES[suite]
+    name, per_degree, default_n, default_ks, k_rule, label_kind, extra_ks = VERIFY_SUITES[suite]
     for flag, value, default in (("--max-n", args.max_n, default_n), ("--k", args.k, default_ks)):
         if value is not None and default is None:
             raise ValueError(f"the {suite} suite takes no {flag}")
@@ -454,21 +462,15 @@ def _suite_report(args):
     max_n = default_n if args.max_n is None else args.max_n
     if max_n is not None and max_n < 0:
         raise ValueError(f"--max-n must be nonnegative, got {max_n}")
-    if suite == "omega" and (len(ks) != 1 or ks[0] is None):
-        raise ValueError("the omega suite takes one finite --k")
-    if suite == "negativity" and None in ks:
-        raise ValueError("the negativity suite takes only finite --k values")
+    if k_rule != "any" and (None in ks or k_rule == "one" and len(ks) != 1):
+        takes = "one finite --k" if k_rule == "one" else "only finite --k values"
+        raise ValueError(f"the {suite} suite takes {takes}")
     if label_kind is not None:
         for k in [*(ks or ()), *extra_ks]:
             _require_label_limit(label_kind, k, max_n)
-    if suite == "appendix":
-        return bases.verify_appendix()
-    if suite == "omega":
-        return bases.verify_omega(max_n, ks[0])
-    if suite == "negativity":
-        return bases.verify_negativity(max_n, ks)
-    # The other suites run once per degree n, and per k when they read --k.
-    check = bases.stabilization_check if suite == "stabilization" else getattr(bases, f"verify_{suite}")
+    check = getattr(bases, name)
+    if not per_degree:
+        return check(*(v for v in (max_n, ks[0] if k_rule == "one" else ks) if v is not None))
     k_args = [(k,) for k in ks] if ks else [()]
     cases = [c for k_arg in k_args for n in range(max_n + 1) for c in check(n, *k_arg).cases]
     parameters = {"max_n": max_n, **({"k": list(map(format_k, ks))} if ks else {})}

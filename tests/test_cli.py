@@ -724,6 +724,9 @@ def test_kostka_errors(capsys):
         (("partition", "1,2", "2,1"), 2, "error: partition parts must weakly decrease: (1, 2)\n"),
         (("composition", "2,1", "3", "--k", "2"), 3, "error: (3,) is not 2-bounded\n"),
         (("partition", "2,1", "3", "--k", "2"), 3, "error: (3,) is not 2-bounded\n"),
+        (("composition", "1,a", "2"), 2, "error: cannot read '1,a' as comma-separated integers\n"),
+        (("partition", "2", "1,,1"), 2, "error: cannot read '1,,1' as comma-separated integers\n"),
+        (("composition", "2", "2", "--k", "x"), 2, "error: k must be at least 1 or 'inf', got 'x'\n"),
     ],
 )
 def test_kostka_label_errors(argv, code, err, capsys):
@@ -851,8 +854,7 @@ def test_verify_suite_edge_is_admitted(suite, monkeypatch, capsys):
     refused one degree past it; the suite itself is patched out, so that
     nothing is built."""
     passing = VerificationReport(suite, {}, (VerificationCase("edge", True),))
-    check = "stabilization_check" if suite == "stabilization" else f"verify_{suite}"
-    monkeypatch.setattr(bases, check, lambda *args: passing)
+    monkeypatch.setattr(bases, cli.VERIFY_SUITES[suite][0], lambda *args: passing)
     *flags, edge = VERIFY_EDGES[suite]
     code, out = run(capsys, "verify", "--suite", suite, *flags, str(edge))
     assert code == 0 and json.loads(out)["passed"]
@@ -897,6 +899,8 @@ def test_expand_domain_violation(capsys):
         ("S:1@k=3", "bad index '1'; use [..] or (..)"),
         ("s:[0]@k=3", "composition parts must be positive: (0,)"),
         ("S:(1,2)@k=3", "partition parts must weakly decrease: (1, 2)"),
+        ("S:[1,x]@k=2", "cannot read '1,x' as comma-separated integers"),
+        ("S:[1]@k=2.5", "k must be at least 1 or 'inf', got '2.5'"),
     ],
 )
 def test_expand_spec_rejections(spec, err, capsys):
@@ -962,6 +966,30 @@ def test_readme_command_examples_run():
         assert main(argv[1:]) == 0, argv
 
 
+# How the README's suite table writes each --k rule of VERIFY_SUITES.
+README_K_RULES = {"any": "any", "finite": "finite only", "one": "one finite"}
+
+
+def test_readme_suite_table_matches_verify_suites(capsys):
+    """Each row of the README's suite table names a suite of
+    cli.VERIFY_SUITES with that row's function, calls, defaults and --k
+    rule, and every suite has a row; a flag the table says is not read is
+    refused."""
+    lines = README.read_text(encoding="utf-8").split("\n| suite | `bases` function |", 1)[1].split("\n\n", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines.splitlines()[2:]]
+    assert [row[0] for row in rows] == [f"`{suite}`" for suite in cli.VERIFY_SUITES]
+    for (_, function, calls, max_n, ks, rule, _), (suite, entry) in zip(rows, cli.VERIFY_SUITES.items()):
+        name, per_degree, default_n, default_ks, k_rule = entry[:5]
+        assert function == f"`{name}`" and calls.startswith("per degree") == per_degree, suite
+        assert max_n.split(" (")[0] == ("not read" if default_n is None else str(default_n)), suite  # 8 (total degree)
+        assert ks == ("not read" if default_ks is None else ",".join(map(str, default_ks))), suite
+        assert rule == ("not read" if default_ks is None else README_K_RULES[k_rule]), suite
+        for flag, cell in (("--max-n", max_n), ("--k", ks)):
+            if cell == "not read":
+                assert main(["verify", "--suite", suite, flag, "1"]) == 2
+                assert capsys.readouterr() == ("", f"error: the {suite} suite takes no {flag}\n")
+
+
 REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
 
 
@@ -988,11 +1016,13 @@ def test_recorded_outputs(monkeypatch, tmp_path, capsys):
         (("--kind", "dualkschur-to-m", "--k", "2", "--n", "-1"), "error: n must be nonnegative\n"),
         (("--kind", "ns-to-h", "--k", "0", "--n", "2"), "error: k must be at least 1 or 'inf', got '0'\n"),
         (("--kind", "dualkschur-to-m", "--k", "0", "--n", "2"), "error: k must be at least 1 or 'inf', got '0'\n"),
+        (("--kind", "ns-to-h", "--k", "3.5", "--n", "2"), "error: k must be at least 1 or 'inf', got '3.5'\n"),
+        (("--kind", "kschur-to-h", "--k", "", "--n", "2"), "error: k must be at least 1 or 'inf', got ''\n"),
     ],
 )
 def test_matrix_usage_errors(argv, err, tmp_path, monkeypatch, capsys):
-    """A negative degree or a zero bound is refused on both sides before
-    any cache file is read or written."""
+    """A negative degree, a zero bound or a bound that is not an int is
+    refused on both sides before any cache file is read or written."""
     monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
     assert main(["matrix", *argv]) == 2
     assert capsys.readouterr() == ("", err)
@@ -1071,27 +1101,35 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert not json.loads(out)["passed"]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("--suite", "negativity", "--k", "inf"),
-        ("--suite", "duality", "--max-n", "-3"),
-        ("--suite", "stabilization", "--max-n", "-1"),
-        ("--suite", "omega", "--k", "inf"),
-        ("--suite", "omega", "--k", "3,inf"),
-        ("--suite", "omega", "--k", "3,1"),
-        ("--suite", "negativity", "--k", "2,inf"),
-        ("--suite", "appendix", "--max-n", "3", "--k", "2"),
-        ("--suite", "appendix", "--max-n", "3"),
-        ("--suite", "appendix", "--k", "2"),
-        ("--suite", "stabilization", "--k", "3"),
-        ("--suite", "duality", "--k", ""),
-        ("--suite", "duality", "--k", "2,2"),
-    ],
-)
-def test_verify_refuses_vacuous_requests(argv, capsys):
-    code, out = run(capsys, "verify", *argv)
-    assert code == 2 and out == ""
+# Each usage error of verify with its stderr line; a new case goes last, so
+# that every case keeps its id.
+VERIFY_USAGE_ERRORS = [
+    (("--suite", "negativity", "--k", "inf"), "the negativity suite takes only finite --k values"),
+    (("--suite", "duality", "--max-n", "-3"), "--max-n must be nonnegative, got -3"),
+    (("--suite", "stabilization", "--max-n", "-1"), "--max-n must be nonnegative, got -1"),
+    (("--suite", "omega", "--k", "inf"), "the omega suite takes one finite --k"),
+    (("--suite", "omega", "--k", "3,inf"), "the omega suite takes one finite --k"),
+    (("--suite", "omega", "--k", "3,1"), "the omega suite takes one finite --k"),
+    (("--suite", "negativity", "--k", "2,inf"), "the negativity suite takes only finite --k values"),
+    (("--suite", "appendix", "--max-n", "3", "--k", "2"), "the appendix suite takes no --max-n"),
+    (("--suite", "appendix", "--max-n", "3"), "the appendix suite takes no --max-n"),
+    (("--suite", "appendix", "--k", "2"), "the appendix suite takes no --k"),
+    (("--suite", "stabilization", "--k", "3"), "the stabilization suite takes no --k"),
+    (("--suite", "duality", "--k", ""), "k must be at least 1 or 'inf', got ''"),
+    (("--suite", "duality", "--k", "2,2"), "--k 2,2 repeats a value"),
+    (("--suite", "duality", "--k", "2,"), "k must be at least 1 or 'inf', got ''"),
+    (("--suite", "projection", "--k", "2,3.5"), "k must be at least 1 or 'inf', got '3.5'"),
+    (("--suite", "omega", "--k", "0"), "k must be at least 1 or 'inf', got '0'"),
+    (("--suite", "omega", "--max-n", "-1", "--k", "3"), "--max-n must be nonnegative, got -1"),
+    (("--suite", "negativity", "--k", "inf,inf"), "--k inf,inf repeats a value"),
+]
+
+
+@pytest.mark.parametrize("argv, err", VERIFY_USAGE_ERRORS, ids=[f"argv{i}" for i in range(len(VERIFY_USAGE_ERRORS))])
+def test_verify_refuses_vacuous_requests(argv, err, capsys):
+    """Each usage error exits 2 with its one stderr line and no output."""
+    assert main(["verify", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 @pytest.mark.parametrize("max_n", ["0", "1"])
@@ -1123,10 +1161,27 @@ def test_verify_defaults(suite, parameters, capsys):
     assert report["parameters"] == parameters
 
 
-def test_verify_empty_report_fails(monkeypatch, capsys):
-    empty = VerificationReport("appendix", {}, ())
+# The calls that each suite's row makes to its bases function at the
+# suite's defaults: once over the whole range, or once per k and degree.
+DEFAULT_CALLS = {
+    "appendix": [()],
+    "duality": [(n, k) for k in (2, 3, 4) for n in range(8)],
+    "projection": [(n, k) for k in (2, 3) for n in range(7)],
+    "decomposition": [(n, k) for k in (2, 3) for n in range(7)],
+    "stabilization": [(n,) for n in range(7)],
+    "omega": [(10, 5)],
+    "negativity": [(8, (2, 3))],
+}
+
+
+@pytest.mark.parametrize("suite", cli.VERIFY_SUITES)
+def test_verify_empty_report_fails(suite, monkeypatch, capsys):
+    """A suite whose function finds no case fails, whether its report is
+    the function's own or merged over degrees and k."""
+    empty, calls = VerificationReport(suite, {}, ()), []
     assert not empty.passed
-    monkeypatch.setattr(bases, "verify_appendix", lambda: empty)
-    code, out = run(capsys, "verify", "--suite", "appendix")
-    assert code == 1
-    assert json.loads(out) == {"suite": "appendix", "parameters": {}, "passed": False, "cases": []}
+    monkeypatch.setattr(bases, cli.VERIFY_SUITES[suite][0], lambda *args: calls.append(args) or empty)
+    code, out = run(capsys, "verify", "--suite", suite)
+    report = json.loads(out)
+    assert code == 1 and calls == DEFAULT_CALLS[suite]
+    assert report["suite"] == suite and report["passed"] is False and report["cases"] == []
