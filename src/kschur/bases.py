@@ -270,29 +270,25 @@ def negativity_search(max_total_degree, k) -> dict:
         """(label, coefficient) for each negative coefficient, in label order."""
         return [(gamma, c) for gamma in labels if (c := combo.coefficient(gamma)) < 0]
 
+    in_h, classical_witnesses = {}, []  # in_h[n]: (alpha, S_alpha in H) for each label of degree n
+    for n in range(1, max_total_degree + 1):
+        bounded, unbounded = build_schur_system(n, k), build_schur_system(n, None)
+        in_h[n] = [(alpha, bounded.expand("S", alpha, "H")) for alpha in bounded.labels]
+        pieri = unbounded.matrix("H", "S")
+        for alpha, combo in in_h[n]:
+            in_s = pieri.expand(LinearCombination("H", None, dict(combo.terms())))
+            for gamma, value in negatives(in_s, unbounded.labels):
+                classical_witnesses.append((alpha, gamma, value))
     product_witnesses = []
     for n1 in range(1, max_total_degree):
-        sys1 = build_schur_system(n1, k)
         for n2 in range(1, max_total_degree - n1 + 1):
-            sys2 = build_schur_system(n2, k)
             total = build_schur_system(n1 + n2, k)
             pieri = total.matrix("H", "S")
-            rights = [(beta, sys2.expand("S", beta, "H")) for beta in sys2.labels]
-            for alpha in sys1.labels:
-                left = sys1.expand("S", alpha, "H")
-                for beta, right in rights:
+            for alpha, left in in_h[n1]:
+                for beta, right in in_h[n2]:
                     product = pieri.expand(H_product(left, right))
                     for gamma, value in negatives(product, total.labels):
                         product_witnesses.append((alpha, beta, gamma, value))
-    classical_witnesses = []
-    for n in range(1, max_total_degree + 1):
-        bounded = build_schur_system(n, k)
-        unbounded = build_schur_system(n, None)
-        pieri = unbounded.matrix("H", "S")
-        for alpha in bounded.labels:
-            in_h = LinearCombination("H", None, dict(bounded.expand("S", alpha, "H").terms()))
-            for gamma, value in negatives(pieri.expand(in_h), unbounded.labels):
-                classical_witnesses.append((alpha, gamma, value))
     return {"product": product_witnesses, "classical": classical_witnesses}
 
 

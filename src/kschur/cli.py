@@ -87,24 +87,22 @@ VERIFY_SUITES = {
 # parsing and formatting helpers
 
 def parse_k(text):
-    """A bound k: an int of at least 1, or None for 'inf'."""
+    """A bound k: ASCII decimal digits that read as at least 1, or None for 'inf'."""
     if text == "inf":
         return None
-    with contextlib.suppress(ValueError):  # text that int() refuses is refused below
-        if (k := int(text)) >= 1:
-            return k
+    if re.fullmatch("[0-9]+", text) and int(text) >= 1:
+        return int(text)
     raise ValueError(f"k must be at least 1 or 'inf', got {text!r}")
 
 
 def parse_parts(text):
-    """Comma-separated positive integers; empty string is the empty sequence."""
-    text = text.strip()
+    """Comma-separated ints in ASCII decimal digits, each maybe after a '-';
+    "", "[]" and "()" are the empty sequence."""
     if text in ("", "[]", "()"):
         return ()
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ValueError(f"cannot read {text!r} as comma-separated integers") from None
+    if not re.fullmatch("-?[0-9]+(,-?[0-9]+)*", text):
+        raise ValueError(f"cannot read {text!r} as comma-separated integers")
+    return tuple(map(int, text.split(",")))
 
 
 def format_label(kind, label, sep=","):
@@ -375,7 +373,7 @@ def _json_rows(prefix, rows, write, newline):
         yield row
 
 
-def _write_table(out, header, rows, fmt, prefix=None):
+def _write_table(out, header, rows, fmt, prefix):
     """Write the matrix to the binary stream out as json, csv or latex,
     line by line; rows yields each row as the comma-joined ASCII text of
     its entries, and the json text starts with prefix, the _json_prefix
@@ -405,12 +403,11 @@ def _write_table(out, header, rows, fmt, prefix=None):
 
 
 def render_matrix(doc, fmt) -> str:
-    if fmt == "json":
-        return json.dumps(doc, separators=(",", ":"))
+    """What a matrix request for doc prints in fmt, without the last newline."""
     entries, d = doc["entries"], len(doc["col_labels"])
     rows = (",".join(map(str, entries[i : i + d])).encode() for i in range(0, len(entries), d))
     out = io.BytesIO()
-    _write_table(out, doc, rows, fmt)
+    _write_table(out, doc, rows, fmt, _json_prefix(doc))
     return out.getvalue()[:-1].decode()
 
 

@@ -31,6 +31,7 @@ tell the two sides apart reads them.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from functools import lru_cache
 from itertools import groupby
@@ -53,8 +54,8 @@ Cell = tuple[int, int]  # 1-based (row, column)
 
 
 def check_composition(parts, k=None) -> tuple[int, ...]:
-    """Validate a composition given as any iterable; parts <= k when bounded."""
-    alpha = tuple(int(p) for p in parts)
+    """Validate a composition given as any iterable of ints; parts <= k when bounded."""
+    alpha = tuple(map(operator.index, parts))
     if any(p < 1 for p in alpha):
         raise DomainError(f"composition parts must be positive: {alpha!r}")
     require_k_bounded(alpha, k)

@@ -13,6 +13,7 @@ safe for concurrent use; the memo tables are functools caches.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from functools import lru_cache
 from itertools import accumulate, count
@@ -21,8 +22,9 @@ from .errors import DomainError
 
 
 def check_partition(parts) -> tuple[int, ...]:
-    """Validate and canonicalize a partition given as any iterable."""
-    lam = tuple(int(p) for p in parts)
+    """Validate and canonicalize a partition given as any iterable of ints;
+    TypeError for a part that is not one (a bool counts as 0 or 1)."""
+    lam = tuple(map(operator.index, parts))
     if any(p < 1 for p in lam):
         raise DomainError(f"partition parts must be positive: {lam!r}")
     if any(a < b for a, b in zip(lam, lam[1:])):

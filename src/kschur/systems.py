@@ -57,16 +57,10 @@ def kostka(shape, content, k=None, family="composition", order="paper") -> int:
     """Number of chains from the empty shape to ``shape`` adding horizontal
     (k-)strips of the content sizes, read in the given order."""
     shape, seq = _chain_content(shape, content, k, family, order)
-    return _chain_counts(seq, k, _targets_inside(shape, family)).get(shape, 0)
-
-
-def _chain_counts(seq, k, targets) -> dict:
-    """Chains from the empty shape adding one strip per size in seq, in
-    order, through targets(shape, size, k): {end shape: number of chains}."""
-    frontier = {(): 1}
+    targets, frontier = _targets_inside(shape, family), {(): 1}
     for size in seq:
         frontier = _step(frontier, {gamma: targets(gamma, size, k) for gamma in frontier})
-    return frontier
+    return frontier.get(shape, 0)
 
 
 def _step(frontier, strip) -> dict:

@@ -35,6 +35,22 @@ def test_kostka_worked_example():
     }
 
 
+@pytest.mark.parametrize("part", [1.9, 1.0, "1"])
+def test_label_readers_refuse_a_part_that_is_not_an_int(part):
+    """kostka and ssyt_count read a shape or content through the label
+    checkers, which refuse such a part instead of rounding it: kostka
+    counted the chains to (1, 2) for the shape (1.9, 2)."""
+    assert kostka((1, 2), (2, 1)) == 1
+    with pytest.raises(TypeError):
+        kostka((part, 2), (2, 1))
+    with pytest.raises(TypeError):
+        kostka((1, 2), (2, part))
+    with pytest.raises(TypeError):
+        kostka((2, part), (2, 1), None, "partition")
+    with pytest.raises(TypeError):
+        ssyt_count((2, part), (2, 1))
+
+
 def test_kostka_partition_example():
     assert kostka((2, 1, 1), (1, 1, 1, 1), 3, "partition", "paper") == 2
     assert kostka((2, 1, 1), (1, 1, 1, 1), 3, "partition", "pieri") == 2

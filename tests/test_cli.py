@@ -133,13 +133,20 @@ def line_file(doc):
     return head[:-1] + ',"entries":[\n' + ",\n".join(rows) + "]}"
 
 
+def rendered(doc, fmt):
+    """What a matrix request prints for doc in fmt, without the last
+    newline: json by the json module, an oracle independent of the request
+    writer, and csv or latex by render_matrix."""
+    return json.dumps(doc, separators=(",", ":")) if fmt == "json" else render_matrix(doc, fmt)
+
+
 def test_line_file_is_the_json_output_with_a_newline_between_rows():
     doc = matrix_document("ns-to-h", 2, 3)
     assert line_file(doc) == (
         '{"schema_version":"1","k":2,"n":3,"kind":"ns-to-h","row_labels":[[2,1],[1,2],[1,1,1]],'
         '"col_labels":[[2,1],[1,2],[1,1,1]],"entries":[\n1,0,0,\n0,1,0,\n0,-1,1]}'
     )
-    assert line_file(doc).replace("\n", "") == render_matrix(doc, "json")
+    assert line_file(doc).replace("\n", "") == json.dumps(doc, separators=(",", ":"))
 
 
 # Fields planted over the cold ns-to-h (3, 2) document, whose labels are
@@ -232,7 +239,7 @@ def test_matrix_rewrites_noncanonical_cache(edit, fmt, tmp_path, monkeypatch, ca
     assert edited != text and json.loads(edited) == json.loads(text)
     path.write_bytes(edited.encode())
     code, again = run(capsys, *argv, fmt)
-    assert code == 0 and again == render_matrix(json.loads(text), fmt) + "\n"
+    assert code == 0 and again == rendered(json.loads(text), fmt) + "\n"
     assert path.read_text(encoding="utf-8") == text
 
 
@@ -254,7 +261,7 @@ def test_matrix_rewrites_a_broken_row_end(edit, fmt, tmp_path, monkeypatch, caps
     text = path.read_text(encoding="utf-8")
     path.write_text(edit(text), encoding="utf-8")
     code, again = run(capsys, *argv, fmt)
-    assert code == 0 and again == render_matrix(json.loads(text), fmt) + "\n"
+    assert code == 0 and again == rendered(json.loads(text), fmt) + "\n"
     assert path.read_text(encoding="utf-8") == text
 
 
@@ -302,7 +309,7 @@ def test_old_format_file_is_refused_after_one_read(fmt, tmp_path, monkeypatch, c
 
     monkeypatch.setattr(cli, "open", counting_open, raising=False)
     code, again = run(capsys, *argv, fmt)
-    assert code == 0 and again == render_matrix(json.loads(cold), fmt) + "\n"
+    assert code == 0 and again == rendered(json.loads(cold), fmt) + "\n"
     (reader,) = readers
     assert reader.reads == [len(cli._json_prefix(cli._header("h-to-ns", 3, 5))) + 1]
     assert reader.handle.closed
@@ -326,7 +333,7 @@ def test_block_check_serves_the_canonical_file_at_every_block_size(block, tmp_pa
     monkeypatch.setattr(systems, "build_schur_system", no_build)
     for fmt in ("json", "csv", "latex"):
         code, warm = run(capsys, *argv, fmt)
-        assert code == 0 and warm == render_matrix(json.loads(cold), fmt) + "\n", fmt
+        assert code == 0 and warm == rendered(json.loads(cold), fmt) + "\n", fmt
     assert path.read_text(encoding="utf-8") == line_file(json.loads(cold))
 
 
@@ -341,7 +348,7 @@ def test_block_check_bad_last_entry_prints_only_the_cold_output(fmt, tmp_path, m
     assert text.endswith(",1]}")
     path.write_text(text[: -len("1]}")] + "01]}", encoding="utf-8")
     code, again = run(capsys, *argv, fmt)
-    assert code == 0 and again == render_matrix(json.loads(text), fmt) + "\n"
+    assert code == 0 and again == rendered(json.loads(text), fmt) + "\n"
     assert path.read_text(encoding="utf-8") == text
 
 
@@ -363,7 +370,7 @@ def test_cache_replaced_after_the_check_does_not_change_the_output(fmt, tmp_path
 
     monkeypatch.setattr(cli, "_read_cache", read_then_replace)
     code, warm = run(capsys, *argv, fmt)
-    assert code == 0 and warm == render_matrix(json.loads(cold), fmt) + "\n"
+    assert code == 0 and warm == rendered(json.loads(cold), fmt) + "\n"
     assert path.read_text(encoding="utf-8") == "{not json"
 
 
@@ -420,7 +427,7 @@ def test_cached_matrix_document_rewrites_a_mismatched_file(tmp_path, monkeypatch
     doc = cli.cached_matrix_document("ns-to-h", 2, 3)
     (path,) = tmp_path.iterdir()
     text = path.read_text(encoding="utf-8")
-    for planted in (line_file({**doc, "n": 4}), render_matrix(doc, "json")):
+    for planted in (line_file({**doc, "n": 4}), json.dumps(doc, separators=(",", ":"))):
         path.write_text(planted, encoding="utf-8")
         assert cli.cached_matrix_document("ns-to-h", 2, 3) == doc
         assert path.read_text(encoding="utf-8") == text
@@ -454,7 +461,7 @@ def test_matrix_output_is_ascii_whatever_the_stdout_encoding(fmt, tmp_path):
     )
     argv = [sys.executable, "-m", "kschur.cli", "matrix", "--kind", "ns-to-h", "--n", "3", "--k", "2", "--format", fmt]
     cold, warm = (subprocess.run(argv, env=env, capture_output=True, timeout=60, check=True).stdout for _ in range(2))
-    assert cold == warm == (render_matrix(matrix_document("ns-to-h", 2, 3), fmt) + "\n").encode("ascii")
+    assert cold == warm == (rendered(matrix_document("ns-to-h", 2, 3), fmt) + "\n").encode("ascii")
     assert len(list(tmp_path.iterdir())) == 1
 
   # the file the warm request read
@@ -491,7 +498,7 @@ def test_matrix_warm_hit_imports_only_the_label_layer(tmp_path):
     assert BUILD_LAYER <= modules
     for fmt in ("json", "csv", "latex"):
         warm, modules = loaded_modules(tmp_path, *argv, fmt)
-        assert warm == render_matrix(json.loads(cold), fmt) + "\n"
+        assert warm == rendered(json.loads(cold), fmt) + "\n"
         assert not (BUILD_LAYER | VERIFY_LAYER) & modules
 
 
@@ -532,7 +539,7 @@ def test_matrix_warm_hit_builds_no_system(tmp_path, monkeypatch, capsys):
     for (kind, k, n), text in cold.items():
         for fmt in ("json", "csv", "latex"):
             code, warm = run(capsys, "matrix", "--kind", kind, "--k", k, "--n", n, "--format", fmt)
-            assert code == 0 and warm == render_matrix(json.loads(text), fmt) + "\n"
+            assert code == 0 and warm == rendered(json.loads(text), fmt) + "\n"
 
 
 def test_matrix_rejects_non_object_cache(tmp_path, monkeypatch, capsys):
@@ -568,7 +575,7 @@ def test_matrix_cache_file_is_the_json_output(tmp_path, monkeypatch, capsys):
         assert code == 0 and len(made) == d
         text = next(tmp_path.glob("*.json")).read_text(encoding="utf-8")
         assert text == line_file(json.loads(text))
-        assert out == render_matrix(json.loads(text), fmt) + "\n"
+        assert out == rendered(json.loads(text), fmt) + "\n"
         if fmt == "json":
             assert out == text.replace("\n", "") + "\n"
 
@@ -595,7 +602,7 @@ def test_cold_stream_matches_dense_document(kind, fmt, tmp_path, monkeypatch, ca
             argv = ("matrix", "--kind", kind, "--k", str(format_k(k)), "--n", str(n), "--format", fmt)
             code, out = run(capsys, *argv)
             doc = dense_document(kind, k, n)
-            assert code == 0 and out == render_matrix(doc, fmt) + "\n", (k, n)
+            assert code == 0 and out == rendered(doc, fmt) + "\n", (k, n)
             (path,) = (tmp_path / f"{k}-{n}").iterdir()
             assert path.read_text(encoding="utf-8") == line_file(doc), (k, n)
             assert run(capsys, *argv) == (0, out), (k, n)
@@ -644,6 +651,16 @@ def test_csv_table_matches_csv_writer(kind):
             assert render_matrix(doc, "csv") + "\n" == expected.getvalue(), (k, n)
 
 
+@pytest.mark.parametrize("k", [2, None])
+@pytest.mark.parametrize("kind", list(MATRIX_KINDS))
+def test_render_matrix_json_matches_json_module(kind, k):
+    """render_matrix writes json with the request writer; the json module,
+    fed the whole document, is the oracle."""
+    for n in CORPUS_NS:
+        doc = matrix_document(kind, k, n)
+        assert render_matrix(doc, "json") == json.dumps(doc, separators=(",", ":")), n
+
+
 @pytest.mark.parametrize("fmt", ["csv", "latex"])
 def test_matrix_cold_other_format_then_warm_json(fmt, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path / "json"))
@@ -663,7 +680,7 @@ def test_matrix_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch, ca
     monkeypatch.setattr(cli.os, "replace", failing_replace)
     code, out = run(capsys, "matrix", "--kind", "ns-to-h", "--k", "2", "--n", "4", "--format", "json")
     assert code == 0
-    assert out == render_matrix(matrix_document("ns-to-h", 2, 4), "json") + "\n"
+    assert out == json.dumps(matrix_document("ns-to-h", 2, 4), separators=(",", ":")) + "\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -675,7 +692,7 @@ def test_matrix_failed_streamed_write_keeps_stdout(fmt, tmp_path, monkeypatch, c
     monkeypatch.setattr(cli.os, "fdopen", lambda fd, *args, **kwargs: open(fd, "rb"))
     code, out = run(capsys, "matrix", "--kind", "m-to-qs", "--k", "3", "--n", "5", "--format", fmt)
     assert code == 0
-    assert out == render_matrix(matrix_document("m-to-qs", 3, 5), fmt) + "\n"
+    assert out == rendered(matrix_document("m-to-qs", 3, 5), fmt) + "\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -727,6 +744,13 @@ def test_kostka_errors(capsys):
         (("composition", "1,a", "2"), 2, "error: cannot read '1,a' as comma-separated integers\n"),
         (("partition", "2", "1,,1"), 2, "error: cannot read '1,,1' as comma-separated integers\n"),
         (("composition", "2", "2", "--k", "x"), 2, "error: k must be at least 1 or 'inf', got 'x'\n"),
+        (("composition", "1_0", "10"), 2, "error: cannot read '1_0' as comma-separated integers\n"),
+        (("composition", "2", "+2"), 2, "error: cannot read '+2' as comma-separated integers\n"),
+        (("partition", " 3", "3"), 2, "error: cannot read ' 3' as comma-separated integers\n"),
+        (("composition", "1, 2", "3"), 2, "error: cannot read '1, 2' as comma-separated integers\n"),
+        (("partition", "\u0663", "3"), 2, "error: cannot read '\u0663' as comma-separated integers\n"),
+        (("composition", "2", "2", "--k", "1_0"), 2, "error: k must be at least 1 or 'inf', got '1_0'\n"),
+        (("composition", "-1", "1"), 2, "error: composition parts must be positive: (-1,)\n"),
     ],
 )
 def test_kostka_label_errors(argv, code, err, capsys):
@@ -1018,10 +1042,14 @@ def test_recorded_outputs(monkeypatch, tmp_path, capsys):
         (("--kind", "dualkschur-to-m", "--k", "0", "--n", "2"), "error: k must be at least 1 or 'inf', got '0'\n"),
         (("--kind", "ns-to-h", "--k", "3.5", "--n", "2"), "error: k must be at least 1 or 'inf', got '3.5'\n"),
         (("--kind", "kschur-to-h", "--k", "", "--n", "2"), "error: k must be at least 1 or 'inf', got ''\n"),
+        (("--kind", "ns-to-h", "--k", "1_0", "--n", "1"), "error: k must be at least 1 or 'inf', got '1_0'\n"),
+        (("--kind", "qs-to-m", "--k", "+2", "--n", "1"), "error: k must be at least 1 or 'inf', got '+2'\n"),
+        (("--kind", "kschur-to-h", "--k", " 3", "--n", "1"), "error: k must be at least 1 or 'inf', got ' 3'\n"),
+        (("--kind", "dualkschur-to-m", "--k", "\u0663", "--n", "1"), "error: k must be at least 1 or 'inf', got '\u0663'\n"),
     ],
 )
 def test_matrix_usage_errors(argv, err, tmp_path, monkeypatch, capsys):
-    """A negative degree, a zero bound or a bound that is not an int is
+    """A negative degree, a zero bound or a bound that is not decimal digits is
     refused on both sides before any cache file is read or written."""
     monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
     assert main(["matrix", *argv]) == 2
@@ -1122,6 +1150,10 @@ VERIFY_USAGE_ERRORS = [
     (("--suite", "omega", "--k", "0"), "k must be at least 1 or 'inf', got '0'"),
     (("--suite", "omega", "--max-n", "-1", "--k", "3"), "--max-n must be nonnegative, got -1"),
     (("--suite", "negativity", "--k", "inf,inf"), "--k inf,inf repeats a value"),
+    (("--suite", "duality", "--k", "1_0"), "k must be at least 1 or 'inf', got '1_0'"),
+    (("--suite", "negativity", "--k", "2,+3"), "k must be at least 1 or 'inf', got '+3'"),
+    (("--suite", "projection", "--k", "2, 3"), "k must be at least 1 or 'inf', got ' 3'"),
+    (("--suite", "omega", "--k", "\u0663"), "k must be at least 1 or 'inf', got '\u0663'"),
 ]
 
 

@@ -1,3 +1,5 @@
+from decimal import Decimal
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -58,6 +60,16 @@ def test_check_composition():
     with pytest.raises(DomainError, match=r"^\(3, 1\) is not 2-bounded$"):
         check_composition((3, 1), 2)
     assert check_composition((1, 2), 2) == (1, 2)
+    assert check_composition([True, 2]) == (1, 2)  # a bool is an int
+
+
+@pytest.mark.parametrize("part", [2.7, 2.0, Fraction(4, 2), Decimal(2), "2"])
+def test_check_composition_refuses_a_part_that_is_not_an_int(part):
+    """A float, Fraction, Decimal or str part is refused, not rounded to an int."""
+    with pytest.raises(TypeError):
+        check_composition([part, 1])
+    with pytest.raises(TypeError):
+        SIDES["composition"].check([1, part])
 
 
 def test_covers_up_examples():

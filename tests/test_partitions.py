@@ -1,3 +1,5 @@
+from decimal import Decimal
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
@@ -51,6 +53,17 @@ def test_check_partition_rejects_bad_input():
         check_partition((1, 2))
     assert check_partition([3, 1]) == (3, 1)
     assert check_partition(()) == ()
+    assert [(p, type(p)) for p in check_partition([3, True])] == [(3, int), (1, int)]  # a bool is an int
+
+
+@pytest.mark.parametrize("part", [2.7, 2.0, Fraction(4, 2), Decimal(2), "2"])
+def test_check_partition_refuses_a_part_that_is_not_an_int(part):
+    """A float, Fraction, Decimal or str part is refused, not rounded to an
+    int, and so is such a part of a label read through the checker."""
+    with pytest.raises(TypeError):
+        check_partition((3, part))
+    with pytest.raises(TypeError):
+        bounded_to_core((3, part), 3)
 
 
 def test_hook_lengths_small():
