@@ -87,12 +87,15 @@ VERIFY_SUITES = {
 # parsing and formatting helpers
 
 def parse_k(text):
-    """A bound k: ASCII decimal digits that read as at least 1, or None for 'inf'."""
+    """A bound k, 1 to sys.maxsize in ASCII decimal digits, or None for 'inf'."""
     if text == "inf":
         return None
-    if re.fullmatch("[0-9]+", text) and int(text) >= 1:
-        return int(text)
-    raise ValueError(f"k must be at least 1 or 'inf', got {text!r}")
+    digits = text.lstrip("0")  # compared by length first: int() refuses over 4300 digits
+    if not re.fullmatch("[0-9]+", text) or not digits:
+        raise ValueError(f"k must be at least 1 or 'inf', got {text!r}")
+    if len(digits) > len(str(sys.maxsize)) or int(digits) > sys.maxsize:
+        raise ValueError(f"k {text!r} is above {sys.maxsize}; use 'inf' for no bound")
+    return int(digits)
 
 
 def parse_parts(text):

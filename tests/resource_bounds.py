@@ -66,6 +66,11 @@ BOUNDS = [
     # one column at a time, recounting the rows below, and a per-cell hook table took
     # about 10 s, over the bound
     Row("omega", cli("verify", "--suite", "omega", "--max-n", "150", "--k", "2"), seconds=6),
+    # stabilization up to n = 12: the tableau oracle peels one horizontal strip per
+    # content part and sums the ways to each shape once per step, and each class sum
+    # is one expansion, about 5 s at 51 MB; filling the tableaux cell by cell took 26
+    # to 29 s, over the bound
+    Row("stabilization", cli("verify", "--suite", "stabilization", "--max-n", "12"), seconds=12, mb=64),
     # a cold matrix request streams its output row by row from sparse rows: ns-to-h
     # (14, 3), dimension 3136, peaks near 30 MB; building the whole document and its
     # json string first peaks near 177 MB, and dense rows as well near 290 MB

@@ -1,10 +1,12 @@
+import math
 import sys
 from array import array
 
 import pytest
 
 from forward_substitution import forward_substitution
-from kschur import DomainError, bases, systems
+import kschur
+from kschur import DomainError, bases, compositions, partitions, systems
 from kschur.algebra import BasisMatrix, LinearCombination, packed, pairing
 from kschur.bases import (
     build_kschur_system,
@@ -24,6 +26,7 @@ from kschur.compositions import SIDES, comp_pieri_targets, enumerate_composition
 from kschur.partitions import dominance_lt, partitions_of
 from kschur.systems import GradedSystem, kostka_chains
 from sparse_rows import dense, sparse
+from tableau_fill import tableau_fill
 
 
 def test_kostka_worked_example():
@@ -37,9 +40,10 @@ def test_kostka_worked_example():
 
 @pytest.mark.parametrize("part", [1.9, 1.0, "1"])
 def test_label_readers_refuse_a_part_that_is_not_an_int(part):
-    """kostka and ssyt_count read a shape or content through the label
-    checkers, which refuse such a part instead of rounding it: kostka
-    counted the chains to (1, 2) for the shape (1.9, 2)."""
+    """kostka and ssyt_count read a shape or content with operator.index,
+    which refuses such a part instead of rounding it: kostka counted the
+    chains to (1, 2) for the shape (1.9, 2), and ssyt_count((2, 1),
+    (1.5, 1.5)) gave 2."""
     assert kostka((1, 2), (2, 1)) == 1
     with pytest.raises(TypeError):
         kostka((part, 2), (2, 1))
@@ -49,6 +53,8 @@ def test_label_readers_refuse_a_part_that_is_not_an_int(part):
         kostka((2, part), (2, 1), None, "partition")
     with pytest.raises(TypeError):
         ssyt_count((2, part), (2, 1))
+    with pytest.raises(TypeError):
+        ssyt_count((2, 1), (2, part))
 
 
 def test_kostka_partition_example():
@@ -388,13 +394,77 @@ def test_monomial_to_M_identification():
     )
 
 
+SSYT_COUNTS = [
+    ((2, 1), (1, 1, 1), 2),
+    ((2, 1), (2, 1), 1),
+    ((3, 1), (2, 2), 1),
+    ((2, 2), (1, 1, 1, 1), 2),
+    ((1, 1, 1), (2, 1), 0),
+    ((), (), 1),
+]
+
+
 def test_ssyt_counts():
-    assert ssyt_count((2, 1), (1, 1, 1)) == 2
-    assert ssyt_count((2, 1), (2, 1)) == 1
-    assert ssyt_count((3, 1), (2, 2)) == 1
-    assert ssyt_count((2, 2), (1, 1, 1, 1)) == 2
-    assert ssyt_count((1, 1, 1), (2, 1)) == 0
-    assert ssyt_count((), ()) == 1
+    for shape, content, count in SSYT_COUNTS:
+        assert ssyt_count(shape, content) == count
+
+
+def test_ssyt_count_calls_no_strip_generator(monkeypatch):
+    """The oracle lists its strips itself: with the package's strip and
+    Pieri generators made to raise, it still gives every count."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tableau oracle called a strip generator")
+
+    names = ("column_chains", "partition_covers", "k_pieri_targets", "is_horizontal_strip", "comp_pieri_targets")
+    for module in (kschur, partitions, compositions):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError):
+        partitions.k_pieri_targets((2, 1), 1, None)
+    for shape, content, count in SSYT_COUNTS:
+        assert ssyt_count(shape, content) == count
+
+
+def test_ssyt_count_matches_the_cell_by_cell_fill():
+    """The strip peel agrees with filling one cell at a time: on every pair
+    of partitions of n <= 8, and on every composition content of n <= 6,
+    also with a zero part before, between and after its parts."""
+    for n in range(9):
+        for shape in partitions_of(n):
+            for content in partitions_of(n):
+                assert ssyt_count(shape, content) == tableau_fill(shape, content), (shape, content)
+            if n > 6:
+                continue
+            for alpha in enumerate_compositions(n):
+                padded = (0,) + tuple(x for a in alpha for x in (a, 0))
+                assert ssyt_count(shape, alpha) == tableau_fill(shape, alpha), (shape, alpha)
+                assert ssyt_count(shape, padded) == tableau_fill(shape, padded), (shape, padded)
+
+
+def test_ssyt_count_of_standard_content_is_the_hook_length_formula():
+    for n in range(11):
+        for shape in partitions_of(n):
+            hooks = math.prod(partitions.hook_lengths(shape).values())
+            assert ssyt_count(shape, (1,) * n) * hooks == math.factorial(n), shape
+
+
+def test_ssyt_count_ignores_the_order_of_the_content():
+    for n in range(8):
+        shapes = partitions_of(n)
+        for alpha in enumerate_compositions(n):
+            for shape in shapes:
+                assert ssyt_count(shape, alpha) == ssyt_count(shape, sort_to_partition(alpha)), (shape, alpha)
+
+
+def test_ssyt_count_content_parts():
+    """A zero content part fills nothing and a bool counts as 0 or 1; a
+    negative part is refused rather than counted."""
+    assert ssyt_count((2, 1), (0, 2, 0, 1)) == 1
+    assert ssyt_count((), (0,) * 5000) == 1
+    assert ssyt_count((2, 1), (True, False, True, True)) == 2
+    with pytest.raises(DomainError):
+        ssyt_count((2, 1), (3, -1, 1))
 
 
 def test_classical_limit_kostka_against_ssyt():

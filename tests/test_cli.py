@@ -733,6 +733,12 @@ def test_kostka_errors(capsys):
     assert code == 2  # parse error
 
 
+# A k above sys.maxsize, which the counters' windows of k entries cannot
+# hold, and its usage error.
+HUGE_K = "99999999999999999999"
+HUGE_K_ERROR = f"k {HUGE_K!r} is above {sys.maxsize}; use 'inf' for no bound"
+
+
 @pytest.mark.parametrize(
     "argv, code, err",
     [
@@ -751,6 +757,7 @@ def test_kostka_errors(capsys):
         (("partition", "\u0663", "3"), 2, "error: cannot read '\u0663' as comma-separated integers\n"),
         (("composition", "2", "2", "--k", "1_0"), 2, "error: k must be at least 1 or 'inf', got '1_0'\n"),
         (("composition", "-1", "1"), 2, "error: composition parts must be positive: (-1,)\n"),
+        (("composition", "1", "1", "--k", HUGE_K), 2, f"error: {HUGE_K_ERROR}\n"),
     ],
 )
 def test_kostka_label_errors(argv, code, err, capsys):
@@ -925,6 +932,7 @@ def test_expand_domain_violation(capsys):
         ("S:(1,2)@k=3", "partition parts must weakly decrease: (1, 2)"),
         ("S:[1,x]@k=2", "cannot read '1,x' as comma-separated integers"),
         ("S:[1]@k=2.5", "k must be at least 1 or 'inf', got '2.5'"),
+        (f"S:[1]@k={HUGE_K}", HUGE_K_ERROR),
     ],
 )
 def test_expand_spec_rejections(spec, err, capsys):
@@ -1046,11 +1054,14 @@ def test_recorded_outputs(monkeypatch, tmp_path, capsys):
         (("--kind", "qs-to-m", "--k", "+2", "--n", "1"), "error: k must be at least 1 or 'inf', got '+2'\n"),
         (("--kind", "kschur-to-h", "--k", " 3", "--n", "1"), "error: k must be at least 1 or 'inf', got ' 3'\n"),
         (("--kind", "dualkschur-to-m", "--k", "\u0663", "--n", "1"), "error: k must be at least 1 or 'inf', got '\u0663'\n"),
+        (("--kind", "ns-to-h", "--k", HUGE_K, "--n", "2"), f"error: {HUGE_K_ERROR}\n"),
+        (("--kind", "h-to-ns", "--k", "9" * 5000, "--n", "2"), f"error: k {'9' * 5000!r} is above {sys.maxsize}; use 'inf' for no bound\n"),
     ],
 )
 def test_matrix_usage_errors(argv, err, tmp_path, monkeypatch, capsys):
-    """A negative degree, a zero bound or a bound that is not decimal digits is
-    refused on both sides before any cache file is read or written."""
+    """A negative degree, a zero bound, a bound above sys.maxsize or one that
+    is not decimal digits is refused on both sides before any cache file is
+    read or written."""
     monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
     assert main(["matrix", *argv]) == 2
     assert capsys.readouterr() == ("", err)
@@ -1074,6 +1085,15 @@ def test_cache_dir_ignores_empty_or_relative_xdg_cache_home(xdg, tmp_path, monke
     assert [p.name for p in (home / ".cache" / "kschur").iterdir()] == ["ns-to-h_k2_n2_v1.json"]
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     assert cli.cache_dir() == str(tmp_path / "xdg" / "kschur")
+
+
+def test_largest_k_is_sys_maxsize(tmp_path, monkeypatch, capsys):
+    """k = sys.maxsize is a bound like any other: at n = 2 it gives the
+    unbounded matrix.  One more is a usage error (HUGE_K_ERROR)."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    assert cli.parse_k(str(sys.maxsize)) == sys.maxsize
+    code, out = run(capsys, "matrix", "--kind", "ns-to-h", "--k", str(sys.maxsize), "--n", "2")
+    assert code == 0 and json.loads(out)["entries"] == matrix_document("ns-to-h", None, 2)["entries"]
 
 
 def test_usage_error_exit_code():
@@ -1154,6 +1174,7 @@ VERIFY_USAGE_ERRORS = [
     (("--suite", "negativity", "--k", "2,+3"), "k must be at least 1 or 'inf', got '+3'"),
     (("--suite", "projection", "--k", "2, 3"), "k must be at least 1 or 'inf', got ' 3'"),
     (("--suite", "omega", "--k", "\u0663"), "k must be at least 1 or 'inf', got '\u0663'"),
+    (("--suite", "duality", "--max-n", "1", "--k", HUGE_K), HUGE_K_ERROR),
 ]
 
 
