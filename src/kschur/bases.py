@@ -114,10 +114,7 @@ class VerificationReport(NamedTuple):
             "suite": self.suite,
             "parameters": self.parameters,
             "passed": self.passed,
-            "cases": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.cases
-            ],
+            "cases": [case._asdict() for case in self.cases],
         }
 
 
@@ -138,8 +135,7 @@ def verify_appendix() -> VerificationReport:
             expected = [[(c, v) for c, v in enumerate(row) if v] for row in rows]
             pairs = [list(zip(cols, vals)) for cols, vals in zip(built.cols, built.vals)]
             ok = list(built.row_labels) == [tuple(l) for l in labels] and pairs == expected
-            detail = None if ok else f"expected {expected}, built {pairs}"
-            cases.append(VerificationCase(f"{kind} k={k} n={n}", ok, detail))
+            cases.append(_case(f"{kind} k={k} n={n}", [] if ok else [f"expected {expected}, built {pairs}"]))
     return VerificationReport("appendix", {}, tuple(cases))
 
 
@@ -171,9 +167,8 @@ def verify_projection(n, k) -> VerificationReport:
     for alpha in system.labels:
         image = chi_project(system.expand("S", alpha, "H"))
         expected = pside.expand("s", comp.sort_to_partition(alpha), "h")
-        ok = image == expected
-        detail = None if ok else f"{image!r} != {expected!r}"
-        cases.append(VerificationCase(f"chi(S{list(alpha)}) n={n} k={part.format_k(k)}", ok, detail))
+        failures = [] if image == expected else [f"{image!r} != {expected!r}"]
+        cases.append(_case(f"chi(S{list(alpha)}) n={n} k={part.format_k(k)}", failures))
     return VerificationReport("projection", {"n": n, "k": k}, tuple(cases))
 
 
@@ -188,9 +183,8 @@ def verify_decomposition(n, k) -> VerificationReport:
     for lam in pside.labels:
         total = qs_to_m.expand(LinearCombination("QS", k, dict.fromkeys(rearranged[lam], 1)))
         expected = monomial_to_M(pside.expand("dual-s", lam, "m"))
-        ok = total == expected
-        detail = None if ok else f"{total!r} != {expected!r}"
-        cases.append(VerificationCase(f"dual-s{list(lam)} n={n} k={part.format_k(k)}", ok, detail))
+        failures = [] if total == expected else [f"{total!r} != {expected!r}"]
+        cases.append(_case(f"dual-s{list(lam)} n={n} k={part.format_k(k)}", failures))
     return VerificationReport("decomposition", {"n": n, "k": k}, tuple(cases))
 
 

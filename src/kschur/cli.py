@@ -98,27 +98,25 @@ def parse_k(text):
     return int(digits)
 
 
-def parse_parts(text):
-    """Comma-separated ints in ASCII decimal digits, each maybe after a '-';
-    "", "[]" and "()" are the empty sequence."""
-    if text in ("", "[]", "()"):
-        return ()
-    if not re.fullmatch("-?[0-9]+(,-?[0-9]+)*", text):
-        raise ValueError(f"cannot read {text!r} as comma-separated integers")
-    return tuple(map(int, text.split(",")))
-
-
 def format_label(kind, label, sep=","):
     """A label of the basis kind, in the brackets of the kind's side."""
     opening, closing = SIDE_OF[kind].brackets
     return opening + sep.join(str(p) for p in label) + closing
 
 
-def _checked_label(check, parts):
-    """check(parts), with the DomainError of a malformed label turned into
-    a parse error (exit 2)."""
+def _read_label(check, text):
+    """check(parts) of the label text: "" is the empty label, any other text
+    comma-separated ASCII decimal digits, each part maybe after a '-' and of
+    at most sys.maxsize's 19 digits after its leading zeros (compared by
+    length first: int() refuses over 4300).  Every malformed label,
+    check's DomainError among them, is a parse error (exit 2)."""
+    if not re.fullmatch("(-?[0-9]+(,-?[0-9]+)*)?", text):
+        raise ValueError(f"cannot read {text!r} as comma-separated integers")
+    parts = text.split(",") if text else []
+    if any(len(p.lstrip("-0")) > len(str(sys.maxsize)) for p in parts):
+        raise ValueError(f"label {text!r} has a part of more than {len(str(sys.maxsize))} digits")
     try:
-        return check(parts)
+        return check(tuple(map(int, parts)))
     except DomainError as exc:
         raise ValueError(str(exc)) from exc
 
@@ -132,13 +130,11 @@ def parse_element_spec(text):
         raise ValueError(f"bad element spec {text!r}; expected KIND:INDEX@k=K")
     head, ktext = text.rsplit("@k=", 1)
     kind, index_text = head.split(":", 1)
-    kind = kind.strip()
-    index_text = index_text.strip()
-    k = parse_k(ktext.strip())
+    k = parse_k(ktext)
     for name, side in SIDES.items():
         opening, closing = side.brackets
         if index_text.startswith(opening) and index_text.endswith(closing):
-            index = _checked_label(side.check, parse_parts(index_text[1:-1]))
+            index = _read_label(side.check, index_text[1:-1])
             if SIDE_OF.get(kind) is not side:
                 raise ValueError(f"kind {kind!r} does not take a {name} index")
             return kind, index, k
@@ -427,9 +423,8 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_kostka(args) -> int:
-    shape, content = parse_parts(args.shape), parse_parts(args.content)
-    _checked_label(SIDES[args.family].check, shape)
-    _checked_label(check_composition, content)
+    shape = _read_label(SIDES[args.family].check, args.shape)
+    content = _read_label(check_composition, args.content)
     k = parse_k(args.k)
     _require_label_limit(SIDES[args.family].kinds[0], k, sum(shape))
     from . import systems

@@ -28,6 +28,7 @@ from kschur.cli import (
     parse_k,
     render_matrix,
 )
+from kschur.compositions import SIDE_OF
 from sparse_rows import dense
 
 
@@ -53,6 +54,17 @@ def test_parse_element_spec():
         parse_element_spec("S:[1,1,1]")
     with pytest.raises(ValueError):
         parse_element_spec("S:(2,1)@k=3")
+
+
+@pytest.mark.parametrize("kind", sorted(SIDE_OF))
+def test_element_spec_round_trip(kind):
+    """Every label of degree <= 6 at k = 1, 2, 3 and inf reads back from
+    the spec that format_label and format_k write for it."""
+    for k in (1, 2, 3, None):
+        for n in range(7):
+            for label in SIDE_OF[kind].labels(n, k):
+                spec = f"{kind}:{format_label(kind, label)}@k={format_k(k)}"
+                assert parse_element_spec(spec) == (kind, label, k)
 
 
 def test_matrix_csv_golden(capsys):
@@ -738,6 +750,9 @@ def test_kostka_errors(capsys):
 HUGE_K = "99999999999999999999"
 HUGE_K_ERROR = f"k {HUGE_K!r} is above {sys.maxsize}; use 'inf' for no bound"
 
+# A label part longer than int()'s 4300-digit limit for a string.
+NINES = "9" * 5000
+
 
 @pytest.mark.parametrize(
     "argv, code, err",
@@ -758,6 +773,15 @@ HUGE_K_ERROR = f"k {HUGE_K!r} is above {sys.maxsize}; use 'inf' for no bound"
         (("composition", "2", "2", "--k", "1_0"), 2, "error: k must be at least 1 or 'inf', got '1_0'\n"),
         (("composition", "-1", "1"), 2, "error: composition parts must be positive: (-1,)\n"),
         (("composition", "1", "1", "--k", HUGE_K), 2, f"error: {HUGE_K_ERROR}\n"),
+        pytest.param(
+            ("composition", NINES, "1"), 2, f"error: label {NINES!r} has a part of more than 19 digits\n",
+            id="5000-digit part",
+        ),
+        (("partition", "1", HUGE_K), 2, f"error: label {HUGE_K!r} has a part of more than 19 digits\n"),
+        (("composition", "[]", "1"), 2, "error: cannot read '[]' as comma-separated integers\n"),
+        (("partition", "()", "1"), 2, "error: cannot read '()' as comma-separated integers\n"),
+        (("composition", "1", "[]"), 2, "error: cannot read '[]' as comma-separated integers\n"),
+        (("partition", "1", "()"), 2, "error: cannot read '()' as comma-separated integers\n"),
     ],
 )
 def test_kostka_label_errors(argv, code, err, capsys):
@@ -933,6 +957,11 @@ def test_expand_domain_violation(capsys):
         ("S:[1,x]@k=2", "cannot read '1,x' as comma-separated integers"),
         ("S:[1]@k=2.5", "k must be at least 1 or 'inf', got '2.5'"),
         (f"S:[1]@k={HUGE_K}", HUGE_K_ERROR),
+        ("S:[[]]@k=2", "cannot read '[]' as comma-separated integers"),
+        ("S:[()]@k=2", "cannot read '()' as comma-separated integers"),
+        (" S:[1]@k=2", "kind ' S' does not take a composition index"),
+        ("S:[1] @k=2", "bad index '[1] '; use [..] or (..)"),
+        ("S:[1]@k= 2", "k must be at least 1 or 'inf', got ' 2'"),
     ],
 )
 def test_expand_spec_rejections(spec, err, capsys):
@@ -940,6 +969,12 @@ def test_expand_spec_rejections(spec, err, capsys):
     malformed index is reported before a kind mismatch."""
     assert main(["expand", spec, "H"]) == 2
     assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+def test_empty_labels(capsys):
+    """The empty label is written "" in kostka and [] or () in a spec."""
+    assert run(capsys, "expand", "S:[]@k=2", "H") == (0, "1*H[]\n")
+    assert run(capsys, "kostka", "composition", "", "") == (0, "1\n")
 
 
 def test_expand_spec_error(capsys):
