@@ -17,7 +17,13 @@ one line at a time; a warm request then renders its lines as rows, in
 every format by the writer that renders a cold request's rows, from the
 handle it checked, without holding the whole file, without parsing it
 and without importing the algebra, systems or bases modules.
-Only the verify command imports bases and its reference tables.  A build
+Only the verify command imports bases and its reference tables, and json
+is imported only to parse a document or to print a verify report: a
+matrix, expand or kostka request writes the json prefix itself.  The
+kschur script and python -m kschur.cli run console_main, which freezes
+the collector once main returns, so that the interpreter skips its final
+full collection at exit; every file is closed by its with block and main
+flushes stdout, so that collection would have nothing to finalize.  A build
 of degree n reads the labels of every degree 0..n, so a matrix, expand
 or kostka request is refused before any label is enumerated when those
 labels have more than MAX_CELLS cells in all (a label of degree m has m),
@@ -32,8 +38,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
-import json
 import os
 import re
 import sys
@@ -192,6 +198,8 @@ def _matrix(kind, k, n):
 def matrix_document(kind, k, n) -> dict:
     """The computed matrix document, parsed from the json text that a cold
     json request streams from its rows; no cache file is read or written."""
+    import json
+
     header, out = _header(kind, k, n), io.BytesIO()
     _write_table(out, header, _row_texts(_matrix(kind, k, n)), "json", _json_prefix(header))
     return json.loads(out.getvalue())
@@ -249,8 +257,19 @@ class _CacheWriter:
 
 
 def _json_prefix(header):
-    """The json text of the document up to its first entry, as ASCII bytes."""
-    return json.dumps({**header, "entries": []}, separators=(",", ":"))[:-2].encode()
+    """The json text of the document up to its first entry, as ASCII bytes,
+    written without the json module: the schema version and the kind are
+    names from SCHEMA_VERSION and MATRIX_KINDS, which need no escaping, k
+    is an int or "inf", and a list of lists of ints reads as its json text
+    under repr once its spaces are dropped.  Column labels equal to the row
+    labels reuse the row labels' text."""
+    rows = repr(header["row_labels"]).replace(" ", "")
+    cols = rows if header["col_labels"] == header["row_labels"] else repr(header["col_labels"]).replace(" ", "")
+    k = '"inf"' if header["k"] == "inf" else header["k"]
+    return (
+        f'{{"schema_version":"{header["schema_version"]}","k":{k},"n":{header["n"]},"kind":"{header["kind"]}",'
+        f'"row_labels":{rows},"col_labels":{cols},"entries":['
+    ).encode()
 
 
 # A comma that no canonical json int follows up to the next comma or the end.
@@ -319,6 +338,8 @@ def cached_matrix_document(kind, k, n) -> dict:
     """The matrix document, parsed from what a json request for it prints:
     the cache file's bytes on a hit, the computed text on a miss, which
     rewrites the cache file."""
+    import json
+
     out = io.BytesIO()
     _write_matrix(out, kind, k, n, "json")
     return json.loads(out.getvalue())
@@ -473,6 +494,8 @@ def _suite_report(args):
 
 
 def cmd_verify(args) -> int:
+    import json
+
     report = _suite_report(args)
     print(json.dumps(report.to_json(), separators=(",", ":")))
     return 0 if report.passed else 1
@@ -538,5 +561,16 @@ def main(argv=None) -> int:
         return 2
 
 
+def console_main() -> int:
+    """main() for a process that exits after it, as the kschur script and
+    python -m kschur.cli run it: gc.freeze() then moves every object to the
+    permanent generation, so that the interpreter skips a final full
+    collection at exit.  No finalizer is left for that collection to run:
+    every file is closed by its with block, and main flushes stdout."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

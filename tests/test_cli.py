@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -477,41 +478,44 @@ def test_matrix_output_is_ascii_whatever_the_stdout_encoding(fmt, tmp_path):
     assert len(list(tmp_path.iterdir())) == 1
 
   # the file the warm request read
-# The modules a fresh interpreter holds after a request: run it through
-# runpy, then print every module name to stderr.
+# A fresh interpreter after a request: run it through runpy, as
+# python -m kschur.cli does, then print the collector's freeze count and
+# every module name to stderr.
 _LOADED_CHILD = (
-    "import runpy, sys\n"
+    "import gc, runpy, sys\n"
     "sys.argv = ['kschur', *sys.argv[1:]]\n"
     "try:\n"
     "    runpy.run_module('kschur.cli', run_name='__main__')\n"
     "except SystemExit as exc:\n"
     "    assert exc.code == 0, exc.code\n"
-    "print(*sorted(sys.modules), file=sys.stderr)\n"
+    "print(gc.get_freeze_count(), *sorted(sys.modules), file=sys.stderr)\n"
 )
 BUILD_LAYER = {"kschur.algebra", "kschur.systems"}
 VERIFY_LAYER = {"kschur.bases", "kschur.reference_tables"}
 
 
 def loaded_modules(cache_dir, *argv):
-    """The stdout of one request run in a fresh interpreter, and the set of
-    modules loaded when it ends."""
+    """The stdout of one request run in a fresh interpreter, the set of
+    modules loaded when it ends and the collector's freeze count then."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"), KSCHUR_CACHE_DIR=str(cache_dir))
     result = subprocess.run(
         [sys.executable, "-c", _LOADED_CHILD, *argv], env=env, capture_output=True, text=True, timeout=60, check=True
     )
-    return result.stdout, set(result.stderr.split())
+    frozen, *modules = result.stderr.split()
+    return result.stdout, set(modules), int(frozen)
 
 
 def test_matrix_warm_hit_imports_only_the_label_layer(tmp_path):
-    """A warm request, run in a fresh interpreter, loads no build layer;
-    the cold request that fills the cache shows that the check can see one."""
+    """A warm request, run in a fresh interpreter, loads no build layer and
+    no json; the cold request that fills the cache shows that the check
+    can see a build layer."""
     argv = ("matrix", "--kind", "h-to-ns", "--k", "3", "--n", "6", "--format")
-    cold, modules = loaded_modules(tmp_path, *argv, "json")
+    cold, modules, _ = loaded_modules(tmp_path, *argv, "json")
     assert BUILD_LAYER <= modules
     for fmt in ("json", "csv", "latex"):
-        warm, modules = loaded_modules(tmp_path, *argv, fmt)
+        warm, modules, _ = loaded_modules(tmp_path, *argv, fmt)
         assert warm == rendered(json.loads(cold), fmt) + "\n"
-        assert not (BUILD_LAYER | VERIFY_LAYER) & modules
+        assert not (BUILD_LAYER | VERIFY_LAYER | {"json"}) & modules, fmt
 
 
 @pytest.mark.parametrize(
@@ -526,15 +530,58 @@ def test_matrix_warm_hit_imports_only_the_label_layer(tmp_path):
 )
 def test_cold_request_imports_no_verify_layer(argv, tmp_path):
     """A cold matrix, expand or kostka request builds through systems and
-    loads neither the verify layer nor dataclasses or inspect."""
-    _, modules = loaded_modules(tmp_path, *argv)
+    loads neither the verify layer nor dataclasses, inspect or json."""
+    _, modules, _ = loaded_modules(tmp_path, *argv)
     assert BUILD_LAYER <= modules
-    assert not (VERIFY_LAYER | {"dataclasses", "inspect"}) & modules
+    assert not (VERIFY_LAYER | {"dataclasses", "inspect", "json"}) & modules
 
 
 def test_verify_imports_the_verify_layer(tmp_path):
-    _, modules = loaded_modules(tmp_path, "verify", "--suite", "appendix")
-    assert BUILD_LAYER | VERIFY_LAYER <= modules
+    """The control of the two tests above: verify prints its report with json."""
+    _, modules, _ = loaded_modules(tmp_path, "verify", "--suite", "appendix")
+    assert BUILD_LAYER | VERIFY_LAYER | {"json"} <= modules
+
+
+def test_module_run_freezes_the_collector_after_main(tmp_path, capsys):
+    """python -m kschur.cli freezes the collector once main returns, so
+    that the interpreter skips its final full collection; main run in
+    process leaves the collector as it was."""
+    argv = ("matrix", "--kind", "ns-to-h", "--k", "3", "--n", "4")
+    assert loaded_modules(tmp_path, *argv)[2] > 0
+    assert gc.get_freeze_count() == 0
+    assert run(capsys, *argv)[0] == 0
+    assert gc.get_freeze_count() == 0
+
+
+# main run as its own program, with warnings as errors and a ResourceWarning
+# for every file left open: the interpreter's final full collection runs
+# after it, as it does not after console_main, so a file left for that
+# collection to close would show on stderr.
+_DEV_MAIN = [sys.executable, "-X", "dev", "-W", "error", "-c", "import sys; from kschur.cli import main; sys.exit(main())"]
+
+
+def test_main_leaves_no_file_for_the_final_collection(tmp_path):
+    """A cold hit, a warm hit and a stdout closed early on either, run
+    through main under -X dev -W error, exit with their codes and print
+    nothing on stderr; the early closes leave the cache as it was."""
+    warm_dir, cold_dir = tmp_path / "warm", tmp_path / "cold"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"), KSCHUR_CACHE_DIR=str(warm_dir))
+    argv = [*_DEV_MAIN, "matrix", "--kind", "h-to-ns", "--k", "inf", "--n", "9", "--format", "csv"]
+    cold, warm = (subprocess.run(argv, env=env, capture_output=True, timeout=60) for _ in range(2))
+    assert (cold.returncode, cold.stderr, warm.returncode, warm.stderr) == (0, b"", 0, b"")
+    assert cold.stdout == warm.stdout
+    (cached,) = warm_dir.iterdir()
+    for cache in (warm_dir, cold_dir):
+        with subprocess.Popen(
+            argv, env=dict(env, KSCHUR_CACHE_DIR=str(cache)), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        ) as child:
+            assert child.stdout.read(1) == b","
+            child.stdout.close()
+            stderr = child.stderr.read()
+            code = child.wait(timeout=60)
+        assert (code, stderr) == (141, b""), cache
+    assert list(warm_dir.iterdir()) == [cached]
+    assert not list(cold_dir.iterdir())
 
 
 def test_matrix_warm_hit_builds_no_system(tmp_path, monkeypatch, capsys):
@@ -661,6 +708,21 @@ def test_csv_table_matches_csv_writer(kind):
             for r, label in enumerate(doc["row_labels"]):
                 writer.writerow([format_label(source, label), *doc["entries"][r * d : (r + 1) * d]])
             assert render_matrix(doc, "csv") + "\n" == expected.getvalue(), (k, n)
+
+
+@pytest.mark.parametrize("kind", list(MATRIX_KINDS))
+def test_json_prefix_matches_json_module(kind):
+    """The prefix is written without the json module; the json module, fed
+    the header with no entries, is the oracle, the empty label at n = 0
+    and a two-digit part among the cases."""
+    requests = [(kind, k, n) for k in CORPUS_KS for n in range(7)]
+    if kind == "ns-to-h":
+        requests.append((kind, None, 10))  # its first label is [10]
+    for request in requests:
+        header = cli._header(*request)
+        expected = json.dumps({**header, "entries": []}, separators=(",", ":"))[:-2].encode()
+        assert cli._json_prefix(header) == expected, request
+    assert [10] in cli._header("ns-to-h", None, 10)["row_labels"]
 
 
 @pytest.mark.parametrize("k", [2, None])
