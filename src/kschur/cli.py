@@ -12,15 +12,18 @@ comes from KSCHUR_CACHE_DIR and defaults to the user cache directory.  A
 cold request streams its output from the sparse matrix rows, one row's
 text at a time, into a temp file and to stdout; an atomic rename then
 makes it the cache file, so concurrent invocations stay consistent.  A
-cached file is served only when its bytes are exactly that text, checked
-one line at a time; a warm request then renders its lines as rows, in
+cached file is served only when it is a regular file and its bytes are
+exactly that text, checked one line at a time; the path is opened
+without blocking, so a FIFO or a device there is a miss, which the cold
+request's rename replaces.  A warm request renders its lines as rows, in
 every format by the writer that renders a cold request's rows, from the
 handle it checked, without holding the whole file, without parsing it
 and without importing the algebra, systems or bases modules.
 Only the verify command imports bases and its reference tables, and json
 is imported only to parse a document or to print a verify report: a
-matrix, expand or kostka request writes the json prefix itself.  The
-kschur script and python -m kschur.cli run console_main, which freezes
+matrix, expand or kostka request writes the json prefix itself, from
+the kind, k, n and the label list, whose text serves rows and columns.
+The kschur script and python -m kschur.cli run console_main, which freezes
 the collector once main returns, so that the interpreter skips its final
 full collection at exit; every file is closed by its with block and main
 flushes stdout, so that collection would have nothing to finalize.  A build
@@ -42,6 +45,7 @@ import gc
 import io
 import os
 import re
+import stat
 import sys
 import tempfile
 
@@ -176,19 +180,6 @@ def _require_label_limit(kind, k, n):
             return
 
 
-def _header(kind, k, n) -> dict:
-    """Every field of the matrix document but its entries; builds no system."""
-    labels = [list(label) for label in SIDE_OF[MATRIX_KINDS[kind][0]].labels(n, k)]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "k": format_k(k),
-        "n": n,
-        "kind": kind,
-        "row_labels": labels,
-        "col_labels": labels,
-    }
-
-
 def _matrix(kind, k, n):
     """The computed change-of-basis matrix of a matrix kind."""
     source, target = MATRIX_KINDS[kind]
@@ -200,8 +191,8 @@ def matrix_document(kind, k, n) -> dict:
     json request streams from its rows; no cache file is read or written."""
     import json
 
-    header, out = _header(kind, k, n), io.BytesIO()
-    _write_table(out, header, _row_texts(_matrix(kind, k, n)), "json", _json_prefix(header))
+    labels, out = SIDE_OF[MATRIX_KINDS[kind][0]].labels(n, k), io.BytesIO()
+    _write_table(out, kind, labels, _row_texts(_matrix(kind, k, n)), "json", _json_prefix(kind, k, n, labels))
     return json.loads(out.getvalue())
 
 
@@ -256,19 +247,17 @@ class _CacheWriter:
                 os.unlink(self.tmp)
 
 
-def _json_prefix(header):
-    """The json text of the document up to its first entry, as ASCII bytes,
-    written without the json module: the schema version and the kind are
-    names from SCHEMA_VERSION and MATRIX_KINDS, which need no escaping, k
-    is an int or "inf", and a list of lists of ints reads as its json text
-    under repr once its spaces are dropped.  Column labels equal to the row
-    labels reuse the row labels' text."""
-    rows = repr(header["row_labels"]).replace(" ", "")
-    cols = rows if header["col_labels"] == header["row_labels"] else repr(header["col_labels"]).replace(" ", "")
-    k = '"inf"' if header["k"] == "inf" else header["k"]
+def _json_prefix(kind, k, n, labels):
+    """The json text of the document of the matrix kind up to its first
+    entry, as ASCII bytes, written without the json module: the kind is a
+    name from MATRIX_KINDS, which needs no escaping, k an int, or None or
+    "inf" for no bound, and the labels, sequences of ints, are written once,
+    as lists under repr without spaces, for both the rows and the columns."""
+    text = repr(list(map(list, labels))).replace(" ", "")
+    k = '"inf"' if format_k(k) == "inf" else k
     return (
-        f'{{"schema_version":"{header["schema_version"]}","k":{k},"n":{header["n"]},"kind":"{header["kind"]}",'
-        f'"row_labels":{rows},"col_labels":{cols},"entries":['
+        f'{{"schema_version":"{SCHEMA_VERSION}","k":{k},"n":{n},"kind":"{kind}",'
+        f'"row_labels":{text},"col_labels":{text},"entries":['
     ).encode()
 
 
@@ -308,7 +297,8 @@ _ROW_BUFFER = 8
 def _read_cache(path, prefix, d):
     """The cached file, open in binary mode at its first row, when its
     bytes are exactly the cache text of a document of d rows whose json
-    text starts with prefix (see _is_canonical); None otherwise.
+    text starts with prefix (see _is_canonical); None otherwise, and for
+    anything at path but a regular file, such as a FIFO or a directory.
 
     The file is checked as bytes and never parsed: a file that parses to
     the same document but is spelled otherwise (spaces, -0, other key
@@ -317,11 +307,14 @@ def _read_cache(path, prefix, d):
     the file is replaced meanwhile: a rename swaps the inode, not the bytes
     of an open file.
     """
-    try:
-        handle = open(path, "rb", max(io.DEFAULT_BUFFER_SIZE, _ROW_BUFFER * d))
+    try:  # nonblocking, so that a FIFO opens without waiting for a writer
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
     except OSError:  # missing or unreadable
         return None
-    served = None
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        return None
+    handle, served = open(fd, "rb", max(io.DEFAULT_BUFFER_SIZE, _ROW_BUFFER * d)), None
     try:
         if _is_canonical(handle, prefix, d):
             handle.seek(len(prefix) + 1)
@@ -353,17 +346,17 @@ def _write_matrix(out, kind, k, n, fmt):
     newline, or the closing ]}).  Otherwise the matrix is computed, and
     each row's text, made once, is also written to a new cache file as part
     of the json text."""
-    header = _header(kind, k, n)
-    prefix, path = _json_prefix(header), _cache_path(kind, k, n)
-    cached = _read_cache(path, prefix, len(header["row_labels"]))
+    labels = SIDE_OF[MATRIX_KINDS[kind][0]].labels(n, k)
+    prefix, path = _json_prefix(kind, k, n, labels), _cache_path(kind, k, n)
+    cached = _read_cache(path, prefix, len(labels))
     if cached is None:
         rows = _row_texts(_matrix(kind, k, n))
         with _CacheWriter(path) as cache:
-            _write_table(out, header, _json_rows(prefix, rows, cache.write, b"\n"), fmt, prefix)
+            _write_table(out, kind, labels, _json_rows(prefix, rows, cache.write, b"\n"), fmt, prefix)
             cache.write(b"]}")
         return
     with cached:
-        _write_table(out, header, (line[:-2] for line in cached), fmt, prefix)
+        _write_table(out, kind, labels, (line[:-2] for line in cached), fmt, prefix)
 
 
 def _row_texts(matrix):
@@ -393,31 +386,31 @@ def _json_rows(prefix, rows, write, newline):
         yield row
 
 
-def _write_table(out, header, rows, fmt, prefix):
-    """Write the matrix to the binary stream out as json, csv or latex,
-    line by line; rows yields each row as the comma-joined ASCII text of
-    its entries, and the json text starts with prefix, the _json_prefix
-    of header."""
+def _write_table(out, kind, labels, rows, fmt, prefix):
+    """Write the matrix of the kind to the binary stream out as json, csv
+    or latex, line by line; labels label both its rows and its columns,
+    rows yields each row as the comma-joined ASCII text of its entries,
+    and the json text starts with prefix, the _json_prefix of the matrix."""
     if fmt == "json":
         for _ in _json_rows(prefix, rows, out.write, b""):
             pass
         out.write(b"]}\n")
         return
-    source = MATRIX_KINDS[header["kind"]][0]
+    source = MATRIX_KINDS[kind][0]
     if fmt == "csv":
         # Entries are ints and never need quoting; a label does when it holds a comma.
         def field(label):
             text = format_label(source, label).encode()
             return b'"%s"' % text if b"," in text else text
 
-        out.write(b"," + b",".join(map(field, header["col_labels"])) + b"\n")
-        for label, row in zip(header["row_labels"], rows):
+        out.write(b"," + b",".join(map(field, labels)) + b"\n")
+        for label, row in zip(labels, rows):
             out.write(b"%s,%s\n" % (field(label), row))
         return
     out.write(b"\\bordermatrix{\n")
-    cols = " & ".join(format_label(source, l, sep=", ") for l in header["col_labels"])
+    cols = " & ".join(format_label(source, l, sep=", ") for l in labels)
     out.write(f"~ & {cols} \\cr\n".encode())
-    for label, row in zip(header["row_labels"], rows):
+    for label, row in zip(labels, rows):
         out.write(b"%s & %s \\cr\n" % (format_label(source, label, sep=", ").encode(), row.replace(b",", b" & ")))
     out.write(b"}\n")
 
@@ -427,7 +420,8 @@ def render_matrix(doc, fmt) -> str:
     entries, d = doc["entries"], len(doc["col_labels"])
     rows = (",".join(map(str, entries[i : i + d])).encode() for i in range(0, len(entries), d))
     out = io.BytesIO()
-    _write_table(out, doc, rows, fmt, _json_prefix(doc))
+    kind, labels = doc["kind"], doc["row_labels"]
+    _write_table(out, kind, labels, rows, fmt, _json_prefix(kind, doc["k"], doc["n"], labels))
     return out.getvalue()[:-1].decode()
 
 

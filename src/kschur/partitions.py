@@ -254,6 +254,8 @@ def partitions_of(n, k=None) -> tuple:
     Each partition follows from the one before, with no recursion: its last
     part above 1 drops by one, and that part with the trailing 1s is dealt
     out again in parts of the lowered size."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     top = n if k is None else min(n, k)
     if n == 0 or top < 1:
         return ((),) if n == 0 else ()

@@ -549,3 +549,12 @@ def test_negativity_witness_is_reproducible():
     # (H[1,1] - H[2]) H[1] = H[1,1,1] - H[2,1] = S[1,2] + S[1,1,1] - S[2,1].
     found = negativity_search(3, 2)
     assert ((1, 1), (1,), (2, 1), -1) in found["product"]
+
+
+@pytest.mark.parametrize("k", [2, None])
+def test_both_sides_refuse_a_negative_degree(k):
+    """Both label functions, and the builders of both sides, refuse n = -1
+    with the same message."""
+    for build in (enumerate_compositions, partitions_of, systems.build_schur_system, systems.build_kschur_system):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            build(-1, k)

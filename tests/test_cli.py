@@ -324,7 +324,7 @@ def test_old_format_file_is_refused_after_one_read(fmt, tmp_path, monkeypatch, c
     code, again = run(capsys, *argv, fmt)
     assert code == 0 and again == rendered(json.loads(cold), fmt) + "\n"
     (reader,) = readers
-    assert reader.reads == [len(cli._json_prefix(cli._header("h-to-ns", 3, 5))) + 1]
+    assert reader.reads == [len(cli._json_prefix("h-to-ns", 3, 5, SIDE_OF["H"].labels(5, 3))) + 1]
     assert reader.handle.closed
     assert path.read_text(encoding="utf-8") == line_file(json.loads(cold))
 
@@ -444,6 +444,35 @@ def test_cached_matrix_document_rewrites_a_mismatched_file(tmp_path, monkeypatch
         path.write_text(planted, encoding="utf-8")
         assert cli.cached_matrix_document("ns-to-h", 2, 3) == doc
         assert path.read_text(encoding="utf-8") == text
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_fifo_at_the_cache_path_is_a_miss_and_is_replaced(tmp_path):
+    """A FIFO with no writer at the cache path neither blocks the request
+    nor is read: the request prints the cold bytes and its rename leaves a
+    regular cache file, which the next request serves warm."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"), KSCHUR_CACHE_DIR=str(tmp_path))
+    argv = [sys.executable, "-m", "kschur.cli", "matrix", "--kind", "ns-to-h", "--k", "2", "--n", "3"]
+    path = tmp_path / f"ns-to-h_k2_n3_v{cli.SCHEMA_VERSION}.json"
+    os.mkfifo(path)
+    cold = subprocess.run(argv, env=env, capture_output=True, timeout=20)
+    assert (cold.returncode, cold.stderr) == (0, b"")
+    assert cold.stdout == (json.dumps(matrix_document("ns-to-h", 2, 3), separators=(",", ":")) + "\n").encode()
+    assert path.is_file() and path.read_text(encoding="utf-8") == line_file(json.loads(cold.stdout))
+    inode = path.stat().st_ino  # a warm hit reads the file and renames nothing onto it
+    warm = subprocess.run(argv, env=env, capture_output=True, timeout=20)
+    assert (warm.returncode, warm.stdout) == (0, cold.stdout) and path.stat().st_ino == inode
+
+
+def test_directory_at_the_cache_path_is_a_miss(tmp_path, monkeypatch, capsys):
+    """A directory at the cache path is not read and stays: every request
+    prints the cold bytes."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    (tmp_path / f"qs-to-m_k3_n4_v{cli.SCHEMA_VERSION}.json").mkdir()
+    argv = ("matrix", "--kind", "qs-to-m", "--k", "3", "--n", "4", "--format", "csv")
+    for _ in range(2):
+        assert run(capsys, *argv) == (0, render_matrix(matrix_document("qs-to-m", 3, 4), "csv") + "\n")
+    assert [p.is_dir() for p in tmp_path.iterdir()] == [True]
 
 
 def test_closed_stdout_on_a_warm_hit_exits_141_quietly(tmp_path):
@@ -643,10 +672,17 @@ CORPUS_KS = (1, 2, 3, None)
 CORPUS_NS = range(8)
 
 
+def header(kind, k, n):
+    """Every field of the matrix document but its entries, from the
+    enumerated labels and the literal field names."""
+    labels = [list(label) for label in SIDE_OF[MATRIX_KINDS[kind][0]].labels(n, k)]
+    return {"schema_version": "1", "k": format_k(k), "n": n, "kind": kind, "row_labels": labels, "col_labels": labels}
+
+
 def dense_document(kind, k, n):
     """The matrix document with its entries read from the dense rows."""
     entries = [v for row in dense(cli._matrix(kind, k, n)) for v in row]
-    return {**cli._header(kind, k, n), "entries": entries}
+    return {**header(kind, k, n), "entries": entries}
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
@@ -713,16 +749,23 @@ def test_csv_table_matches_csv_writer(kind):
 @pytest.mark.parametrize("kind", list(MATRIX_KINDS))
 def test_json_prefix_matches_json_module(kind):
     """The prefix is written without the json module; the json module, fed
-    the header with no entries, is the oracle, the empty label at n = 0
-    and a two-digit part among the cases."""
+    the header with no entries, is the oracle.  The prefix is written from
+    the enumerated tuple labels with k as the request holds it, as a
+    request writes it, and from the list labels with k as a parsed
+    document holds it, as render_matrix writes it; the empty label at
+    n = 0, one-part labels and a two-digit part are among the cases."""
     requests = [(kind, k, n) for k in CORPUS_KS for n in range(7)]
     if kind == "ns-to-h":
         requests.append((kind, None, 10))  # its first label is [10]
     for request in requests:
-        header = cli._header(*request)
-        expected = json.dumps({**header, "entries": []}, separators=(",", ":"))[:-2].encode()
-        assert cli._json_prefix(header) == expected, request
-    assert [10] in cli._header("ns-to-h", None, 10)["row_labels"]
+        fields = header(*request)
+        expected = json.dumps({**fields, "entries": []}, separators=(",", ":"))[:-2].encode()
+        labels = SIDE_OF[MATRIX_KINDS[kind][0]].labels(request[2], request[1])
+        assert cli._json_prefix(*request, labels) == expected, request
+        assert cli._json_prefix(kind, fields["k"], fields["n"], fields["row_labels"]) == expected, request
+    assert header(kind, 2, 0)["row_labels"] == [[]]
+    assert [1] in header(kind, 2, 1)["row_labels"]
+    assert [10] in header("ns-to-h", None, 10)["row_labels"]
 
 
 @pytest.mark.parametrize("k", [2, None])
