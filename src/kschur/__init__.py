@@ -64,7 +64,6 @@ _LAZY = {
             "VerificationReport",
             "monomial_to_M",
             "negativity_search",
-            "order_convention_report",
             "ssyt_count",
             "stabilization_check",
             "verify_appendix",

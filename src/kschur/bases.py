@@ -5,8 +5,7 @@ named cases: the published appendix tables, the duality pairing, the
 projection onto commuting generators, the decomposition of dual k-Schur
 functions, stabilization in k against a strip-peeling tableau oracle, the
 k-conjugation and core bijections, and the search for negative structure
-constants.  The conformance report lists every composition pair on which
-the two content reading orders of the chain counts differ.
+constants.
 
 Only the verify command loads this module (and the reference tables); the
 matrix, expand and kostka requests stop at ``systems``.
@@ -22,31 +21,7 @@ from . import partitions as part
 from .algebra import H_product, LinearCombination, chi_project
 from .errors import DomainError
 from .reference_tables import REFERENCE_MATRICES
-from .systems import build_kschur_system, build_schur_system, kostka
-
-# ---------------------------------------------------------------------------
-# content reading orders
-
-def order_convention_report(max_n, ks) -> dict:
-    """Compare the two content reading orders on all composition pairs.
-
-    Returns palindromic-content agreement (provable, checked anyway) and
-    the list of diverging (k, shape, content, paper count, pieri count).
-    """
-    divergences = []
-    palindromic_ok = True
-    for k in ks:
-        for n in range(max_n + 1):
-            labels = comp.enumerate_compositions(n, k)
-            for shape in labels:
-                for content in labels:
-                    a = kostka(shape, content, k, "composition", "paper")
-                    b = kostka(shape, content, k, "composition", "pieri")
-                    if a != b:
-                        divergences.append((k, shape, content, a, b))
-                        if content == content[::-1]:
-                            palindromic_ok = False
-    return {"palindromic_ok": palindromic_ok, "divergences": divergences}
+from .systems import build_kschur_system, build_schur_system
 
 
 def monomial_to_M(combo: LinearCombination) -> LinearCombination:
@@ -197,10 +172,7 @@ def stabilization_check(n) -> VerificationReport:
     pref = build_kschur_system(n, None)
     for k in (n, n + 1, n + 2):
         pairs = ((build_schur_system(n, k), reference), (build_kschur_system(n, k), pref))
-        same = pairs[0][0].labels == reference.labels and all(
-            (bounded.pieri.cols, bounded.pieri.vals) == (unbounded.pieri.cols, unbounded.pieri.vals)
-            for bounded, unbounded in pairs
-        )
+        same = all((b.labels, b.pieri.cols, b.pieri.vals) == (u.labels, u.pieri.cols, u.pieri.vals) for b, u in pairs)
         cases.append(VerificationCase(name=f"n={n} k={k} equals unbounded", passed=same))
     qs_to_m = reference.matrix("QS", "M")
     rearranged = comp.rearrangements(n)

@@ -214,12 +214,16 @@ class _CacheWriter:
     """A best-effort write of one cache file, as a context manager: bytes
     go to a temp file beside path, renamed onto path when the block ends
     without an exception.  A failed write or rename, or an exception in the
-    block, drops the temp file and skips later writes; no OSError escapes."""
+    block, drops the temp file and skips later writes; no OSError escapes.
+    A directory at path, which no rename replaces, gets no temp file."""
 
     def __init__(self, path):
         self.path, self.handle = path, None
         with contextlib.suppress(OSError):
             os.makedirs(os.path.dirname(path), exist_ok=True)
+            with contextlib.suppress(FileNotFoundError):
+                if stat.S_ISDIR(os.lstat(path).st_mode):  # not through a symlink, which a rename replaces
+                    return
             fd, self.tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
             self.handle = os.fdopen(fd, "wb")
 

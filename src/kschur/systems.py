@@ -40,26 +40,30 @@ from .partitions import require_k_bounded
 # chain counting (generalized Kostka numbers)
 
 def _chain_content(shape, content, k, family, order):
+    """The checked shape, the content in its reading order, and
+    targets(gamma, size): the family's strip targets inside the shape."""
     if family not in SIDES:
         raise ValueError(f"unknown family {family!r}")
     if order not in ("paper", "pieri"):
         raise ValueError(f"unknown order convention {order!r}")
-    shape = SIDES[family].check(shape)
+    side = SIDES[family]
+    shape = side.check(shape)
     content = check_composition(content)
     if sum(shape) != sum(content):
         raise ValueError(f"size mismatch: |{shape!r}| != |{content!r}|")
     require_k_bounded(sort_to_partition(shape), k)
     require_k_bounded(content, k)
-    return shape, content if order == "paper" else content[::-1]
+    reading = content if order == "paper" else content[::-1]
+    return shape, reading, lambda gamma, size: [d for d in side.targets(gamma, size, k) if side.fits(shape, d)]
 
 
 def kostka(shape, content, k=None, family="composition", order="paper") -> int:
     """Number of chains from the empty shape to ``shape`` adding horizontal
     (k-)strips of the content sizes, read in the given order."""
-    shape, seq = _chain_content(shape, content, k, family, order)
-    targets, frontier = _targets_inside(shape, family), {(): 1}
+    shape, seq, targets = _chain_content(shape, content, k, family, order)
+    frontier = {(): 1}
     for size in seq:
-        frontier = _step(frontier, {gamma: targets(gamma, size, k) for gamma in frontier})
+        frontier = _step(frontier, {gamma: targets(gamma, size) for gamma in frontier})
     return frontier.get(shape, 0)
 
 
@@ -73,19 +77,12 @@ def _step(frontier, strip) -> dict:
     return step
 
 
-def _targets_inside(shape, family):
-    """The family's strip targets, pruned to those that fit inside shape."""
-    targets, fits = SIDES[family].targets, SIDES[family].fits
-    return lambda gamma, size, k: [d for d in targets(gamma, size, k) if fits(shape, d)]
-
-
 def kostka_chains(shape, content, k=None, family="composition", order="paper") -> tuple:
     """The chains themselves, each a tuple of shapes starting at the empty one."""
-    shape, seq = _chain_content(shape, content, k, family, order)
-    targets = _targets_inside(shape, family)
+    shape, seq, targets = _chain_content(shape, content, k, family, order)
     chains = [((),)]
     for size in seq:
-        chains = [chain + (delta,) for chain in chains for delta in targets(chain[-1], size, k)]
+        chains = [chain + (delta,) for chain in chains for delta in targets(chain[-1], size)]
     return tuple(chain for chain in chains if chain[-1] == shape)
 
 

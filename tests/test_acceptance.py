@@ -9,9 +9,7 @@ from kschur.algebra import pairing
 from kschur.bases import (
     build_kschur_system,
     build_schur_system,
-    kostka,
     negativity_search,
-    order_convention_report,
     ssyt_count,
     verify_decomposition,
     verify_omega,
@@ -19,7 +17,7 @@ from kschur.bases import (
 )
 from kschur.compositions import enumerate_compositions, sort_to_partition
 from kschur.partitions import partitions_of
-from kschur.systems import kostka_chains
+from kschur.systems import kostka, kostka_chains
 
 from golden_appendix import NS_TO_H, QS_TO_M
 from sparse_rows import dense
@@ -138,28 +136,25 @@ def test_criterion_8_dimensions():
 
 def test_criterion_9_order_convention_report():
     with criterion(9, "order-convention-report"):
-        report = order_convention_report(6, (2, 3))
         # Palindromic contents (including the worked example) always agree.
-        assert report["palindromic_ok"]
+        for k in (2, 3):
+            for n in range(7):
+                labels = enumerate_compositions(n, k)
+                for content in (c for c in labels if c == c[::-1]):
+                    for shape in labels:
+                        assert kostka(shape, content, k, "composition", "paper") == kostka(
+                            shape, content, k, "composition", "pieri"
+                        ), (k, shape, content)
         assert kostka((1, 3, 1, 1), (1, 1, 2, 1, 1), 3, "composition", "paper") == kostka(
             (1, 3, 1, 1), (1, 1, 2, 1, 1), 3, "composition", "pieri"
         )
+        # The two readings differ on a non-palindromic content.  Front to
+        # back, the strips of sizes 2 and 1 reach [2], then [1,2]; back to
+        # front, [1] is reached first, and its one strip of size 2 is [2,1].
+        assert kostka((1, 2), (2, 1), 2, "composition", "paper") == 1
+        assert kostka((1, 2), (2, 1), 2, "composition", "pieri") == 0
         # The printed tables follow the Pieri reading (content back to front).
         for (k, n), (labels, rows) in QS_TO_M.items():
             for r, alpha in enumerate(labels):
                 for c, beta in enumerate(labels):
                     assert rows[r][c] == kostka(alpha, beta, k, "composition", "pieri")
-        # Informational: divergences of the tableau reading, documented, not failed.
-        divergences = report["divergences"]
-        small = [d for d in divergences if sum(d[1]) <= 4]
-        print(
-            f"  order conventions diverge on {len(divergences)} non-palindromic "
-            f"(shape, content) pairs at n<=6 for k in (2,3); {len(small)} of them "
-            "lie inside the published-table range, so the tableau reading must "
-            "consume its content back to front to match those tables."
-        )
-        for k, shape, content, paper_count, pieri_count in divergences[:3]:
-            print(
-                f"    k={k} shape={list(shape)} content={list(content)}: "
-                f"forward-reading count {paper_count}, reversed-reading count {pieri_count}"
-            )

@@ -1,6 +1,7 @@
 import math
 import sys
 from array import array
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,10 +12,8 @@ from kschur.algebra import BasisMatrix, LinearCombination, packed, pairing
 from kschur.bases import (
     build_kschur_system,
     build_schur_system,
-    kostka,
     monomial_to_M,
     negativity_search,
-    order_convention_report,
     ssyt_count,
     stabilization_check,
     verify_decomposition,
@@ -24,7 +23,7 @@ from kschur.bases import (
 )
 from kschur.compositions import SIDES, comp_pieri_targets, enumerate_compositions, sort_to_partition
 from kschur.partitions import dominance_lt, partitions_of
-from kschur.systems import GradedSystem, kostka_chains
+from kschur.systems import GradedSystem, kostka, kostka_chains
 from sparse_rows import dense, sparse
 from tableau_fill import tableau_fill
 
@@ -499,6 +498,22 @@ def test_stabilization_counts_each_tableau_number_once(monkeypatch):
     assert len(calls) == 225
 
 
+@pytest.mark.parametrize("builder", ["build_schur_system", "build_kschur_system"])
+def test_stabilization_compares_the_labels_of_both_sides(monkeypatch, builder):
+    """A bounded system of either side whose labels are reversed but whose
+    Pieri rows are right fails every equals-unbounded case."""
+    real = getattr(systems, builder)
+
+    def reversed_labels(n, k=None):
+        system = real(n, k)
+        return system if k is None else SimpleNamespace(labels=system.labels[::-1], pieri=system.pieri)
+
+    monkeypatch.setattr(bases, builder, reversed_labels)
+    cases = stabilization_check(4).cases
+    assert [(case.name, case.passed) for case in cases[:3]] == [(f"n=4 k={k} equals unbounded", False) for k in (4, 5, 6)]
+    assert cases[3].passed
+
+
 def test_verifiers_derive_each_transpose_once(monkeypatch):
     transposed = BasisMatrix.transposed
     calls = []
@@ -522,16 +537,6 @@ def test_verifiers_derive_each_transpose_once(monkeypatch):
 
 def test_omega_report_small():
     assert verify_omega(8, 4).passed
-
-
-def test_order_convention_report():
-    report = order_convention_report(5, (2, 3))
-    assert report["palindromic_ok"]
-    # The two reading orders genuinely differ on non-palindromic contents.
-    assert any(content != content[::-1] for _, _, content, _, _ in report["divergences"])
-    for _, _, content, paper_count, pieri_count in report["divergences"]:
-        assert content != content[::-1]
-        assert paper_count != pieri_count
 
 
 def test_negativity_search_finds_witnesses():

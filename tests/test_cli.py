@@ -475,6 +475,40 @@ def test_directory_at_the_cache_path_is_a_miss(tmp_path, monkeypatch, capsys):
     assert [p.is_dir() for p in tmp_path.iterdir()] == [True]
 
 
+def test_directory_at_the_cache_path_gets_no_temp_file(tmp_path, monkeypatch, capsys):
+    """No rename replaces a directory, so a cold request with one at its
+    cache path prints the cold bytes without writing a temp file."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    path = tmp_path / f"qs-to-m_k3_n4_v{cli.SCHEMA_VERSION}.json"
+    path.mkdir()
+    mkstemp, calls = cli.tempfile.mkstemp, []
+    monkeypatch.setattr(cli.tempfile, "mkstemp", lambda *args, **kwargs: calls.append(args) or mkstemp(*args, **kwargs))
+    code, out = run(capsys, "matrix", "--kind", "qs-to-m", "--k", "3", "--n", "4")
+    assert (code, out) == (0, json.dumps(matrix_document("qs-to-m", 3, 4), separators=(",", ":")) + "\n")
+    assert calls == [] and list(tmp_path.iterdir()) == [path] and path.is_dir()
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs os.symlink")
+def test_symlink_to_a_directory_at_the_cache_path_is_replaced(tmp_path, monkeypatch, capsys):
+    """A rename replaces a symlink itself, not the directory it points to:
+    the cold request leaves a regular cache file, served warm next."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path / "cache"))
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "target").mkdir()
+    path = tmp_path / "cache" / f"qs-to-m_k3_n4_v{cli.SCHEMA_VERSION}.json"
+    path.symlink_to(tmp_path / "target", target_is_directory=True)
+    argv = ("matrix", "--kind", "qs-to-m", "--k", "3", "--n", "4")
+    cold = run(capsys, *argv)
+    assert cold[0] == 0 and path.is_file() and not path.is_symlink()
+    assert list((tmp_path / "target").iterdir()) == []
+
+    def no_build(*args):
+        raise AssertionError("a warm request built a graded system")
+
+    monkeypatch.setattr(systems, "build_schur_system", no_build)
+    assert run(capsys, *argv) == cold
+
+
 def test_closed_stdout_on_a_warm_hit_exits_141_quietly(tmp_path):
     """A warm json hit copies the file's bytes to stdout's buffer; a reader
     that closes the pipe early still gets the quiet exit 141."""
@@ -1127,6 +1161,17 @@ def test_expansions_match_oracle(k, capsys):
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_example_runs():
+    """The README's "Library" block runs, and its matrix entry is the -1
+    that its comment states, at n = 4, k = 3."""
+    block = README.read_text(encoding="utf-8").split("## Library\n\n```\n", 1)[1].split("```", 1)[0]
+    assert "# -1, the H[1,2,1] coefficient of S[1,1,1,1]" in block
+    namespace = {}
+    exec(block, namespace)
+    assert (namespace["system"].n, namespace["system"].k) == (4, 3)
+    assert namespace["matrix"].entry((1, 1, 1, 1), (1, 2, 1)) == -1
 
 
 def test_readme_command_examples_run():

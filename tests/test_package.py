@@ -30,7 +30,6 @@ EXPORTS = {
         "VerificationReport",
         "monomial_to_M",
         "negativity_search",
-        "order_convention_report",
         "ssyt_count",
         "stabilization_check",
         "verify_appendix",
@@ -76,6 +75,15 @@ def test_package_exports(module):
         namespace = {}
         exec(f"from kschur import {name}", namespace)
         assert namespace[name] is getattr(defining, name)
+
+
+def test_lazy_table_is_the_lazy_exports_and_each_resolves():
+    """kschur._LAZY names exactly the algebra, systems and bases exports,
+    each under its module, and each name resolves to that module's object."""
+    lazy = {name: module for module in ("algebra", "systems", "bases") for name in EXPORTS[module]}
+    assert kschur._LAZY == lazy
+    for name, module in lazy.items():
+        assert getattr(kschur, name) is getattr(import_module(f"kschur.{module}"), name)
 
 
 def test_bases_reads_the_systems_builders():
