@@ -122,14 +122,6 @@ class LinearCombination:
         body = " + ".join(f"{c}*{self.kind}{list(i)}" for i, c in self.terms())
         return f"<{self.kind}@k={self.k}: {body or '0'}>"
 
-    def map_indices(self, func, kind=None):
-        """Linear extension of an index map; optionally lands in a new kind."""
-        out = {}
-        for index, coeff in self._coeffs.items():
-            new = tuple(func(index))
-            out[new] = out.get(new, 0) + coeff
-        return LinearCombination(kind or self.kind, self.k, out)
-
 
 def _require_kind(combo, kind):
     if combo.kind != kind:
@@ -200,7 +192,11 @@ def pairing(f: LinearCombination, g: LinearCombination) -> int:
 def chi_project(g: LinearCombination) -> LinearCombination:
     """The projection onto commuting generators: H word -> h of sorted parts."""
     _require_kind(g, "H")
-    return g.map_indices(sort_to_partition, kind="h")
+    out = {}
+    for word, coeff in g._coeffs.items():
+        lam = sort_to_partition(word)
+        out[lam] = out.get(lam, 0) + coeff
+    return LinearCombination("h", g.k, out)
 
 
 # About the most nonzeros that one pass of BasisMatrix.transposed holds in

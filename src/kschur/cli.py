@@ -108,6 +108,14 @@ def parse_k(text):
     return int(digits)
 
 
+def _ascii_int(text):
+    """argparse type of --n and --max-n: ASCII decimal digits, maybe after a
+    '-' (type=int also takes '1_0', '+3', ' 3' and other scripts' digits)."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected ASCII decimal digits, got {text!r}")
+    return int(text)
+
+
 def format_label(kind, label, sep=","):
     """A label of the basis kind, in the brackets of the kind's side."""
     opening, closing = SIDE_OF[kind].brackets
@@ -136,9 +144,9 @@ def parse_element_spec(text):
 
     Malformed indices are parse errors (exit 2), not domain violations.
     """
-    if "@k=" not in text or ":" not in text:
+    head, at_k, ktext = text.rpartition("@k=")
+    if not at_k or ":" not in head:
         raise ValueError(f"bad element spec {text!r}; expected KIND:INDEX@k=K")
-    head, ktext = text.rsplit("@k=", 1)
     kind, index_text = head.split(":", 1)
     k = parse_k(ktext)
     for name, side in SIDES.items():
@@ -513,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_matrix = sub.add_parser("matrix", help="print a change-of-basis matrix")
     p_matrix.add_argument("--kind", required=True, choices=MATRIX_KINDS)
     p_matrix.add_argument("--k", required=True, help="bound k, or 'inf'")
-    p_matrix.add_argument("--n", required=True, type=int, help="degree")
+    p_matrix.add_argument("--n", required=True, type=_ascii_int, help="degree")
     p_matrix.add_argument("--format", default="json", choices=("json", "csv", "latex"))
     p_matrix.set_defaults(func=cmd_matrix)
 
@@ -532,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=VERIFY_SUITES)
-    p_verify.add_argument("--max-n", type=int, default=None)
+    p_verify.add_argument("--max-n", type=_ascii_int, default=None)
     p_verify.add_argument("--k", default=None, help="comma-separated k list, e.g. 2,3")
     p_verify.set_defaults(func=cmd_verify)
 

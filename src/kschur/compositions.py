@@ -9,10 +9,10 @@ inside a larger one bottom-aligned, i.e. aligned with its last rows.
 The horizontal-strip notion on this poset is stricter than "distinct
 columns".  Because a bump may only touch the *leftmost* part of its size,
 a one-cell growth step is blocked whenever an equal-length row lies
-higher up.  A skew shape is a horizontal strip exactly when its cells,
-taken in increasing column order, can be added one at a time as covers;
-since the columns are distinct that insertion order is unique, so the
-predicate is decided by a single simulation.
+higher up.  A skew shape is a horizontal strip exactly when its cells
+lie in distinct columns and, taken in increasing column order, can be
+added one at a time as covers; whether they can is read from the row
+lengths alone (:func:`is_horizontal_comp_strip`).
 
 Pieri targets are generated rather than filtered: they are the cover
 chains whose new cells lie in strictly increasing columns
@@ -49,8 +49,6 @@ from .partitions import (
     require_k_bounded,
     require_strip_size,
 )
-
-Cell = tuple[int, int]  # 1-based (row, column)
 
 
 def check_composition(parts, k=None) -> tuple[int, ...]:
@@ -94,47 +92,27 @@ def bottom_aligned_contains(alpha, beta) -> bool:
     return all(b <= alpha[shift + j] for j, b in enumerate(beta))
 
 
-def _skew_cell_list(alpha, beta) -> list[Cell]:
-    shift = len(alpha) - len(beta)
-    cells = [
-        (r, c) for r in range(1, shift + 1) for c in range(1, alpha[r - 1] + 1)
-    ]
-    for j, b in enumerate(beta):
-        r = shift + 1 + j
-        cells.extend((r, c) for c in range(b + 1, alpha[r - 1] + 1))
-    return cells
-
-
 def is_horizontal_comp_strip(alpha, beta) -> bool:
-    """True when alpha/beta is a horizontal strip of the cover order.
+    """True when alpha/beta is a horizontal strip of the cover order: its
+    cells lie in distinct columns and, added in increasing column order,
+    each is a cover.  Containment failure returns False, not an error.
 
-    Checks bottom-aligned containment and distinct columns, then replays
-    the unique column-increasing insertion and demands every step be a
-    cover: a column-1 cell must open a new top row, and a cell in column c
-    may extend a row only if no higher row currently has length c - 1
-    (that row would be the leftmost part of its size, so the bump would
-    land there instead).  Containment failure returns False, not an error.
+    Decided from the row lengths alone.  Pad beta with zeros on top to
+    ``old``.  When column c is reached, a higher row q has length c - 1
+    exactly when old_q <= c - 1 <= alpha_q, and a cell in column c extends
+    row r by a cover exactly when no higher row then has length c - 1
+    (that row would be the leftmost part of its size and take the bump).
+    So a growing row's new cells are covers exactly when every higher row
+    ends left of old_r or starts at or right of alpha_r.  Distinct columns
+    follow: a higher row with a new cell in one of row r's columns fails
+    both.
+    So does the rule that a column-1 cell only opens the one new top row:
+    a new row (old 0) below another fails both too.
     """
-    shift = len(alpha) - len(beta)
-    if shift < 0 or not bottom_aligned_contains(alpha, beta):
+    if not bottom_aligned_contains(alpha, beta):
         return False
-    cells = _skew_cell_list(alpha, beta)
-    columns = [c for _, c in cells]
-    if len(set(columns)) != len(columns):
-        return False
-    lengths = [0] * shift + list(beta)
-    for r, c in sorted(cells, key=lambda cell: cell[1]):
-        if c == 1:
-            if r != 1 or shift != 1:
-                return False
-            lengths[0] = 1
-        else:
-            if lengths[r - 1] != c - 1:
-                return False
-            if any(lengths[q] == c - 1 for q in range(r - 1)):
-                return False
-            lengths[r - 1] = c
-    return True
+    old = (0,) * (len(alpha) - len(beta)) + tuple(beta)
+    return all(alpha[q] < o or a <= old[q] for r, (o, a) in enumerate(zip(old, alpha)) if o < a for q in range(r))
 
 
 def is_horizontal_k_comp_strip(alpha, beta, k) -> bool:

@@ -243,10 +243,6 @@ def dominance_leq(lam, mu) -> bool:
     return True
 
 
-def dominance_lt(lam, mu) -> bool:
-    return lam != mu and dominance_leq(lam, mu)
-
-
 @lru_cache(maxsize=None)
 def partitions_of(n, k=None) -> tuple:
     """All k-bounded partitions of n, most dominant first (descending lex).

@@ -366,6 +366,32 @@ def test_matmul_refuses_mismatched_labels():
         left.matmul(labelled([[1, 0, 0]], 1, 3, "H", "S"))
 
 
+@pytest.mark.parametrize(
+    "rows, cols, vals",
+    [
+        (((0,),), ((0,),), ((1,),)),  # one row for two labels
+        (((0,), (1,)), ((0, 1), (1,)), ((1,), (1,))),  # a row's cols and vals differ in length
+        (((0,), (2,)), ((0,), (2,)), ((1,), (1,))),  # a column past the last label
+        (((0,), (-1,)), ((0,), (-1,)), ((1,), (1,))),  # a negative column
+        (((1, 0), (1,)), ((1, 0), (1,)), ((1, 1), (1,))),  # columns not increasing
+    ],
+)
+def test_basis_matrix_refuses_a_shape_that_does_not_match_its_labels(rows, cols, vals):
+    labels = ((2,), (1, 1))
+    with pytest.raises(ValueError, match="^matrix shape does not match labels$"):
+        BasisMatrix(2, None, "H", "S", labels, labels, cols, vals)
+
+
+def test_expand_refuses_another_kind_or_bound():
+    labels = ((2,), (1, 1))
+    matrix = BasisMatrix(2, None, "H", "S", labels, labels, **sparse([[1, 0], [1, 1]]))
+    with pytest.raises(DomainError, match=r"^cannot expand M@k=None through H->S@k=None$"):
+        matrix.expand(M((2,)))
+    with pytest.raises(DomainError, match=r"^cannot expand H@k=2 through H->S@k=None$"):
+        matrix.expand(H((2,), k=2))
+    assert matrix.expand(H((1, 1))) == LinearCombination("S", None, {(2,): 1, (1, 1): 1})
+
+
 def test_missing_label_lookups_name_the_label():
     labels = ((2,), (1, 1))
     matrix = BasisMatrix(

@@ -22,7 +22,7 @@ from kschur.bases import (
     verify_projection,
 )
 from kschur.compositions import SIDES, comp_pieri_targets, enumerate_compositions, sort_to_partition
-from kschur.partitions import dominance_lt, partitions_of
+from kschur.partitions import dominance_leq, partitions_of
 from kschur.systems import GradedSystem, kostka, kostka_chains
 from sparse_rows import dense, sparse
 from tableau_fill import tableau_fill
@@ -214,9 +214,8 @@ def test_unit_diagonal_and_dominance_support():
                     if alpha == beta:
                         assert value == 1
                     elif value:
-                        assert dominance_lt(
-                            sort_to_partition(beta), sort_to_partition(alpha)
-                        )
+                        lam, mu = sort_to_partition(beta), sort_to_partition(alpha)
+                        assert lam != mu and dominance_leq(lam, mu)
 
 
 def test_h_to_s_corollary_round_trip():
@@ -393,6 +392,12 @@ def test_monomial_to_M_identification():
     )
 
 
+@pytest.mark.parametrize("kind, index", [("M", (2, 1)), ("h", (2, 1)), ("dual-s", (1,))])
+def test_monomial_to_M_refuses_another_kind(kind, index):
+    with pytest.raises(DomainError, match=f"^expected kind 'm', got {kind!r}$"):
+        monomial_to_M(LinearCombination.single(kind, index, None))
+
+
 SSYT_COUNTS = [
     ((2, 1), (1, 1, 1), 2),
     ((2, 1), (2, 1), 1),
@@ -400,6 +405,8 @@ SSYT_COUNTS = [
     ((2, 2), (1, 1, 1, 1), 2),
     ((1, 1, 1), (2, 1), 0),
     ((), (), 1),
+    ((2, 1), (2,), 0),  # a content of another size fills the shape in no way
+    ((), (1,), 0),
 ]
 
 
@@ -537,6 +544,44 @@ def test_verifiers_derive_each_transpose_once(monkeypatch):
 
 def test_omega_report_small():
     assert verify_omega(8, 4).passed
+
+
+def _most_dominant(lam, k):
+    """The first k-bounded partition of lam's size: a map that sends (1, 1)
+    at k = 2 where (2,) goes."""
+    return partitions_of(sum(lam), k)[0]
+
+
+_bounded_to_core, _core_search_oracle = partitions.bounded_to_core, partitions.core_search_oracle
+
+
+@pytest.mark.parametrize(
+    "name, fake, details",
+    [
+        # not an involution, and not the transpose at k >= n
+        ("k_conjugate", _most_dominant, [None, "large-k transpose (2,) k=2; omega_2((1, 1))"]),
+        # (1, 1) and (2,) share a core, which leads back to (2,) and not (1, 1)
+        (
+            "bounded_to_core",
+            lambda lam, k: _bounded_to_core(_most_dominant(lam, k), k),
+            [None, "core round trip (1, 1) k=2; core collision (1, 1) vs (2,) k=2; "
+             "oracle disagrees at (1, 1) k=2: ((1, 1),)"],
+        ),
+        (
+            "core_search_oracle",
+            lambda lam, k: () if lam == (1, 1) else _core_search_oracle(lam, k),
+            ["oracle disagrees at (1, 1) k=1: ()", "oracle disagrees at (1, 1) k=2: ()"],
+        ),
+    ],
+    ids=["k_conjugate", "bounded_to_core", "core_search_oracle"],
+)
+def test_omega_report_names_each_failure(name, fake, details, monkeypatch):
+    """Each of the five checks of verify_omega fails, with its own detail,
+    when the map that it checks is broken."""
+    monkeypatch.setattr(partitions, name, fake)
+    report = verify_omega(2, 2)
+    assert not report.passed
+    assert [case.detail for case in report.cases] == details
 
 
 def test_negativity_search_finds_witnesses():

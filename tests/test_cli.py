@@ -39,6 +39,20 @@ def run(capsys, *argv):
     return code, captured.out
 
 
+def refusal(capsys, argv):
+    """main(argv)'s exit code, stdout and stderr.  argparse refuses a
+    malformed --n or --max-n itself, by SystemExit after its usage lines and
+    'kschur COMMAND: ': that prefix is checked and cut, so what is left
+    reads like one of main's own refusals, naming the argument."""
+    try:
+        return main(argv), *capsys.readouterr()
+    except SystemExit as exc:
+        out, err = capsys.readouterr()
+        usage, prog, rest = err.rpartition(f"kschur {argv[0]}: ")
+        assert prog and usage.startswith(f"usage: kschur {argv[0]} ") and rest.startswith("error: argument ")
+        return exc.code, out, rest
+
+
 def test_parse_k():
     assert parse_k("inf") is None
     assert parse_k("3") == 3
@@ -55,6 +69,9 @@ def test_parse_element_spec():
         parse_element_spec("S:[1,1,1]")
     with pytest.raises(ValueError):
         parse_element_spec("S:(2,1)@k=3")
+    # the only ':' follows '@k=': the spec's own message, not Python's unpacking one
+    with pytest.raises(ValueError, match=r"^bad element spec 'S\[1\]@k=2:'; expected KIND:INDEX@k=K$"):
+        parse_element_spec("S[1]@k=2:")
 
 
 @pytest.mark.parametrize("kind", sorted(SIDE_OF))
@@ -1101,6 +1118,7 @@ def test_expand_domain_violation(capsys):
         (" S:[1]@k=2", "kind ' S' does not take a composition index"),
         ("S:[1] @k=2", "bad index '[1] '; use [..] or (..)"),
         ("S:[1]@k= 2", "k must be at least 1 or 'inf', got ' 2'"),
+        ("S[1]@k=2:", "bad element spec 'S[1]@k=2:'; expected KIND:INDEX@k=K"),
     ],
 )
 def test_expand_spec_rejections(spec, err, capsys):
@@ -1241,15 +1259,18 @@ def test_recorded_outputs(monkeypatch, tmp_path, capsys):
         (("--kind", "dualkschur-to-m", "--k", "\u0663", "--n", "1"), "error: k must be at least 1 or 'inf', got '\u0663'\n"),
         (("--kind", "ns-to-h", "--k", HUGE_K, "--n", "2"), f"error: {HUGE_K_ERROR}\n"),
         (("--kind", "h-to-ns", "--k", "9" * 5000, "--n", "2"), f"error: k {'9' * 5000!r} is above {sys.maxsize}; use 'inf' for no bound\n"),
+        (("--kind", "ns-to-h", "--k", "2", "--n", "1_0"), "error: argument --n: expected ASCII decimal digits, got '1_0'\n"),
+        (("--kind", "qs-to-m", "--k", "2", "--n", "+3"), "error: argument --n: expected ASCII decimal digits, got '+3'\n"),
+        (("--kind", "kschur-to-h", "--k", "2", "--n", " 3"), "error: argument --n: expected ASCII decimal digits, got ' 3'\n"),
+        (("--kind", "dualkschur-to-m", "--k", "2", "--n", "\u0663"), "error: argument --n: expected ASCII decimal digits, got '\u0663'\n"),
     ],
 )
 def test_matrix_usage_errors(argv, err, tmp_path, monkeypatch, capsys):
-    """A negative degree, a zero bound, a bound above sys.maxsize or one that
-    is not decimal digits is refused on both sides before any cache file is
-    read or written."""
+    """A negative degree, a zero bound, a bound above sys.maxsize or a bound
+    or degree that is not ASCII decimal digits is refused on both sides
+    before any cache file is read or written."""
     monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
-    assert main(["matrix", *argv]) == 2
-    assert capsys.readouterr() == ("", err)
+    assert refusal(capsys, ["matrix", *argv]) == (2, "", err)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1360,14 +1381,18 @@ VERIFY_USAGE_ERRORS = [
     (("--suite", "projection", "--k", "2, 3"), "k must be at least 1 or 'inf', got ' 3'"),
     (("--suite", "omega", "--k", "\u0663"), "k must be at least 1 or 'inf', got '\u0663'"),
     (("--suite", "duality", "--max-n", "1", "--k", HUGE_K), HUGE_K_ERROR),
+    (("--suite", "duality", "--max-n", "1_0", "--k", "2"), "argument --max-n: expected ASCII decimal digits, got '1_0'"),
+    (("--suite", "duality", "--max-n", "+3", "--k", "2"), "argument --max-n: expected ASCII decimal digits, got '+3'"),
+    (("--suite", "projection", "--max-n", " 3"), "argument --max-n: expected ASCII decimal digits, got ' 3'"),
+    (("--suite", "duality", "--max-n", "\u0662", "--k", "2"), "argument --max-n: expected ASCII decimal digits, got '\u0662'"),
 ]
 
 
 @pytest.mark.parametrize("argv, err", VERIFY_USAGE_ERRORS, ids=[f"argv{i}" for i in range(len(VERIFY_USAGE_ERRORS))])
 def test_verify_refuses_vacuous_requests(argv, err, capsys):
-    """Each usage error exits 2 with its one stderr line and no output."""
-    assert main(["verify", *argv]) == 2
-    assert capsys.readouterr() == ("", f"error: {err}\n")
+    """Each usage error exits 2 with its one stderr line (after argparse's
+    usage lines, for a malformed --max-n) and no output."""
+    assert refusal(capsys, ["verify", *argv]) == (2, "", f"error: {err}\n")
 
 
 @pytest.mark.parametrize("max_n", ["0", "1"])

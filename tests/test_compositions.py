@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from kschur import DomainError
 from kschur.compositions import (
     SIDES,
-    _skew_cell_list,
     bottom_aligned_contains,
     check_composition,
     comp_pieri_targets,
@@ -103,15 +102,9 @@ def test_leq_c_implies_bottom_aligned_containment():
                         assert bottom_aligned_contains(alpha, beta)
 
 
-def test_skew_cells_examples():
-    assert _skew_cell_list((1, 3, 1, 1), (3, 1, 1)) == [(1, 1)]
-    assert sorted(_skew_cell_list((2, 2), (2,))) == [(1, 1), (1, 2)]
-    assert _skew_cell_list((2, 1), (2, 1)) == []
-    assert sorted(_skew_cell_list((1, 3), (2,))) == [(1, 1), (2, 3)]
-    assert not bottom_aligned_contains((1, 2), (3,))
-
-
 def test_horizontal_comp_strip_examples():
+    assert not bottom_aligned_contains((1, 2), (3,))
+    assert not is_horizontal_comp_strip((1, 2), (3,))  # no containment: False, not an error
     assert is_horizontal_comp_strip((2, 2), (2,))
     assert not is_horizontal_comp_strip((2, 2), (1, 1))
     assert not is_horizontal_comp_strip((1, 3), (1, 1))

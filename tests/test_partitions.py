@@ -99,6 +99,9 @@ def test_core_to_bounded_examples():
     assert core_to_bounded((3, 1), 2) == (2, 1)
     assert core_to_bounded((1,), 4) == (1,)
     assert core_to_bounded((2, 1, 1, 1), 3) == (1, 1, 1, 1)
+    assert core_to_bounded([2, 2], None) == (2, 2)  # the checked partition
+    with pytest.raises(DomainError):
+        core_to_bounded((1, 2), None)
     with pytest.raises(DomainError):
         core_to_bounded((2, 1), 2)  # hook 3 present, not a 3-core
     with pytest.raises(DomainError):
@@ -131,6 +134,7 @@ def test_bounded_to_core_examples():
     assert bounded_to_core((1, 1, 1, 1), 3) == (2, 1, 1, 1)
     assert bounded_to_core((2,), 2) == (2,)
     assert bounded_to_core((2,), 5) == (2,)
+    assert bounded_to_core([3, 1, 1], None) == (3, 1, 1)  # the checked partition
     with pytest.raises(DomainError):
         bounded_to_core((3, 1), 2)
 
