@@ -2,44 +2,16 @@
 non-commutative symmetric functions, with the supporting combinatorics of
 k-bounded partitions, cores and composition posets.
 
-The algebra, systems and bases names are imported on first access, so a
-program that needs only the label layer (compositions, partitions,
-errors) does not load the linear algebra, the graded systems or the
-verifiers.
+Every exported name is imported from its submodule on first access, so
+``import kschur`` loads no submodule, and a program that reads only the
+label layer (labels, errors) loads nothing else.
 """
 
 from importlib import import_module
 
-from .compositions import (
-    bottom_aligned_contains,
-    check_composition,
-    comp_pieri_targets,
-    covers_up,
-    enumerate_compositions,
-    is_horizontal_comp_strip,
-    is_horizontal_k_comp_strip,
-    sort_to_partition,
-)
-from .errors import DomainError
-from .partitions import (
-    bounded_to_core,
-    check_partition,
-    core_search_oracle,
-    core_to_bounded,
-    dominance_leq,
-    hook_lengths,
-    is_core,
-    is_horizontal_k_strip,
-    is_horizontal_strip,
-    k_conjugate,
-    k_pieri_targets,
-    partitions_of,
-    transpose,
-)
-
 __version__ = "0.1.0"
 
-# Each lazily imported name with the submodule that defines it.
+# Each exported name with the submodule that defines it.
 _LAZY = {
     name: module
     for module, names in {
@@ -73,6 +45,34 @@ _LAZY = {
             "verify_omega",
             "verify_projection",
         ),
+        "compositions": (
+            "bottom_aligned_contains",
+            "comp_pieri_targets",
+            "covers_up",
+            "is_horizontal_comp_strip",
+            "is_horizontal_k_comp_strip",
+        ),
+        "errors": ("DomainError",),
+        "labels": (
+            "check_composition",
+            "check_partition",
+            "enumerate_compositions",
+            "partitions_of",
+            "sort_to_partition",
+        ),
+        "partitions": (
+            "bounded_to_core",
+            "core_search_oracle",
+            "core_to_bounded",
+            "dominance_leq",
+            "hook_lengths",
+            "is_core",
+            "is_horizontal_k_strip",
+            "is_horizontal_strip",
+            "k_conjugate",
+            "k_pieri_targets",
+            "transpose",
+        ),
     }.items()
     for name in names
 }
@@ -83,3 +83,7 @@ def __getattr__(name):
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

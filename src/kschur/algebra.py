@@ -9,7 +9,7 @@ and nothing here ever touches floating point.
 Composition-indexed kinds: H (complete homogeneous words), M (monomial),
 S (Schur-like, dual to QS), QS (quasi-symmetric Schur-like).
 Partition-indexed kinds: h, m, s (k-Schur), dual-s (dual k-Schur).
-``compositions.SIDE_OF`` gives the side of each kind.
+``labels.SIDE_OF`` gives the side of each kind.
 
 A ``BasisMatrix`` holds one change of basis as sparse integer rows, each
 packed into the narrowest signed ``array`` that holds it (see ``packed``),
@@ -29,9 +29,8 @@ from collections.abc import Iterator
 from functools import cached_property, lru_cache
 from itertools import compress
 
-from .compositions import SIDE_OF, sort_to_partition
 from .errors import DomainError
-from .partitions import is_k_bounded
+from .labels import SIDE_OF, is_k_bounded, sort_to_partition
 
 
 def _check_kind(kind):

@@ -7,8 +7,9 @@ functions, stabilization in k against a strip-peeling tableau oracle, the
 k-conjugation and core bijections, and the search for negative structure
 constants.
 
-Only the verify command loads this module (and the reference tables); the
-matrix, expand and kostka requests stop at ``systems``.
+Only the verify command loads this module, and only the appendix suite
+the reference tables; the matrix, expand and kostka requests stop at
+``systems``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import compositions as comp
 from . import partitions as part
 from .algebra import H_product, LinearCombination, chi_project
 from .errors import DomainError
-from .reference_tables import REFERENCE_MATRICES
+from .labels import check_partition, format_k, partitions_of, sort_to_partition
 from .systems import build_kschur_system, build_schur_system
 
 
@@ -46,7 +47,7 @@ def ssyt_count(shape, content) -> int:
     peels one off every shape left (row i gives up at most shape[i] -
     shape[i+1] cells), summing the ways to each shape once per step.  No
     strip generator of the package is called, so the oracle stays independent."""
-    shape = part.check_partition(shape)
+    shape = check_partition(shape)
     content = tuple(map(operator.index, content))
     if any(c < 0 for c in content):
         raise DomainError(f"content parts must be nonnegative: {content!r}")
@@ -102,6 +103,8 @@ def _case(name, failures) -> VerificationCase:
 def verify_appendix() -> VerificationReport:
     """Rebuild the published small tables and compare each row as its
     (column, entry) pairs, the zeros left out."""
+    from .reference_tables import REFERENCE_MATRICES
+
     cases = []
     for kind, tables in REFERENCE_MATRICES.items():
         for (k, n), (labels, rows) in tables.items():
@@ -130,7 +133,7 @@ def verify_duality(n, k) -> VerificationReport:
     )
     labels = system.labels
     failures = [f"<QS{list(labels[a])}, S{list(labels[b])}> = {value}" for a, b, value in bad]
-    return VerificationReport("duality", {"n": n, "k": k}, (_case(f"duality n={n} k={part.format_k(k)}", failures),))
+    return VerificationReport("duality", {"n": n, "k": k}, (_case(f"duality n={n} k={format_k(k)}", failures),))
 
 
 def verify_projection(n, k) -> VerificationReport:
@@ -141,9 +144,9 @@ def verify_projection(n, k) -> VerificationReport:
     cases = []
     for alpha in system.labels:
         image = chi_project(system.expand("S", alpha, "H"))
-        expected = pside.expand("s", comp.sort_to_partition(alpha), "h")
+        expected = pside.expand("s", sort_to_partition(alpha), "h")
         failures = [] if image == expected else [f"{image!r} != {expected!r}"]
-        cases.append(_case(f"chi(S{list(alpha)}) n={n} k={part.format_k(k)}", failures))
+        cases.append(_case(f"chi(S{list(alpha)}) n={n} k={format_k(k)}", failures))
     return VerificationReport("projection", {"n": n, "k": k}, tuple(cases))
 
 
@@ -159,7 +162,7 @@ def verify_decomposition(n, k) -> VerificationReport:
         total = qs_to_m.expand(LinearCombination("QS", k, dict.fromkeys(rearranged[lam], 1)))
         expected = monomial_to_M(pside.expand("dual-s", lam, "m"))
         failures = [] if total == expected else [f"{total!r} != {expected!r}"]
-        cases.append(_case(f"dual-s{list(lam)} n={n} k={part.format_k(k)}", failures))
+        cases.append(_case(f"dual-s{list(lam)} n={n} k={format_k(k)}", failures))
     return VerificationReport("decomposition", {"n": n, "k": k}, tuple(cases))
 
 
@@ -181,7 +184,7 @@ def stabilization_check(n) -> VerificationReport:
         counts = {mu: ssyt_count(lam, mu) for mu in pref.labels}  # one count per partition
         class_sum = qs_to_m.expand(LinearCombination("QS", None, dict.fromkeys(rearranged[lam], 1)))
         for beta in reference.labels:
-            got, expected = class_sum.coefficient(beta), counts[comp.sort_to_partition(beta)]
+            got, expected = class_sum.coefficient(beta), counts[sort_to_partition(beta)]
             if got != expected:
                 failures.append(f"lambda={lam} beta={beta}: {got} != {expected}")
     cases.append(_case(f"n={n} classical Kostka against tableau oracle", failures))
@@ -198,7 +201,7 @@ def verify_omega(max_n, max_k) -> VerificationReport:
         bad = []
         for n in range(max_n + 1):
             seen = {}
-            for lam in part.partitions_of(n, k):
+            for lam in partitions_of(n, k):
                 conj = part.k_conjugate(lam, k)
                 if part.k_conjugate(conj, k) != lam or sum(conj) != n:
                     bad.append(f"omega_{k}({lam})")

@@ -18,8 +18,8 @@ without blocking, so a FIFO or a device there is a miss, which the cold
 request's rename replaces.  A warm request renders its lines as rows, in
 every format by the writer that renders a cold request's rows, from the
 handle it checked, without holding the whole file, without parsing it
-and without importing the algebra, systems or bases modules.
-Only the verify command imports bases and its reference tables, and json
+and importing, of the package, only the label layer (labels, errors).
+Only the verify command imports bases, and json
 is imported only to parse a document or to print a verify report: a
 matrix, expand or kostka request writes the json prefix itself, from
 the kind, k, n and the label list, whose text serves rows and columns.
@@ -49,9 +49,8 @@ import stat
 import sys
 import tempfile
 
-from .compositions import SIDE_OF, SIDES, check_composition
 from .errors import DomainError
-from .partitions import format_k
+from .labels import SIDE_OF, SIDES, check_composition, format_k
 
 SCHEMA_VERSION = "1"
 
@@ -101,7 +100,7 @@ def parse_k(text):
     if text == "inf":
         return None
     digits = text.lstrip("0")  # compared by length first: int() refuses over 4300 digits
-    if not re.fullmatch("[0-9]+", text) or not digits:
+    if not (text.isascii() and text.isdigit()) or not digits:
         raise ValueError(f"k must be at least 1 or 'inf', got {text!r}")
     if len(digits) > len(str(sys.maxsize)) or int(digits) > sys.maxsize:
         raise ValueError(f"k {text!r} is above {sys.maxsize}; use 'inf' for no bound")
@@ -111,7 +110,8 @@ def parse_k(text):
 def _ascii_int(text):
     """argparse type of --n and --max-n: ASCII decimal digits, maybe after a
     '-' (type=int also takes '1_0', '+3', ' 3' and other scripts' digits)."""
-    if not re.fullmatch("-?[0-9]+", text):
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
         raise argparse.ArgumentTypeError(f"expected ASCII decimal digits, got {text!r}")
     return int(text)
 

@@ -20,49 +20,18 @@ chains whose new cells lie in strictly increasing columns
 their sorted shapes is read from the partition side's
 :func:`k_pieri_targets`.
 
-The module ends with the side table: ``SIDES`` describes the composition
-side and the k-bounded partition side once each (labels, Pieri targets,
-containment, label check, label brackets, the four basis kinds, the
-label of a product of complete words and the label count of each
-degree), and
-``SIDE_OF`` gives the side of each basis kind.  Every layer that must
-tell the two sides apart reads them.
+The labels themselves, their check and the side table ``SIDES`` live in
+:mod:`kschur.labels`; the strip targets of both sides are read through
+``systems.STRIPS``.
 """
 
 from __future__ import annotations
 
-import operator
-from collections import deque
 from functools import lru_cache
 from itertools import groupby
-from typing import Callable, NamedTuple
 
-from .errors import DomainError
-from .partitions import (
-    check_partition,
-    column_chains,
-    contains,
-    is_horizontal_k_strip,
-    k_pieri_targets,
-    partition_counts,
-    partitions_of,
-    require_k_bounded,
-    require_strip_size,
-)
-
-
-def check_composition(parts, k=None) -> tuple[int, ...]:
-    """Validate a composition given as any iterable of ints; parts <= k when bounded."""
-    alpha = tuple(map(operator.index, parts))
-    if any(p < 1 for p in alpha):
-        raise DomainError(f"composition parts must be positive: {alpha!r}")
-    require_k_bounded(alpha, k)
-    return alpha
-
-
-def sort_to_partition(alpha) -> tuple[int, ...]:
-    """The weakly decreasing rearrangement of the parts."""
-    return tuple(sorted(alpha, reverse=True))
+from .labels import enumerate_compositions, sort_to_partition
+from .partitions import column_chains, is_horizontal_k_strip, k_pieri_targets, require_strip_size
 
 
 def composition_covers(beta, k, last=0):
@@ -138,78 +107,9 @@ def comp_pieri_targets(beta, i, k=None) -> tuple:
     return tuple(sorted(a for a in strips if sort_to_partition(a) in sorted_targets))
 
 
-def compositions_of(n, k=None):
-    """Yield all k-bounded compositions of n in lex order, growing each
-    prefix from a stack rather than by recursion."""
-    stack = [((), n)]
-    while stack:
-        prefix, rest = stack.pop()
-        if not rest:
-            yield prefix
-        top = rest if k is None else min(rest, k)
-        stack.extend((prefix + (first,), rest - first) for first in range(top, 0, -1))
-
-
-def composition_counts(k=None):
-    """Yield the number of k-bounded compositions of 0, 1, 2, ... in turn:
-    after 1 for the empty composition, each is the sum of the last k counts
-    (of all of them at k = None), one for each size of the first part."""
-    window, count = deque(maxlen=k), 1
-    while True:
-        yield count
-        window.append(count)
-        count = sum(window)
-
-
-@lru_cache(maxsize=None)
-def enumerate_compositions(n, k=None) -> tuple:
-    """All k-bounded compositions of n in the canonical display order:
-    sorted partition descending lex (most dominant first), then the
-    composition itself descending lex."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return tuple(
-        sorted(
-            compositions_of(n, k),
-            key=lambda a: (sort_to_partition(a), a),
-            reverse=True,
-        )
-    )
-
-
 @lru_cache(maxsize=None)
 def rearrangements(n, k=None) -> dict:
     """The k-bounded compositions of n grouped by sorted parts: each partition
     maps to its rearrangements in label order; one with none is absent."""
     labels = enumerate_compositions(n, k)
     return {lam: tuple(group) for lam, group in groupby(labels, sort_to_partition)}
-
-
-# ---------------------------------------------------------------------------
-# the two sides: compositions and k-bounded partitions
-
-class Side(NamedTuple):
-    labels: Callable  # (n, k) -> the basis labels in Pieri (unitriangular) order
-    targets: Callable  # (shape, strip size, k) -> shapes one strip above
-    fits: Callable  # (shape, smaller shape) -> containment
-    check: Callable  # validates and canonicalizes a label
-    brackets: str  # the opening and closing bracket of a written label
-    kinds: tuple  # (complete, Schur-like, dual, monomial)
-    label_of: Callable  # parts, in product order -> the label of that complete word
-    counts: Callable  # k -> the number of labels of each degree 0, 1, 2, ... in turn
-
-
-SIDES = {
-    "composition": Side(
-        enumerate_compositions, comp_pieri_targets, bottom_aligned_contains, check_composition,
-        "[]", ("H", "S", "QS", "M"), tuple, composition_counts,
-    ),
-    # uncached, as the builds memoize each strip by label position
-    "partition": Side(
-        partitions_of, k_pieri_targets.__wrapped__, contains, check_partition, "()", ("h", "s", "dual-s", "m"),
-        sort_to_partition, partition_counts,
-    ),
-}
-
-# The side of each basis kind (see :mod:`kschur.algebra`).
-SIDE_OF = {kind: side for side in SIDES.values() for kind in side.kinds}

@@ -13,7 +13,7 @@ and checked at run time, not proved.  The transposes give the monomial
 expansion of the dual QS basis and its inverse.  The partition side is the
 same construction over k-bounded partitions, giving k-Schur functions in h
 and dual k-Schur functions in m.  Both are built from their entry in the
-side table ``compositions.SIDES``.
+side table ``labels.SIDES`` and their strip targets in ``STRIPS``.
 
 Chain counts of horizontal (k-)strips generalize Kostka numbers; both
 content reading orders are exposed because the left Pieri iteration
@@ -32,9 +32,18 @@ from functools import lru_cache
 from itertools import compress
 
 from .algebra import BasisMatrix, LinearCombination, packed
-from .compositions import SIDES, check_composition, sort_to_partition
+from .compositions import bottom_aligned_contains, comp_pieri_targets
 from .errors import DomainError
-from .partitions import require_k_bounded
+from .labels import SIDES, check_composition, require_k_bounded, sort_to_partition
+from .partitions import contains, k_pieri_targets
+
+# Each side's strip targets, (shape, strip size, k) -> the shapes one strip
+# above, and its containment, (shape, smaller shape) -> bool.  The partition
+# targets are uncached, as the builds memoize each strip by label position.
+STRIPS = {
+    "composition": (comp_pieri_targets, bottom_aligned_contains),
+    "partition": (k_pieri_targets.__wrapped__, contains),
+}
 
 # ---------------------------------------------------------------------------
 # chain counting (generalized Kostka numbers)
@@ -46,15 +55,15 @@ def _chain_content(shape, content, k, family, order):
         raise ValueError(f"unknown family {family!r}")
     if order not in ("paper", "pieri"):
         raise ValueError(f"unknown order convention {order!r}")
-    side = SIDES[family]
-    shape = side.check(shape)
+    shape = SIDES[family].check(shape)
     content = check_composition(content)
     if sum(shape) != sum(content):
         raise ValueError(f"size mismatch: |{shape!r}| != |{content!r}|")
     require_k_bounded(sort_to_partition(shape), k)
     require_k_bounded(content, k)
     reading = content if order == "paper" else content[::-1]
-    return shape, reading, lambda gamma, size: [d for d in side.targets(gamma, size, k) if side.fits(shape, d)]
+    targets, fits = STRIPS[family]
+    return shape, reading, lambda gamma, size: [d for d in targets(gamma, size, k) if fits(shape, d)]
 
 
 def kostka(shape, content, k=None, family="composition", order="paper") -> int:
@@ -100,9 +109,8 @@ def _strip(family, k, degree, size) -> tuple:
     """The strip of one size on label positions: entry g lists the
     positions, among the labels of degree + size, of the strip targets of
     label g of the given degree."""
-    side = SIDES[family]
-    position = _position(family, degree + size, k)
-    return tuple(tuple(map(position.__getitem__, side.targets(shape, size, k))) for shape in side.labels(degree, k))
+    targets, position = STRIPS[family][0], _position(family, degree + size, k)
+    return tuple(tuple(map(position.__getitem__, targets(shape, size, k))) for shape in SIDES[family].labels(degree, k))
 
 
 def _pieri_rows(family, n, k):

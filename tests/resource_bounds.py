@@ -42,7 +42,8 @@ def warm(kind, k, n, mb):
 
 
 OMEGA_ORACLE = """import sys
-from kschur.partitions import bounded_to_core, core_search_oracle, partitions_of
+from kschur.labels import partitions_of
+from kschur.partitions import bounded_to_core, core_search_oracle
 cases = [(lam, k) for k in range(1, 6) for n in range(11) for lam in partitions_of(n, k)]
 bad = [(lam, k) for lam, k in cases if core_search_oracle(lam, k) != (bounded_to_core(lam, k),)]
 print(len(cases), "partitions,", len(bad), "disagree with the oracle", bad[:5], file=sys.stderr)

@@ -5,7 +5,7 @@ Young diagram one cell at a time in reading order instead, so the two
 agreeing checks the peel rather than restating it.
 """
 
-from kschur.partitions import check_partition
+from kschur.labels import check_partition
 
 
 def tableau_fill(shape, content) -> int:

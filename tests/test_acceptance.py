@@ -15,8 +15,7 @@ from kschur.bases import (
     verify_omega,
     verify_projection,
 )
-from kschur.compositions import enumerate_compositions, sort_to_partition
-from kschur.partitions import partitions_of
+from kschur.labels import enumerate_compositions, partitions_of, sort_to_partition
 from kschur.systems import kostka, kostka_chains
 
 from golden_appendix import NS_TO_H, QS_TO_M

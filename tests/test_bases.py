@@ -21,8 +21,9 @@ from kschur.bases import (
     verify_omega,
     verify_projection,
 )
-from kschur.compositions import SIDES, comp_pieri_targets, enumerate_compositions, sort_to_partition
-from kschur.partitions import dominance_leq, partitions_of
+from kschur.compositions import comp_pieri_targets
+from kschur.labels import enumerate_compositions, partitions_of, sort_to_partition
+from kschur.partitions import dominance_leq
 from kschur.systems import GradedSystem, kostka, kostka_chains
 from sparse_rows import dense, sparse
 from tableau_fill import tableau_fill
@@ -148,12 +149,12 @@ def test_pieri_entries_are_chain_counts():
 def test_peel_refuses_a_target_out_of_order(monkeypatch):
     # S[1,1] = H[1] S[1] - S[2] peels against the targets [1,1] and [2] of
     # H[1] on S[1]; S[2] = H[2] S[] has the one target [2], and it comes first.
-    side = SIDES["composition"]
+    fits = systems.STRIPS["composition"][1]
     for wrong in (((1, 1), (2,)), ((1, 1),), ()):
         def targets(beta, i, k, wrong=wrong):
             return wrong if (beta, i) == ((), 2) else comp_pieri_targets(beta, i, k)
 
-        monkeypatch.setitem(SIDES, "composition", side._replace(targets=targets))
+        monkeypatch.setitem(systems.STRIPS, "composition", (targets, fits))
         systems._strip.cache_clear()
         try:
             with pytest.raises(DomainError, match=r"^\(2,\) is not the last strip target"):

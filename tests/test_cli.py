@@ -29,7 +29,7 @@ from kschur.cli import (
     parse_k,
     render_matrix,
 )
-from kschur.compositions import SIDE_OF
+from kschur.labels import SIDE_OF
 from sparse_rows import dense
 
 
@@ -572,6 +572,8 @@ _LOADED_CHILD = (
 )
 BUILD_LAYER = {"kschur.algebra", "kschur.systems"}
 VERIFY_LAYER = {"kschur.bases", "kschur.reference_tables"}
+LABEL_LAYER = {"kschur", "kschur.labels", "kschur.errors"}
+STRIP_LAYER = {"kschur.partitions", "kschur.compositions"}
 
 
 def loaded_modules(cache_dir, *argv):
@@ -586,16 +588,19 @@ def loaded_modules(cache_dir, *argv):
 
 
 def test_matrix_warm_hit_imports_only_the_label_layer(tmp_path):
-    """A warm request, run in a fresh interpreter, loads no build layer and
-    no json; the cold request that fills the cache shows that the check
-    can see a build layer."""
-    argv = ("matrix", "--kind", "h-to-ns", "--k", "3", "--n", "6", "--format")
-    cold, modules, _ = loaded_modules(tmp_path, *argv, "json")
-    assert BUILD_LAYER <= modules
-    for fmt in ("json", "csv", "latex"):
-        warm, modules, _ = loaded_modules(tmp_path, *argv, fmt)
-        assert warm == rendered(json.loads(cold), fmt) + "\n"
-        assert not (BUILD_LAYER | VERIFY_LAYER | {"json"}) & modules, fmt
+    """A warm request on either side, run in a fresh interpreter as
+    __main__, loads exactly the package, kschur.labels and kschur.errors of
+    kschur, and no json; the cold request that fills the cache shows that
+    the check can see the strip and build layers."""
+    for kind in ("h-to-ns", "kschur-to-h"):
+        argv = ("matrix", "--kind", kind, "--k", "3", "--n", "6", "--format")
+        cold, modules, _ = loaded_modules(tmp_path, *argv, "json")
+        assert STRIP_LAYER | BUILD_LAYER <= modules, kind
+        for fmt in ("json", "csv", "latex"):
+            warm, modules, _ = loaded_modules(tmp_path, *argv, fmt)
+            assert warm == rendered(json.loads(cold), fmt) + "\n"
+            assert {m for m in modules if m.split(".")[0] == "kschur"} == LABEL_LAYER, (kind, fmt)
+            assert "json" not in modules, (kind, fmt)
 
 
 @pytest.mark.parametrize(
@@ -620,6 +625,14 @@ def test_verify_imports_the_verify_layer(tmp_path):
     """The control of the two tests above: verify prints its report with json."""
     _, modules, _ = loaded_modules(tmp_path, "verify", "--suite", "appendix")
     assert BUILD_LAYER | VERIFY_LAYER | {"json"} <= modules
+
+
+def test_verify_loads_the_reference_tables_only_for_appendix(tmp_path):
+    """A suite other than appendix (here duality) loads bases but not the
+    reference tables, which only verify_appendix imports."""
+    _, modules, _ = loaded_modules(tmp_path, "verify", "--suite", "duality", "--max-n", "2")
+    assert "kschur.bases" in modules
+    assert "kschur.reference_tables" not in modules
 
 
 def test_module_run_freezes_the_collector_after_main(tmp_path, capsys):
@@ -1263,6 +1276,10 @@ def test_recorded_outputs(monkeypatch, tmp_path, capsys):
         (("--kind", "qs-to-m", "--k", "2", "--n", "+3"), "error: argument --n: expected ASCII decimal digits, got '+3'\n"),
         (("--kind", "kschur-to-h", "--k", "2", "--n", " 3"), "error: argument --n: expected ASCII decimal digits, got ' 3'\n"),
         (("--kind", "dualkschur-to-m", "--k", "2", "--n", "\u0663"), "error: argument --n: expected ASCII decimal digits, got '\u0663'\n"),
+        (("--kind", "ns-to-h", "--k", "\uff13", "--n", "1"), "error: k must be at least 1 or 'inf', got '\uff13'\n"),
+        (("--kind", "kschur-to-h", "--k", "\u00b2", "--n", "1"), "error: k must be at least 1 or 'inf', got '\u00b2'\n"),
+        (("--kind", "qs-to-m", "--k", "2", "--n", "\uff13"), "error: argument --n: expected ASCII decimal digits, got '\uff13'\n"),
+        (("--kind", "h-to-ns", "--k", "2", "--n", "\u00b2"), "error: argument --n: expected ASCII decimal digits, got '\u00b2'\n"),
     ],
 )
 def test_matrix_usage_errors(argv, err, tmp_path, monkeypatch, capsys):
@@ -1385,6 +1402,10 @@ VERIFY_USAGE_ERRORS = [
     (("--suite", "duality", "--max-n", "+3", "--k", "2"), "argument --max-n: expected ASCII decimal digits, got '+3'"),
     (("--suite", "projection", "--max-n", " 3"), "argument --max-n: expected ASCII decimal digits, got ' 3'"),
     (("--suite", "duality", "--max-n", "\u0662", "--k", "2"), "argument --max-n: expected ASCII decimal digits, got '\u0662'"),
+    (("--suite", "duality", "--k", "2,\uff13"), "k must be at least 1 or 'inf', got '\uff13'"),
+    (("--suite", "omega", "--k", "\u00b2"), "k must be at least 1 or 'inf', got '\u00b2'"),
+    (("--suite", "duality", "--max-n", "\uff13", "--k", "2"), "argument --max-n: expected ASCII decimal digits, got '\uff13'"),
+    (("--suite", "projection", "--max-n", "\u00b2"), "argument --max-n: expected ASCII decimal digits, got '\u00b2'"),
 ]
 
 

@@ -8,17 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from kschur import DomainError
 from kschur.compositions import (
-    SIDES,
     bottom_aligned_contains,
-    check_composition,
     comp_pieri_targets,
     composition_covers,
     covers_up,
-    enumerate_compositions,
     is_horizontal_comp_strip,
     is_horizontal_k_comp_strip,
-    sort_to_partition,
 )
+from kschur.labels import SIDES, check_composition, enumerate_compositions, sort_to_partition
 from kschur.partitions import column_chains, is_horizontal_k_strip
 
 compositions = st.lists(st.integers(1, 4), max_size=6).map(tuple)

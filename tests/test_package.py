@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from importlib import import_module
 from pathlib import Path
 
@@ -6,8 +9,7 @@ import pytest
 
 import kschur
 
-# The names the package exported eagerly before the algebra and bases
-# names became lazy, by the submodule that defines them now.
+# Every name the package exports, by the submodule that defines it.
 EXPORTS = {
     "algebra": (
         "BasisMatrix",
@@ -41,18 +43,21 @@ EXPORTS = {
     ),
     "compositions": (
         "bottom_aligned_contains",
-        "check_composition",
         "comp_pieri_targets",
         "covers_up",
-        "enumerate_compositions",
         "is_horizontal_comp_strip",
         "is_horizontal_k_comp_strip",
-        "sort_to_partition",
     ),
     "errors": ("DomainError",),
+    "labels": (
+        "check_composition",
+        "check_partition",
+        "enumerate_compositions",
+        "partitions_of",
+        "sort_to_partition",
+    ),
     "partitions": (
         "bounded_to_core",
-        "check_partition",
         "core_search_oracle",
         "core_to_bounded",
         "dominance_leq",
@@ -62,10 +67,30 @@ EXPORTS = {
         "is_horizontal_strip",
         "k_conjugate",
         "k_pieri_targets",
-        "partitions_of",
         "transpose",
     ),
 }
+
+# Every name perfbench/replay.py reads from a kschur module, by that module.
+REPLAY_READS = {
+    "cli": (
+        "build_parser",
+        "cache_dir",
+        "cached_matrix_document",
+        "cmd_expand",
+        "cmd_verify",
+        "format_k",
+        "matrix_document",
+        "parse_element_spec",
+        "parse_k",
+        "render_matrix",
+    ),
+    "partitions": ("k_conjugate", "k_pieri_targets", "partitions_of"),
+    "compositions": ("comp_pieri_targets", "covers_up", "enumerate_compositions"),
+    "algebra": ("BasisMatrix",),
+    "bases": ("build_kschur_system", "build_schur_system", "ssyt_count"),
+}
+REPLAY = Path(__file__).parent.parent / "perfbench" / "replay.py"
 
 
 @pytest.mark.parametrize("module", EXPORTS)
@@ -78,12 +103,56 @@ def test_package_exports(module):
 
 
 def test_lazy_table_is_the_lazy_exports_and_each_resolves():
-    """kschur._LAZY names exactly the algebra, systems and bases exports,
-    each under its module, and each name resolves to that module's object."""
-    lazy = {name: module for module in ("algebra", "systems", "bases") for name in EXPORTS[module]}
+    """kschur._LAZY names exactly the exports, each under its module, and
+    each name resolves to that module's object."""
+    lazy = {name: module for module, names in EXPORTS.items() for name in names}
     assert kschur._LAZY == lazy
     for name, module in lazy.items():
         assert getattr(kschur, name) is getattr(import_module(f"kschur.{module}"), name)
+
+
+def test_import_loads_no_submodule():
+    """A fresh interpreter that imports kschur loads no kschur submodule."""
+    code = "import sys, kschur; print(*sorted(m for m in sys.modules if m.startswith('kschur')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(kschur.__file__).parent.parent))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.split() == ["kschur"]
+
+
+def test_dir_lists_the_lazy_names():
+    assert set(kschur._LAZY) <= set(dir(kschur))
+    assert "__version__" in dir(kschur)
+
+
+@pytest.mark.parametrize("module", REPLAY_READS)
+def test_replay_reads_resolve(module):
+    """Each name the benchmark replay reads resolves in its module."""
+    defining = import_module(f"kschur.{module}")
+    for name in REPLAY_READS[module]:
+        assert getattr(defining, name) is not None, name
+
+
+def test_replay_reads_are_listed():
+    """REPLAY_READS is every attribute perfbench/replay.py reads from the
+    kschur modules it imports, as module.name or by its wrap(module,
+    "name", ...), which skips a missing name without a word; so a name it
+    starts to read is checked too."""
+    tree = ast.parse(REPLAY.read_text(encoding="utf-8"))
+    aliases = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "kschur"
+        for alias in node.names
+    }
+    read = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            read.setdefault(aliases[node.value.id], set()).add(node.attr)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "wrap":
+            owner, attr = node.args[:2]
+            if isinstance(owner, ast.Name) and owner.id in aliases:
+                read.setdefault(aliases[owner.id], set()).add(attr.value)
+    assert read == {module: set(names) for module, names in REPLAY_READS.items()}
 
 
 def test_bases_reads_the_systems_builders():

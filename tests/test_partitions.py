@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from core_scan import hook_row_counts, scan_bounded_to_core, scan_k_conjugate
 from core_transpose import core_transpose_conjugate
-from kschur import DomainError, partitions
+from kschur import DomainError, labels, partitions
+from kschur.labels import check_partition, partitions_of
 from kschur.partitions import (
     bounded_to_core,
-    check_partition,
     column_chains,
     contains,
     core_search_oracle,
@@ -24,7 +24,6 @@ from kschur.partitions import (
     k_conjugate,
     k_pieri_targets,
     partition_covers,
-    partitions_of,
     transpose,
 )
 
@@ -123,10 +122,10 @@ def test_core_to_bounded_builds_no_hook_table(monkeypatch):
 
 def test_is_k_bounded_reads_every_part():
     # Compositions share the check, so it may not read only the first part.
-    assert not partitions.is_k_bounded((1, 3), 2)
-    assert partitions.is_k_bounded((2, 1), 2)
-    assert partitions.is_k_bounded((), 1)
-    assert partitions.is_k_bounded((7, 9), None)
+    assert not labels.is_k_bounded((1, 3), 2)
+    assert labels.is_k_bounded((2, 1), 2)
+    assert labels.is_k_bounded((), 1)
+    assert labels.is_k_bounded((7, 9), None)
 
 
 def test_bounded_to_core_examples():
