@@ -7,9 +7,11 @@ changes of basis, each built when first asked for.  Row beta of H->S
 applies the rule once per part, last part first; labels that end alike
 share those steps.  Row alpha of S->H peels the first part:
 S_alpha = H_{alpha_1} S_rest minus the S of the other targets, read from
-the S->H of lower degree.  At k = inf on partitions the other targets come
-earlier in label order by dominance; at finite k that ordering is observed
-and checked at run time, not proved.  The transposes give the monomial
+the S->H of lower degree.  The other targets come earlier in label order,
+on both sides and at every k, as each one's sorted shape strictly dominates
+sort(alpha); the README gives the argument, which at finite k cites the
+unitriangularity of the k-Kostka matrix (Lapointe and Morse 2005), and the
+peel checks the order at run time.  The transposes give the monomial
 expansion of the dual QS basis and its inverse.  The partition side is the
 same construction over k-bounded partitions, giving k-Schur functions in h
 and dual k-Schur functions in m.  Both are built from their entry in the
@@ -141,7 +143,8 @@ def _peeled_rows(family, n, k, lower):
     S_alpha = H_first S_rest - (the S of the other strip targets of size
     first on rest), where rest is alpha without its first part and row rest
     is read from lower[|rest|], the S->H of that degree.  Each other target
-    must come earlier, so that its row is already known; DomainError if
+    comes earlier, since its sorted shape strictly dominates sort(alpha)
+    (see the README), so its row is already known; DomainError if one does
     not.  A row stays a tuple until the last label whose peel reads it is
     done, and is packed then.  Returns sparse (cols, vals)."""
     if n == 0:

@@ -68,10 +68,15 @@ BOUNDS = [
     # about 10 s, over the bound
     Row("omega", cli("verify", "--suite", "omega", "--max-n", "150", "--k", "2"), seconds=6),
     # stabilization up to n = 12: the tableau oracle peels one horizontal strip per
-    # content part and sums the ways to each shape once per step, and each class sum
-    # is one expansion, about 5 s at 51 MB; filling the tableaux cell by cell took 26
-    # to 29 s, over the bound
+    # content part and sums the ways to each shape once per step, and the class sums
+    # are read from the rows of H->S merged by class, about 4 to 6 s at 43 MB (51 MB
+    # with a QS->M transpose); filling the tableaux cell by cell took 26 to 29 s, over
+    # the bound
     Row("stabilization", cli("verify", "--suite", "stabilization", "--max-n", "12"), seconds=12, mb=64),
+    # projection up to n = 14, k = inf: each row of S->H merged into the column of its
+    # sorted label takes about 4.1 s and peaks near 58 MB; expanding each row as its own
+    # combination and projecting it took 8.1 to 9.1 s, over the bound
+    Row("projection", cli("verify", "--suite", "projection", "--max-n", "14", "--k", "inf"), seconds=7, mb=72),
     # a cold matrix request streams its output row by row from sparse rows: ns-to-h
     # (14, 3), dimension 3136, peaks near 30 MB; building the whole document and its
     # json string first peaks near 177 MB, and dense rows as well near 290 MB

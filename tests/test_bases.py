@@ -8,7 +8,7 @@ import pytest
 from forward_substitution import forward_substitution
 import kschur
 from kschur import DomainError, bases, compositions, partitions, systems
-from kschur.algebra import BasisMatrix, LinearCombination, packed, pairing
+from kschur.algebra import BasisMatrix, LinearCombination, chi_project, packed, pairing
 from kschur.bases import (
     build_kschur_system,
     build_schur_system,
@@ -22,7 +22,7 @@ from kschur.bases import (
     verify_projection,
 )
 from kschur.compositions import comp_pieri_targets
-from kschur.labels import enumerate_compositions, partitions_of, sort_to_partition
+from kschur.labels import SIDES, enumerate_compositions, partitions_of, sort_to_partition
 from kschur.partitions import dominance_leq
 from kschur.systems import GradedSystem, kostka, kostka_chains
 from sparse_rows import dense, sparse
@@ -161,6 +161,30 @@ def test_peel_refuses_a_target_out_of_order(monkeypatch):
                 systems.GradedSystem("composition", 2, None).matrix("S", "H")
         finally:
             systems._strip.cache_clear()
+
+
+def test_peel_target_is_the_least_dominant_of_its_strip():
+    """Read from the strip tables with no build, for every label gamma and
+    strip size i: the peel's own target, (i, gamma) on compositions and
+    sort(gamma + (i,)) on partitions, is a strip target; no other target has
+    its sorted shape; and every target's sorted shape dominates it.  So every
+    other target comes earlier in label order, as the peel needs."""
+    checked = 0
+    for family, side in SIDES.items():
+        targets = systems.STRIPS[family][0]
+        for k in (1, 2, 3, 4, 5, None):
+            for m in range(12):
+                for gamma in side.labels(m, k):
+                    for i in range(1, 13 - m if k is None else min(k, 12 - m) + 1):
+                        own = side.label_of((i,) + gamma)
+                        shape = sort_to_partition(own)
+                        found = targets(gamma, i, k)
+                        assert own in found, (family, gamma, i, k)
+                        for delta in found:
+                            assert delta == own or sort_to_partition(delta) != shape, (family, gamma, i, k, delta)
+                            assert dominance_leq(shape, sort_to_partition(delta)), (family, gamma, i, k, delta)
+                        checked += len(found)
+    assert checked == 48295
 
 
 def test_builds_need_no_deep_recursion():
@@ -367,17 +391,50 @@ def test_duality_failures_are_listed_alpha_major(monkeypatch):
 
 
 def test_classical_suites_fail_on_a_wrong_dual_entry(monkeypatch):
+    # Entry (first, first) of H->S is entry (first, first) of its transpose
+    # QS->M, which the suites read as H->S merged by class.  The unbounded
+    # Pieri rows are wrong, so the equals-unbounded cases fail as well.
     real = bases.build_schur_system
     system = real(5, None)
     first = system.labels[0]
-    broken = with_entry_changed(system, "QS", "M", {(first, first): 1})
+    broken = with_entry_changed(system, "H", "S", {(first, first): 1})
     monkeypatch.setattr(
         bases, "build_schur_system", lambda n, k=None: broken if k is None else real(n, k)
     )
     cases = stabilization_check(5).cases
-    assert [case.passed for case in cases] == [True, True, True, False]
+    assert [case.passed for case in cases] == [False, False, False, False]
     assert "classical Kostka" in cases[-1].name
     assert not verify_decomposition(5, None).passed
+
+
+@pytest.mark.parametrize("k", [3, None])
+@pytest.mark.parametrize("source, target", [("S", "H"), ("H", "S")])
+def test_merged_rows_match_the_per_row_path(monkeypatch, source, target, k):
+    """With one entry of S->H or H->S wrong, projection and decomposition
+    report the cases and details of the slower path they replaced: chi of
+    each S row expanded in H, and the QS->M expansion of each class sum of
+    QS over the rearrangements of a partition."""
+    system = build_schur_system(5, k)
+    broken = with_entry_changed(system, source, target, {(system.labels[1], system.labels[3]): 1})
+    monkeypatch.setattr(bases, "build_schur_system", lambda n, k=None: broken)
+    pside = build_kschur_system(5, k)
+    rearranged = compositions.rearrangements(5, k)
+    projection = [
+        (chi_project(broken.expand("S", alpha, "H")), pside.expand("s", sort_to_partition(alpha), "h"))
+        for alpha in broken.labels
+    ]
+    decomposition = [
+        (
+            broken.matrix("QS", "M").expand(LinearCombination("QS", k, dict.fromkeys(rearranged[lam], 1))),
+            monomial_to_M(pside.expand("dual-s", lam, "m")),
+        )
+        for lam in pside.labels
+    ]
+    for report, pairs in ((verify_projection(5, k), projection), (verify_decomposition(5, k), decomposition)):
+        details = [None if got == expected else f"{got!r} != {expected!r}" for got, expected in pairs]
+        assert [(case.passed, case.detail) for case in report.cases] == [(d is None, d) for d in details]
+        # only the suite that reads the wrong matrix fails
+        assert report.passed is (report.suite != ("projection" if source == "S" else "decomposition"))
 
 
 @pytest.mark.parametrize("family", ["composition", "partition"])
@@ -536,8 +593,11 @@ def test_verifiers_derive_each_transpose_once(monkeypatch):
     stabilization_check(7)
     for n in range(6):
         verify_duality(n, 3)
+        verify_projection(n, 3)
         verify_decomposition(n, 3)
     assert calls and len(calls) == len(set(calls))
+    # the composition side is checked through H->S and S->H alone
+    assert not [call for call in calls if call[2:] in (("QS", "M"), ("M", "QS"))]
     system = build_schur_system(5, 3)
     assert system.matrix("QS", "M") is system.matrix("QS", "M")
     assert system.matrix("M", "QS") is system.matrix("M", "QS")
