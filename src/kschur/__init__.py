@@ -77,6 +77,8 @@ _LAZY = {
     for name in names
 }
 
+__all__ = sorted(_LAZY)
+
 
 def __getattr__(name):
     module = _LAZY.get(name)

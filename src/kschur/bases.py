@@ -136,44 +136,43 @@ def verify_duality(n, k) -> VerificationReport:
     return VerificationReport("duality", {"n": n, "k": k}, (_case(f"duality n={n} k={format_k(k)}", failures),))
 
 
-def _merged_rows(matrix, kind):
-    """Each row of a composition-side matrix with its columns added into the
-    column of their sorted label, as a combination of the partition kind:
-    row alpha of S->H gives chi(S[alpha]), and column lambda of H->S the
-    class sum of QS over the rearrangements of lambda in M."""
+def _class_rows(n, k, source, target):
+    """(beta, row beta of A.P, row beta of P.a) for each composition beta,
+    where A is source->target, a the same change of basis on the partition
+    side and P sends each composition to its sorted partition: row beta of A
+    with its columns added into the column of their sorted label, and row
+    sort(beta) of a, both as combinations of the partition kind."""
+    matrix = build_schur_system(n, k).matrix(source, target)
+    lower = build_kschur_system(n, k).matrix(source.lower(), target.lower())
+    rows = {lam: lower.expand(LinearCombination.single(lower.source_kind, lam, k)) for lam in lower.row_labels}
     classes = [sort_to_partition(label) for label in matrix.col_labels]
-    for cols, vals in zip(matrix.cols, matrix.vals):
+    for beta, cols, vals in zip(matrix.row_labels, matrix.cols, matrix.vals):
         merged = {}
         for lam, v in zip(map(classes.__getitem__, cols), vals):
             merged[lam] = merged.get(lam, 0) + v
-        yield LinearCombination(kind, matrix.k, merged)
+        yield beta, LinearCombination(lower.target_kind, k, merged), rows[sort_to_partition(beta)]
 
 
 def verify_projection(n, k) -> VerificationReport:
     """Projecting a Schur-like element onto commuting generators must give
     the k-Schur element of the sorted index: row alpha of S->H merged by
     class is row sort(alpha) of k-Schur->h."""
-    system = build_schur_system(n, k)
-    pside = build_kschur_system(n, k)
     cases = []
-    for alpha, image in zip(system.labels, _merged_rows(system.matrix("S", "H"), "h")):
-        expected = pside.expand("s", sort_to_partition(alpha), "h")
+    for alpha, image, expected in _class_rows(n, k, "S", "H"):
         failures = [] if image == expected else [f"{image!r} != {expected!r}"]
         cases.append(_case(f"chi(S{list(alpha)}) n={n} k={format_k(k)}", failures))
     return VerificationReport("projection", {"n": n, "k": k}, tuple(cases))
 
 
 def verify_decomposition(n, k) -> VerificationReport:
-    """The dual k-Schur element of a partition equals the sum of the dual
-    Schur-like elements over all rearrangements of its parts, read in M from
-    the rows of H->S merged by class, so no QS->M transpose is built."""
-    system = build_schur_system(n, k)
-    pside = build_kschur_system(n, k)
-    rows = list(_merged_rows(system.pieri, "s"))
+    """The dual k-Schur element of a partition lambda equals the sum of the
+    dual Schur-like elements over its rearrangements, both read in M as
+    column lambda of each side of H->S against h->k-Schur, with no transpose."""
+    rows = list(_class_rows(n, k, "H", "S"))
     cases = []
-    for lam in pside.labels:
-        total = LinearCombination("M", k, {beta: row.coefficient(lam) for beta, row in zip(system.labels, rows)})
-        expected = monomial_to_M(pside.expand("dual-s", lam, "m"))
+    for lam in partitions_of(n, k):
+        total = LinearCombination("M", k, {beta: merged.coefficient(lam) for beta, merged, _ in rows})
+        expected = LinearCombination("M", k, {beta: row.coefficient(lam) for beta, _, row in rows})
         failures = [] if total == expected else [f"{total!r} != {expected!r}"]
         cases.append(_case(f"dual-s{list(lam)} n={n} k={format_k(k)}", failures))
     return VerificationReport("decomposition", {"n": n, "k": k}, tuple(cases))
@@ -192,11 +191,11 @@ def stabilization_check(n) -> VerificationReport:
         pairs = ((build_schur_system(n, k), reference), (build_kschur_system(n, k), pref))
         same = all((b.labels, b.pieri.cols, b.pieri.vals) == (u.labels, u.pieri.cols, u.pieri.vals) for b, u in pairs)
         cases.append(VerificationCase(name=f"n={n} k={k} equals unbounded", passed=same))
-    rows = list(_merged_rows(reference.pieri, "s"))
+    rows = list(_class_rows(n, None, "H", "S"))
     failures = []
     for lam in pref.labels:
         counts = {mu: ssyt_count(lam, mu) for mu in pref.labels}  # one count per partition
-        for beta, row in zip(reference.labels, rows):
+        for beta, row, _ in rows:
             got, expected = row.coefficient(lam), counts[sort_to_partition(beta)]
             if got != expected:
                 failures.append(f"lambda={lam} beta={beta}: {got} != {expected}")

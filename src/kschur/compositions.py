@@ -27,7 +27,6 @@ The labels themselves, their check and the side table ``SIDES`` live in
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import groupby
 
 from .labels import enumerate_compositions, sort_to_partition
@@ -107,7 +106,6 @@ def comp_pieri_targets(beta, i, k=None) -> tuple:
     return tuple(sorted(a for a in strips if sort_to_partition(a) in sorted_targets))
 
 
-@lru_cache(maxsize=None)
 def rearrangements(n, k=None) -> dict:
     """The k-bounded compositions of n grouped by sorted parts: each partition
     maps to its rearrangements in label order; one with none is absent."""

@@ -77,6 +77,11 @@ BOUNDS = [
     # sorted label takes about 4.1 s and peaks near 58 MB; expanding each row as its own
     # combination and projecting it took 8.1 to 9.1 s, over the bound
     Row("projection", cli("verify", "--suite", "projection", "--max-n", "14", "--k", "inf"), seconds=7, mb=72),
+    # decomposition up to n = 13, k = inf: column lambda of both sides of H->S against
+    # h->k-Schur, each row merged by class, with no transpose, takes 3.9 to 6.4 s and
+    # peaks near 44 MB; the QS->M transpose that the class sums were once read from
+    # peaked near 52.4 MB, over the bound
+    Row("decomposition", cli("verify", "--suite", "decomposition", "--max-n", "13", "--k", "inf"), seconds=12, mb=48),
     # a cold matrix request streams its output row by row from sparse rows: ns-to-h
     # (14, 3), dimension 3136, peaks near 30 MB; building the whole document and its
     # json string first peaks near 177 MB, and dense rows as well near 290 MB

@@ -61,6 +61,29 @@ def test_combination_drops_zeros_and_mixes_raise():
     assert H((2,)) - H((2,)) == LinearCombination.zero("H", None)
 
 
+def test_combination_refuses_an_unknown_kind():
+    with pytest.raises(DomainError, match="^unknown basis kind 'X'$"):
+        LinearCombination("X", None, {(1,): 1})
+
+
+@pytest.mark.parametrize("scalar", [2.0, 0.5])
+def test_combination_refuses_a_float_scalar_on_either_side(scalar):
+    with pytest.raises(TypeError):
+        H((2, 1)) * scalar
+    with pytest.raises(TypeError):
+        scalar * H((2, 1))
+    assert 3 * H((2, 1)) == H((2, 1)) * 3 == H((2, 1), coeff=3)
+
+
+def test_equal_combinations_hash_equal():
+    """Combinations equal as terms hash equal, however they were built, so
+    they collapse to one set element."""
+    built = LinearCombination("h", 3, {(2, 1): 2, (1, 1, 1): 0, (3,): -1})
+    summed = h((2, 1), k=3) + h((3,), k=3, coeff=-1) + h((2, 1), k=3)
+    assert built == summed and hash(built) == hash(summed)
+    assert len({built, summed, h((2, 1), k=3)}) == 2
+
+
 def test_bounded_combinations_reject_tall_indices():
     with pytest.raises(DomainError):
         LinearCombination.single("H", (3, 1), 2)
@@ -164,6 +187,14 @@ def test_chi_project_examples():
     assert chi_project(H((1, 3, 1))) == h((3, 1, 1))
     assert chi_project(H((2, 1)) - H((1, 2))).is_zero()
     assert chi_project(H((2,)) + H((1, 1))) == h((2,)) + h((1, 1))
+
+
+def test_products_and_projection_refuse_another_kind():
+    """chi takes H words only, and h_product h words only."""
+    with pytest.raises(DomainError, match="^expected kind 'H', got 'h'$"):
+        chi_project(h((2, 1)))
+    with pytest.raises(DomainError, match="^expected kind 'h', got 'H'$"):
+        h_product(H((2,)), H((1,)))
 
 
 @settings(max_examples=40)

@@ -404,6 +404,37 @@ def test_cache_replaced_after_the_check_does_not_change_the_output(fmt, tmp_path
     assert path.read_text(encoding="utf-8") == "{not json"
 
 
+class FailingLineReads:
+    """A checked cache handle whose third line read raises OSError."""
+
+    def __init__(self, handle):
+        self.handle, self.lines = handle, 0
+
+    def read(self, size):
+        return self.handle.read(size)
+
+    def readline(self):
+        self.lines += 1
+        if self.lines == 3:
+            raise OSError("read failed")
+        return self.handle.readline()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
+def test_cache_read_failing_mid_check_gives_the_cold_output(fmt, tmp_path, monkeypatch, capsys):
+    """A read that fails while the cache file is checked refuses the file:
+    the output is the cold output, and the cache file is written anew."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    argv = ("matrix", "--kind", "ns-to-h", "--k", "3", "--n", "5", "--format")
+    cold, path = _fill(capsys, argv)
+    text, inode = path.read_text(encoding="utf-8"), path.stat().st_ino
+    is_canonical = cli._is_canonical
+    monkeypatch.setattr(cli, "_is_canonical", lambda handle, *args: is_canonical(FailingLineReads(handle), *args))
+    code, again = run(capsys, *argv, fmt)
+    assert code == 0 and again == rendered(json.loads(cold), fmt) + "\n"
+    assert path.read_text(encoding="utf-8") == text and path.stat().st_ino != inode
+
+
 # The canonical-int rule as a whole-text scan of the entries: a comma that
 # no canonical json int follows up to the next comma or the end.
 NON_INT_TEXT = re.compile(r",(?!(?:0|-?[1-9][0-9]*)(?:,|\Z))")

@@ -119,6 +119,15 @@ def test_import_loads_no_submodule():
     assert result.stdout.split() == ["kschur"]
 
 
+def test_star_import_binds_the_lazy_names():
+    """In a fresh interpreter, from kschur import * binds exactly the names
+    of kschur._LAZY."""
+    code = "before = set(globals()); from kschur import *; print(*sorted(set(globals()) - before - {'before'}))"
+    env = dict(os.environ, PYTHONPATH=str(Path(kschur.__file__).parent.parent))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.split() == sorted(kschur._LAZY)
+
+
 def test_dir_lists_the_lazy_names():
     assert set(kschur._LAZY) <= set(dir(kschur))
     assert "__version__" in dir(kschur)
