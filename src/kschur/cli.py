@@ -5,20 +5,21 @@ Output is deterministic byte-for-byte for fixed arguments.  Matrix
 output is ASCII bytes, written to stdout's buffer whatever the locale's
 encoding, cold and warm alike; the other commands print through the text
 layer.  Computed matrix documents are cached on disk as the json text a
-json request prints, with a newline after the prefix and after each
-comma between rows, so that each matrix row is one line; the files are
-keyed by kind, k, n and the schema version, and the cache directory
-comes from KSCHUR_CACHE_DIR and defaults to the user cache directory.  A
-cold request streams its output from the sparse matrix rows, one row's
-text at a time, into a temp file and to stdout; an atomic rename then
-makes it the cache file, so concurrent invocations stay consistent.  A
-cached file is served only when it is a regular file and its bytes are
-exactly that text, checked one line at a time; the path is opened
-without blocking, so a FIFO or a device there is a miss, which the cold
-request's rename replaces.  A warm request renders its lines as rows, in
-every format by the writer that renders a cold request's rows, from the
-handle it checked, without holding the whole file, without parsing it
-and importing, of the package, only the label layer (labels, errors).
+json request prints, led by a crc32 field, with a newline after the
+prefix and after each comma between rows, so that each matrix row is one
+line; the files are keyed by kind, k, n and the schema version, and the
+cache directory comes from KSCHUR_CACHE_DIR and defaults to the user
+cache directory.  A cold request streams its output from the sparse
+matrix rows, one row's text at a time, into a temp file and to stdout,
+puts the file's CRC-32 in that field, and renames it onto the cache file,
+so concurrent invocations stay consistent.  A cached file is served only
+when it is a regular file whose head line is the request's and whose
+CRC-32 is its field; the path is opened without blocking, so a FIFO or a
+device there is a miss, which the cold request's rename replaces.  A
+warm request renders its lines as rows, in every format by the writer
+that renders a cold request's rows, from the handle it checked, without
+holding the whole file, without parsing it and importing, of the
+package, only the label layer (labels, errors).
 Only the verify command imports bases, and json
 is imported only to parse a document or to print a verify report: a
 matrix, expand or kostka request writes the json prefix itself, from
@@ -48,6 +49,7 @@ import re
 import stat
 import sys
 import tempfile
+import zlib
 
 from .errors import DomainError
 from .labels import SIDE_OF, SIDES, check_composition, format_k
@@ -218,15 +220,24 @@ def _cache_path(kind, k, n):
     return os.path.join(cache_dir(), f"{kind}_k{format_k(k)}_n{n}_v{SCHEMA_VERSION}.json")
 
 
+# The head of a cache file opens with the CRC-32 of the file as eight hex
+# digits, bytes _CRC_AT to _CRC_END; the writer takes the CRC with them as zeros.
+_CRC_HEAD = b'{"crc32":"00000000",'
+_CRC_AT, _CRC_END = _CRC_HEAD.index(b"0"), _CRC_HEAD.index(b'",')
+
+
 class _CacheWriter:
     """A best-effort write of one cache file, as a context manager: bytes
-    go to a temp file beside path, renamed onto path when the block ends
-    without an exception.  A failed write or rename, or an exception in the
-    block, drops the temp file and skips later writes; no OSError escapes.
-    A directory at path, which no rename replaces, gets no temp file."""
+    go to a temp file beside path, after _CRC_HEAD, which the writer puts
+    first; when the block ends without an exception, the CRC-32 of every
+    byte written goes into the field of that head and the file is renamed
+    onto path.  A failed write, seek or rename, or an exception in the
+    block, drops the temp file and skips later writes; no OSError escapes,
+    and the file is closed on every path.  A directory at path, which no
+    rename replaces, gets no temp file."""
 
     def __init__(self, path):
-        self.path, self.handle = path, None
+        self.path, self.handle, self.crc = path, None, 0
         with contextlib.suppress(OSError):
             os.makedirs(os.path.dirname(path), exist_ok=True)
             with contextlib.suppress(FileNotFoundError):
@@ -234,6 +245,7 @@ class _CacheWriter:
                     return
             fd, self.tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
             self.handle = os.fdopen(fd, "wb")
+        self.write(_CRC_HEAD)
 
     def __enter__(self):
         return self
@@ -242,16 +254,21 @@ class _CacheWriter:
         try:
             if self.handle is not None:
                 self.handle.write(data)
+                self.crc = zlib.crc32(data, self.crc)
         except OSError as exc:
             self.__exit__(OSError, exc, None)
 
     def __exit__(self, exc_type, exc, traceback):
-        """Close the temp file, then rename it onto path when there was no
-        exception, or remove it otherwise or when closing or renaming fails."""
+        """Write the CRC field and close the temp file, then rename it onto
+        path when there was no exception, or remove it otherwise or when
+        writing the field, closing or renaming fails."""
         handle, self.handle = self.handle, None
         if handle is not None:
             with contextlib.suppress(OSError):
-                handle.close()
+                with handle:
+                    if exc_type is None:
+                        handle.seek(_CRC_AT)
+                        handle.write(b"%08x" % self.crc)
                 if exc_type is None:
                     os.replace(self.tmp, self.path)
                     return
@@ -273,49 +290,23 @@ def _json_prefix(kind, k, n, labels):
     ).encode()
 
 
-# A comma that no canonical json int follows up to the next comma or the end.
-_NON_INT = re.compile(rb",(?!(?:0|-?[1-9][0-9]*)(?:,|\Z))")
-
-# A run of zero entries, with the commas around it.
-_ZEROS = b",0" * 8 + b","
-
-
-def _is_canonical(handle, prefix, d):
-    """True when the bytes of handle are prefix and a newline, then d lines
-    of d canonical ints separated by single commas, every line but the last
-    ending in a comma and a newline and the last in the closing ]}.
-
-    The prefix is read in one piece and the rows one line at a time.  A
-    line that ends in ]} has no newline, so readline stopped at the end of
-    the file.  Runs of zero entries are dropped before the int scan: each
-    is a whole field between commas, so the fields left are as they were,
-    and the scan over them is faster.
-    """
-    if handle.read(len(prefix) + 1) != prefix + b"\n":  # a short file reads short
-        return False
-    for end in [b",\n"] * (d - 1) + [b"]}"]:
-        line = handle.readline()
-        entries = b"," + line[:-2]  # a comma before every entry
-        if not line.endswith(end) or entries.count(b",") != d or _NON_INT.search(entries.replace(_ZEROS, b",")):
-            return False
-    return True
-
+_CRC_BLOCK = 1 << 16  # the CRC-32 of a cache file is read in blocks of 64 KiB
 
 # The read buffer of a cache file of d rows holds at least _ROW_BUFFER * d
-# bytes: a row's line has at least 2d, so each line is read in one piece.
+# bytes: a row's line has at least 2d, so each line is rendered from one read.
 _ROW_BUFFER = 8
 
 
-def _read_cache(path, prefix, d):
-    """The cached file, open in binary mode at its first row, when its
-    bytes are exactly the cache text of a document of d rows whose json
-    text starts with prefix (see _is_canonical); None otherwise, and for
-    anything at path but a regular file, such as a FIFO or a directory.
+def _read_cache(path, head, d):
+    """The cached file of d rows, open in binary mode at its first row, when
+    it is a regular file that starts with head but for the crc32 field and
+    whose CRC-32, taken with that field as zeros, is the field; None
+    otherwise, as for a FIFO or a directory.
 
-    The file is checked as bytes and never parsed: a file that parses to
-    the same document but is spelled otherwise (spaces, -0, other key
-    order, escapes, other line breaks) is refused.  The caller closes the
-    handle.  Reading from it gives the bytes that were checked, even when
+    One read compares the head, so a file in another layout is refused at
+    once; the rest is read in blocks, never parsed or held whole.  Any
+    changed byte fails the CRC unless the field was recomputed too.  The
+    caller closes the handle, whose bytes are the checked ones even when
     the file is replaced meanwhile: a rename swaps the inode, not the bytes
     of an open file.
     """
@@ -328,9 +319,14 @@ def _read_cache(path, prefix, d):
         return None
     handle, served = open(fd, "rb", max(io.DEFAULT_BUFFER_SIZE, _ROW_BUFFER * d)), None
     try:
-        if _is_canonical(handle, prefix, d):
-            handle.seek(len(prefix) + 1)
-            served = handle
+        found = handle.read(len(head))  # a short file reads short
+        if found[:_CRC_AT] + found[_CRC_END:] == head[:_CRC_AT] + head[_CRC_END:]:
+            crc = zlib.crc32(head)
+            for block in iter(lambda: handle.read(_CRC_BLOCK), b""):
+                crc = zlib.crc32(block, crc)
+            if found[_CRC_AT:_CRC_END] == b"%08x" % crc:
+                handle.seek(len(head))
+                served = handle
     except OSError:  # a failed read refuses the file too
         pass
     finally:
@@ -352,19 +348,19 @@ def cached_matrix_document(kind, k, n) -> dict:
 
 def _write_matrix(out, kind, k, n, fmt):
     """Write the matrix to the binary stream out in fmt, rendering its rows
-    in every format from their comma-joined entries.  A cache file that is
-    exactly the cache text of this request gives them from the handle that
-    checked it: each line without its last two bytes (a comma and a
+    in every format from their comma-joined entries.  A cache file that
+    passes the check of _read_cache gives them from the handle that checked
+    it: each line after the head without its last two bytes (a comma and a
     newline, or the closing ]}).  Otherwise the matrix is computed, and
     each row's text, made once, is also written to a new cache file as part
-    of the json text."""
+    of the json text, after a head line that opens with the CRC field."""
     labels = SIDE_OF[MATRIX_KINDS[kind][0]].labels(n, k)
     prefix, path = _json_prefix(kind, k, n, labels), _cache_path(kind, k, n)
-    cached = _read_cache(path, prefix, len(labels))
+    cached = _read_cache(path, _CRC_HEAD + prefix[1:] + b"\n", len(labels))
     if cached is None:
         rows = _row_texts(_matrix(kind, k, n))
-        with _CacheWriter(path) as cache:
-            _write_table(out, kind, labels, _json_rows(prefix, rows, cache.write, b"\n"), fmt, prefix)
+        with _CacheWriter(path) as cache:  # the json prefix follows the CRC field
+            _write_table(out, kind, labels, _json_rows(prefix[1:], rows, cache.write, b"\n"), fmt, prefix)
             cache.write(b"]}")
         return
     with cached:

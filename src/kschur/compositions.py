@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from itertools import groupby
 
-from .labels import enumerate_compositions, sort_to_partition
+from .labels import check_composition, enumerate_compositions, sort_to_partition
 from .partitions import column_chains, is_horizontal_k_strip, k_pieri_targets, require_strip_size
 
 
@@ -97,10 +97,11 @@ def comp_pieri_targets(beta, i, k=None) -> tuple:
 
     At k = None every chain passes: column c of a composition holds as many
     cells as column c of its sorted shape, so a chain's new cells, one per
-    column, sort to a horizontal strip, and that is all the check asks."""
+    column, sort to a horizontal strip, and that is all the check asks; beta
+    is checked there, as k_pieri_targets checks the sorted beta otherwise."""
     if k is None:
         require_strip_size(i, k)
-        return tuple(sorted(column_chains(beta, i, composition_covers, k)))
+        return tuple(sorted(column_chains(check_composition(beta), i, composition_covers, k)))
     sorted_targets = k_pieri_targets(sort_to_partition(beta), i, k)
     strips = column_chains(beta, i, composition_covers, k)
     return tuple(sorted(a for a in strips if sort_to_partition(a) in sorted_targets))

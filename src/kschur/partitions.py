@@ -37,6 +37,7 @@ def contains(lam, mu) -> bool:
 
 def hook_lengths(lam) -> dict[tuple[int, int], int]:
     """Hook length of every cell, keyed by 1-based (row, column)."""
+    lam = check_partition(lam)
     t = transpose(lam)
     return {
         (r, c): (lam[r - 1] - c) + (t[c - 1] - r) + 1
@@ -118,7 +119,7 @@ def k_conjugate(lam, k) -> tuple[int, ...]:
     columns of the k-skew diagram, so it is read from the column lengths of
     that diagram, whose row offsets are closed forms: no core is built."""
     if k is None:
-        return transpose(lam)
+        return transpose(check_partition(lam))
     offsets = _skew_offsets(lam, k)
     steps = [0] * (offsets[0] + lam[0] + 1 if lam else 1)  # the top row ends rightmost
     for o, length in zip(offsets, lam):
@@ -197,9 +198,9 @@ def k_pieri_targets(lam, i, k) -> tuple:
     strip to a vertical one, so nothing is filtered out."""
     require_strip_size(i, k)
     require_k_bounded(lam, k)
+    conj = k_conjugate(lam, k)  # which checks lam, at k = None too
     strips = column_chains(lam, i, partition_covers, k)
     if k is not None:
-        conj = k_conjugate(lam, k)
         strips = [mu for mu in strips if is_vertical_strip(k_conjugate(mu, k), conj)]
     return tuple(sorted(strips))
 

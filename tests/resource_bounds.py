@@ -102,11 +102,11 @@ BOUNDS = [
     # and latex, against 30 to 37 MB when the file was parsed and re-encoded and far
     # more when the whole entries body is matched by one repeated regex group
     *warm("h-to-ns", "inf", "11", mb=32),
-    # a warm hit checks the cache file line by line (one matrix row each) and copies or
-    # renders it from the same open handle, never holding the file: ns-to-h (14, 4),
-    # dimension 5536 and a 62 MB file, peaks near 21 MB warm in json, csv and latex
-    # (36 MB cold), where holding the file text, a slice of its body and the encoded
-    # output peaked near 196 MB
+    # a warm hit checks the CRC-32 of the cache file in 64 KiB blocks, then renders it
+    # line by line (one matrix row each) from the same open handle, never holding the
+    # file: ns-to-h (14, 4), dimension 5536 and a 62 MB file, peaks near 18 MB warm in
+    # json, csv and latex (36 MB cold), where holding the file text, a slice of its
+    # body and the encoded output peaked near 196 MB
     *warm("ns-to-h", "4", "14", mb=40),
 ]
 
@@ -115,14 +115,19 @@ BOUNDS = [
 # failing.
 WARM_BEATS_COLD = {
     # a warm csv hit renders each line of the cache file as one row: ns-to-h (14, 4)
-    # takes about 0.9 s warm against 1.2 to 1.4 s cold; a file without row boundaries,
+    # takes about 0.2 s warm against 1.0 to 1.4 s cold; a file without row boundaries,
     # whose rows had to be found by every d-th comma, took about 2.1 s warm against
     # 1.5 s cold
     "warm csv": cli("matrix", "--kind", "ns-to-h", "--k", "4", "--n", "14", "--format", "csv"),
     # a warm json hit renders each line as one row through the row writer of csv,
     # latex and every cold request, which guards the one json hit path: h-to-ns
-    # (12, inf) takes about 0.3 s warm against 1.0 s cold
+    # (12, inf) takes about 0.08 s warm against 0.7 to 0.8 s cold
     "warm json": cli("matrix", "--kind", "h-to-ns", "--k", "inf", "--n", "12"),
+    # a warm hit checks one CRC-32 over the cache file, which its writer recorded in the
+    # head: ns-to-h (16, 3), dimension 10609 and a 226 MB file, takes 0.35 to 0.40 s
+    # warm against 1.6 to 1.9 s cold; a scan of the spelling of every entry took 1.5 to
+    # 1.9 s warm against 1.4 to 2.0 s cold, so the two sides fell in each other's range
+    "warm (16, 3) json": cli("matrix", "--kind", "ns-to-h", "--k", "3", "--n", "16"),
 }
 
 

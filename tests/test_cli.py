@@ -4,16 +4,14 @@ import hashlib
 import io
 import json
 import os
-import re
 import shlex
 import subprocess
 import sys
 import time
+import zlib
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gauss_jordan import invert_integer_matrix
 from kschur import DomainError, bases, cli, systems
@@ -163,6 +161,20 @@ def line_file(doc):
     return head[:-1] + ',"entries":[\n' + ",\n".join(rows) + "]}"
 
 
+def cache_file(doc, field=None):
+    """The cache file of doc: its line_file text, whose first line opens
+    with a crc32 field that holds field, by default the CRC-32 that the
+    writer records, of the whole text with the field as eight zeros."""
+    text = '{"crc32":"00000000",' + line_file(doc)[1:]
+    field = field or "%08x" % zlib.crc32(text.encode())
+    return text[: len('{"crc32":"')] + field + text[len('{"crc32":"00000000') :]
+
+
+def crc_field(text):
+    """The crc32 field of a cache file's text."""
+    return json.loads(text[: text.index(",")] + "}")["crc32"]
+
+
 def rendered(doc, fmt):
     """What a matrix request prints for doc in fmt, without the last
     newline: json by the json module, an oracle independent of the request
@@ -181,7 +193,9 @@ def test_line_file_is_the_json_output_with_a_newline_between_rows():
 
 # Fields planted over the cold ns-to-h (3, 2) document, whose labels are
 # [2,1], [1,2], [1,1,1], written as a cache file; every one of them must
-# be recomputed.
+# be recomputed.  A plant of other entries keeps the crc32 field that the
+# cold request recorded, as an edit that does not recompute it does; the
+# others get the field of their own text, and their head refuses them.
 MISMATCHED_CACHE = {
     "wrong-n": {"n": 4},
     "wrong-k": {"k": 3},
@@ -201,10 +215,11 @@ def test_matrix_rejects_mismatched_cache(planted, tmp_path, monkeypatch, capsys)
     monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
     _, cold = run(capsys, "matrix", "--kind", "ns-to-h", "--k", "2", "--n", "3", "--format", "json")
     path = next(tmp_path.glob("*.json"))
-    path.write_text(line_file({**json.loads(cold), **planted}), encoding="utf-8")
+    field = crc_field(path.read_text(encoding="utf-8")) if "entries" in planted else None
+    path.write_text(cache_file({**json.loads(cold), **planted}, field), encoding="utf-8")
     _, again = run(capsys, "matrix", "--kind", "ns-to-h", "--k", "2", "--n", "3", "--format", "json")
     assert again == cold
-    assert path.read_text(encoding="utf-8") == line_file(json.loads(cold))
+    assert path.read_text(encoding="utf-8") == cache_file(json.loads(cold))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "latex"])
@@ -214,10 +229,11 @@ def test_matrix_rejects_mismatched_cache_in_text_formats(planted, fmt, tmp_path,
     argv = ("matrix", "--kind", "ns-to-h", "--k", "2", "--n", "3", "--format")
     _, cold = run(capsys, *argv, "json")
     path = next(tmp_path.glob("*.json"))
-    path.write_text(line_file({**json.loads(cold), **planted}), encoding="utf-8")
+    field = crc_field(path.read_text(encoding="utf-8")) if "entries" in planted else None
+    path.write_text(cache_file({**json.loads(cold), **planted}, field), encoding="utf-8")
     code, again = run(capsys, *argv, fmt)
     assert code == 0 and again == render_matrix(json.loads(cold), fmt) + "\n"
-    assert path.read_text(encoding="utf-8") == line_file(json.loads(cold))
+    assert path.read_text(encoding="utf-8") == cache_file(json.loads(cold))
 
 
 def _entry_as_minus_zero(text, row=0):
@@ -258,18 +274,19 @@ NONCANONICAL_CACHE = {
 @pytest.mark.parametrize("edit", NONCANONICAL_CACHE.values(), ids=NONCANONICAL_CACHE)
 def test_matrix_rewrites_noncanonical_cache(edit, fmt, tmp_path, monkeypatch, capsys):
     """Nothing of the edited file is printed: the output is exactly the
-    cold output, and the file is rewritten."""
+    cold output, and the file is rewritten.  The edits leave the crc32
+    field as the cold request recorded it."""
     monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
     argv = ("matrix", "--kind", "ns-to-h", "--k", "2", "--n", "3", "--format")
     _, cold = run(capsys, *argv, "json")
     path = next(tmp_path.glob("*.json"))
     text = path.read_text(encoding="utf-8")
-    assert text == line_file(json.loads(cold))
+    assert text == cache_file(json.loads(cold))
     edited = edit(text)
     assert edited != text and json.loads(edited) == json.loads(text)
     path.write_bytes(edited.encode())
     code, again = run(capsys, *argv, fmt)
-    assert code == 0 and again == rendered(json.loads(text), fmt) + "\n"
+    assert code == 0 and again == rendered(json.loads(cold), fmt) + "\n"
     assert path.read_text(encoding="utf-8") == text
 
 
@@ -291,7 +308,25 @@ def test_matrix_rewrites_a_broken_row_end(edit, fmt, tmp_path, monkeypatch, caps
     text = path.read_text(encoding="utf-8")
     path.write_text(edit(text), encoding="utf-8")
     code, again = run(capsys, *argv, fmt)
-    assert code == 0 and again == rendered(json.loads(text), fmt) + "\n"
+    assert code == 0 and again == rendered(json.loads(cold), fmt) + "\n"
+    assert path.read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
+def test_matrix_refuses_an_entry_changed_to_another_int(fmt, tmp_path, monkeypatch, capsys):
+    """A cache file whose first entry was edited from 1 to 7, still the
+    json text of the request's shape in canonical ints, is refused: the
+    output is exactly the cold output, and the file is rewritten."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    argv = ("matrix", "--kind", "ns-to-h", "--k", "2", "--n", "3", "--format")
+    _, cold = run(capsys, *argv, "json")
+    path = next(tmp_path.glob("*.json"))
+    text = path.read_text(encoding="utf-8")
+    edited = _between_rows(text, "1", "7")
+    assert json.loads(edited)["entries"] == [7, *json.loads(cold)["entries"][1:]]
+    path.write_text(edited, encoding="utf-8")
+    code, again = run(capsys, *argv, fmt)
+    assert code == 0 and again == rendered(json.loads(cold), fmt) + "\n"
     assert path.read_text(encoding="utf-8") == text
 
 
@@ -321,15 +356,9 @@ class CountingReader:
         self.handle.close()
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
-def test_old_format_file_is_refused_after_one_read(fmt, tmp_path, monkeypatch, capsys):
-    """A cache file written as the json output itself, with no newlines,
-    differs at the byte after its prefix: one read of the prefix and that
-    byte refuses it, and it is rewritten."""
-    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
-    argv = ("matrix", "--kind", "h-to-ns", "--k", "3", "--n", "5", "--format")
-    cold, path = _fill(capsys, argv)
-    path.write_text(cold.removesuffix("\n"), encoding="utf-8")
+def _counted_warm_run(capsys, monkeypatch, argv):
+    """The exit code and stdout of a request whose cache file is opened as
+    a CountingReader, and that reader."""
     readers = []
 
     def counting_open(name, mode, buffering):
@@ -338,19 +367,57 @@ def test_old_format_file_is_refused_after_one_read(fmt, tmp_path, monkeypatch, c
         return readers[-1]
 
     monkeypatch.setattr(cli, "open", counting_open, raising=False)
-    code, again = run(capsys, *argv, fmt)
-    assert code == 0 and again == rendered(json.loads(cold), fmt) + "\n"
+    code, out = run(capsys, *argv)
+    monkeypatch.delattr(cli, "open")
     (reader,) = readers
-    assert reader.reads == [len(cli._json_prefix("h-to-ns", 3, 5, SIDE_OF["H"].labels(5, 3))) + 1]
-    assert reader.handle.closed
-    assert path.read_text(encoding="utf-8") == line_file(json.loads(cold))
+    return code, out, reader
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
+def test_old_format_file_is_refused_after_one_read(fmt, tmp_path, monkeypatch, capsys):
+    """A cache file in a layout of earlier versions, the json output itself
+    or that text with a newline after the prefix and after each comma
+    between rows, has no crc32 field, so it differs within the length of
+    the head line: one read of that length refuses it, and it is rewritten."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    argv = ("matrix", "--kind", "h-to-ns", "--k", "3", "--n", "5", "--format")
+    cold, path = _fill(capsys, argv)
+    text = path.read_text(encoding="utf-8")
+    for old in (cold.removesuffix("\n"), line_file(json.loads(cold))):
+        path.write_text(old, encoding="utf-8")
+        code, again, reader = _counted_warm_run(capsys, monkeypatch, (*argv, fmt))
+        assert code == 0 and again == rendered(json.loads(cold), fmt) + "\n"
+        assert reader.reads == [text.index("\n") + 1]
+        assert reader.handle.closed
+        assert path.read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
+def test_wrong_crc_field_is_refused_after_one_pass(fmt, tmp_path, monkeypatch, capsys):
+    """A cache file whose crc32 field is not the CRC-32 of its text, in
+    any spelling, is refused after one read of its head line and one pass
+    over the rest in blocks, and is never read again: the output is exactly
+    the cold output, and the file is rewritten."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    argv = ("matrix", "--kind", "h-to-ns", "--k", "3", "--n", "5", "--format")
+    cold, path = _fill(capsys, argv)
+    text = path.read_text(encoding="utf-8")
+    field, head = crc_field(text), text.index("\n") + 1
+    for wrong in {"00000000", "%08x" % (int(field, 16) ^ 1), field.upper(), "zzzzzzzz"} - {field}:
+        path.write_text(cache_file(json.loads(cold), wrong), encoding="utf-8")
+        code, again, reader = _counted_warm_run(capsys, monkeypatch, (*argv, fmt))
+        assert code == 0 and again == rendered(json.loads(cold), fmt) + "\n", wrong
+        assert reader.reads == [head, len(text) - head, 0], wrong
+        assert reader.handle.closed
+        assert path.read_text(encoding="utf-8") == text
 
 
 @pytest.mark.parametrize("block", range(1, 13))
 def test_block_check_serves_the_canonical_file_at_every_block_size(block, tmp_path, monkeypatch, capsys):
-    """However the blocks read from the file cut it, newlines at block ends
-    included, a warm hit prints the cold bytes in every format without
-    building anything."""
+    """However the reads of a small read buffer cut the file, its head
+    line, its rows and the newlines at their ends included, a warm hit
+    checks it and prints the cold bytes in every format without building
+    anything."""
     monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
     argv = ("matrix", "--kind", "qs-to-m", "--k", "3", "--n", "5", "--format")
     cold, path = _fill(capsys, argv)
@@ -364,13 +431,14 @@ def test_block_check_serves_the_canonical_file_at_every_block_size(block, tmp_pa
     for fmt in ("json", "csv", "latex"):
         code, warm = run(capsys, *argv, fmt)
         assert code == 0 and warm == rendered(json.loads(cold), fmt) + "\n", fmt
-    assert path.read_text(encoding="utf-8") == line_file(json.loads(cold))
+    assert path.read_text(encoding="utf-8") == cache_file(json.loads(cold))
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
 def test_block_check_bad_last_entry_prints_only_the_cold_output(fmt, tmp_path, monkeypatch, capsys):
-    """A file that is canonical up to its last entry, checked line by line,
-    prints nothing of itself: the output is exactly the cold output."""
+    """A file whose last entry alone is respelt (01 for 1) fails the CRC-32,
+    which is checked before anything is printed: the output is exactly the
+    cold output."""
     monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
     argv = ("matrix", "--kind", "h-to-ns", "--k", "3", "--n", "5", "--format")
     cold, path = _fill(capsys, argv)
@@ -378,7 +446,7 @@ def test_block_check_bad_last_entry_prints_only_the_cold_output(fmt, tmp_path, m
     assert text.endswith(",1]}")
     path.write_text(text[: -len("1]}")] + "01]}", encoding="utf-8")
     code, again = run(capsys, *argv, fmt)
-    assert code == 0 and again == rendered(json.loads(text), fmt) + "\n"
+    assert code == 0 and again == rendered(json.loads(cold), fmt) + "\n"
     assert path.read_text(encoding="utf-8") == text
 
 
@@ -404,20 +472,20 @@ def test_cache_replaced_after_the_check_does_not_change_the_output(fmt, tmp_path
     assert path.read_text(encoding="utf-8") == "{not json"
 
 
-class FailingLineReads:
-    """A checked cache handle whose third line read raises OSError."""
+class FailingReads:
+    """A cache file whose third read raises OSError."""
 
-    def __init__(self, handle):
-        self.handle, self.lines = handle, 0
+    def __init__(self, fd, mode, buffering):
+        self.handle, self.reads = open(fd, mode, buffering), 0
 
     def read(self, size):
+        self.reads += 1
+        if self.reads == 3:
+            raise OSError("read failed")
         return self.handle.read(size)
 
-    def readline(self):
-        self.lines += 1
-        if self.lines == 3:
-            raise OSError("read failed")
-        return self.handle.readline()
+    def close(self):
+        self.handle.close()
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
@@ -428,30 +496,13 @@ def test_cache_read_failing_mid_check_gives_the_cold_output(fmt, tmp_path, monke
     argv = ("matrix", "--kind", "ns-to-h", "--k", "3", "--n", "5", "--format")
     cold, path = _fill(capsys, argv)
     text, inode = path.read_text(encoding="utf-8"), path.stat().st_ino
-    is_canonical = cli._is_canonical
-    monkeypatch.setattr(cli, "_is_canonical", lambda handle, *args: is_canonical(FailingLineReads(handle), *args))
+    readers = []
+    monkeypatch.setattr(cli, "open", lambda *args: readers.append(FailingReads(*args)) or readers[-1], raising=False)
+    monkeypatch.setattr(cli, "_CRC_BLOCK", 16)  # the head read, one block, then the failing one
     code, again = run(capsys, *argv, fmt)
     assert code == 0 and again == rendered(json.loads(cold), fmt) + "\n"
+    assert [r.reads for r in readers] == [3] and readers[0].handle.closed
     assert path.read_text(encoding="utf-8") == text and path.stat().st_ino != inode
-
-
-# The canonical-int rule as a whole-text scan of the entries: a comma that
-# no canonical json int follows up to the next comma or the end.
-NON_INT_TEXT = re.compile(r",(?!(?:0|-?[1-9][0-9]*)(?:,|\Z))")
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.lists(st.sampled_from(["0", "1", "2", "-", ",", "0,", ",0", "]", " ", "x"]), max_size=40))
-def test_canonical_entries_match_the_whole_text_rule(pieces):
-    """The line check, which drops runs of zero entries before its scan,
-    accepts a file of d rows, each the same text of d fields, exactly when
-    the whole-text rule accepts that text."""
-    prefix = b'{"entries":['
-    entries = "," + "".join(pieces)
-    for entries in (entries, entries.replace(",", ",0,0,0,0,0,0,0,0,", 2)):
-        text, d = entries[1:], entries.count(",")
-        file = prefix + b"\n" + ",\n".join([text] * d).encode() + b"]}"
-        assert cli._is_canonical(io.BytesIO(file), prefix, d) == (not NON_INT_TEXT.search(entries)), entries
 
 
 def test_cached_matrix_document_cold_call_writes_the_cli_cache_file(tmp_path, monkeypatch, capsys):
@@ -506,7 +557,7 @@ def test_fifo_at_the_cache_path_is_a_miss_and_is_replaced(tmp_path):
     cold = subprocess.run(argv, env=env, capture_output=True, timeout=20)
     assert (cold.returncode, cold.stderr) == (0, b"")
     assert cold.stdout == (json.dumps(matrix_document("ns-to-h", 2, 3), separators=(",", ":")) + "\n").encode()
-    assert path.is_file() and path.read_text(encoding="utf-8") == line_file(json.loads(cold.stdout))
+    assert path.is_file() and path.read_text(encoding="utf-8") == cache_file(json.loads(cold.stdout))
     inode = path.stat().st_ino  # a warm hit reads the file and renames nothing onto it
     warm = subprocess.run(argv, env=env, capture_output=True, timeout=20)
     assert (warm.returncode, warm.stdout) == (0, cold.stdout) and path.stat().st_ino == inode
@@ -621,8 +672,8 @@ def loaded_modules(cache_dir, *argv):
 def test_matrix_warm_hit_imports_only_the_label_layer(tmp_path):
     """A warm request on either side, run in a fresh interpreter as
     __main__, loads exactly the package, kschur.labels and kschur.errors of
-    kschur, and no json; the cold request that fills the cache shows that
-    the check can see the strip and build layers."""
+    kschur, and neither json nor hashlib; the cold request that fills the
+    cache shows that the check can see the strip and build layers."""
     for kind in ("h-to-ns", "kschur-to-h"):
         argv = ("matrix", "--kind", kind, "--k", "3", "--n", "6", "--format")
         cold, modules, _ = loaded_modules(tmp_path, *argv, "json")
@@ -631,7 +682,7 @@ def test_matrix_warm_hit_imports_only_the_label_layer(tmp_path):
             warm, modules, _ = loaded_modules(tmp_path, *argv, fmt)
             assert warm == rendered(json.loads(cold), fmt) + "\n"
             assert {m for m in modules if m.split(".")[0] == "kschur"} == LABEL_LAYER, (kind, fmt)
-            assert "json" not in modules, (kind, fmt)
+            assert not {"json", "hashlib"} & modules, (kind, fmt)
 
 
 @pytest.mark.parametrize(
@@ -736,8 +787,9 @@ def test_matrix_rejects_non_object_cache(tmp_path, monkeypatch, capsys):
 
 def test_matrix_cache_file_is_the_json_output(tmp_path, monkeypatch, capsys):
     """A cold request makes each row's text once, whatever the format, and
-    writes the cache file as exactly the bytes a json request prints, with
-    a newline after the prefix and after each comma between rows."""
+    writes the cache file as exactly the bytes a json request prints, after
+    a crc32 field, with a newline after the prefix and after each comma
+    between rows."""
     monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
     made = []
     row_texts = cli._row_texts
@@ -749,18 +801,19 @@ def test_matrix_cache_file_is_the_json_output(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "_row_texts", counted_row_texts)
     argv = ("matrix", "--kind", "h-to-ns", "--k", "3", "--n", "5", "--format")
-    d = len(matrix_document("h-to-ns", 3, 5)["row_labels"])
+    doc = matrix_document("h-to-ns", 3, 5)
     for fmt in ("json", "csv", "latex"):
         for path in tmp_path.glob("*.json"):
             path.unlink()
         made.clear()
         code, out = run(capsys, *argv, fmt)
-        assert code == 0 and len(made) == d
+        assert code == 0 and len(made) == len(doc["row_labels"])
         text = next(tmp_path.glob("*.json")).read_text(encoding="utf-8")
-        assert text == line_file(json.loads(text))
-        assert out == rendered(json.loads(text), fmt) + "\n"
+        assert text == cache_file(doc)
+        assert out == rendered(doc, fmt) + "\n"
         if fmt == "json":
-            assert out == text.replace("\n", "") + "\n"
+            field, rest = text.split(",", 1)
+            assert field == f'{{"crc32":"{crc_field(text)}"' and out == "{" + rest.replace("\n", "") + "\n"
 
 
 CORPUS_KS = (1, 2, 3, None)
@@ -794,7 +847,7 @@ def test_cold_stream_matches_dense_document(kind, fmt, tmp_path, monkeypatch, ca
             doc = dense_document(kind, k, n)
             assert code == 0 and out == rendered(doc, fmt) + "\n", (k, n)
             (path,) = (tmp_path / f"{k}-{n}").iterdir()
-            assert path.read_text(encoding="utf-8") == line_file(doc), (k, n)
+            assert path.read_text(encoding="utf-8") == cache_file(doc), (k, n)
             assert run(capsys, *argv) == (0, out), (k, n)
 
 
@@ -893,6 +946,40 @@ def test_matrix_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch, ca
     code, out = run(capsys, "matrix", "--kind", "ns-to-h", "--k", "2", "--n", "4", "--format", "json")
     assert code == 0
     assert out == json.dumps(matrix_document("ns-to-h", 2, 4), separators=(",", ":")) + "\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+class FailsAtTheField(io.BufferedWriter):
+    """A cache temp file whose seek to the crc32 field raises OSError, or,
+    failing "write", whose write after that seek does."""
+
+    def __init__(self, fd, failing):
+        super().__init__(io.FileIO(fd, "w"))
+        self.failing, self.sought = failing, False
+
+    def seek(self, *args):
+        if self.failing == "seek":
+            raise OSError("seek failed")
+        self.sought = True
+        return super().seek(*args)
+
+    def write(self, data):
+        if self.sought:
+            raise OSError("write failed")
+        return super().write(data)
+
+
+@pytest.mark.parametrize("failing", ["seek", "write"])
+def test_matrix_failed_crc_field_write_leaves_no_file(failing, tmp_path, monkeypatch, capsys):
+    """A seek to the crc32 field, or the write of its digits, that fails
+    once the rows are written leaves no temp file and no cache file, and
+    the temp file closed; the request still prints all of its output."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    opened = []
+    monkeypatch.setattr(cli.os, "fdopen", lambda fd, mode: opened.append(FailsAtTheField(fd, failing)) or opened[-1])
+    code, out = run(capsys, "matrix", "--kind", "ns-to-h", "--k", "3", "--n", "5")
+    assert (code, out) == (0, json.dumps(matrix_document("ns-to-h", 3, 5), separators=(",", ":")) + "\n")
+    assert opened[0].closed and opened[0].sought == (failing == "write")
     assert list(tmp_path.iterdir()) == []
 
 

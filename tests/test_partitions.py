@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from core_scan import hook_row_counts, scan_bounded_to_core, scan_k_conjugate
 from core_transpose import core_transpose_conjugate
 from kschur import DomainError, labels, partitions
+from kschur.compositions import comp_pieri_targets
 from kschur.labels import check_partition, partitions_of
 from kschur.partitions import (
     bounded_to_core,
@@ -145,6 +146,24 @@ def test_bounded_to_core_rejects_a_non_partition_for_every_k(lam, k):
     for func in (bounded_to_core, core_search_oracle):
         with pytest.raises(DomainError, match="partition parts"):
             func(lam, k)
+
+
+@pytest.mark.parametrize(
+    "func, args",
+    [
+        (k_conjugate, ((1, 3), None)),
+        (k_pieri_targets, ((1, 2), 1, None)),
+        (comp_pieri_targets, ((0, 1), 1, None)),
+        (hook_lengths, ((1, 3),)),
+    ],
+    ids=["k_conjugate", "k_pieri_targets", "comp_pieri_targets", "hook_lengths"],
+)
+def test_unbounded_k_checks_its_label_as_finite_k_does(func, args):
+    """At k = None each label is checked as at finite k, and hook_lengths,
+    which takes no k, checks its shape too: a label that is no partition or
+    composition raises DomainError, not a result or an IndexError."""
+    with pytest.raises(DomainError, match="parts must"):
+        func(*args)
 
 
 def test_k_conjugate_examples():
